@@ -121,12 +121,27 @@ def draw_lambda(beta: np.ndarray, data: Dataset, rng: np.random.Generator) -> np
     return _gig_half_draw_vec(1.0, chi, rng)
 
 
-def build_suffstats(lam: np.ndarray, data: Dataset) -> SuffStats:
+def _canonical_rank(data: Dataset) -> np.ndarray:
+    """Dense rank of each row in lexicographic (x_1..x_p, a, r) order.
+
+    Exact duplicates share a rank; -0.0 equals 0.0, as in np.lexsort.
+    """
+    order = np.lexsort((data.rewards, data.actions) + tuple(data.features[:, ::-1].T))
+    rows = np.column_stack((data.features, data.actions, data.rewards))[order]
+    starts_group = np.ones(data.n, dtype=bool)
+    starts_group[1:] = np.any(rows[1:] != rows[:-1], axis=1)
+    rank = np.empty(data.n, dtype=np.int64)
+    rank[order] = np.cumsum(starts_group)
+    return rank
+
+
+def build_suffstats(lam: np.ndarray, data: Dataset, rank: np.ndarray | None = None) -> SuffStats:
     """Accumulate the canonical sufficient statistics for the beta draw.
 
-    Observations are first put into a canonical lexicographic order so
-    the accumulated sums are bit-identical under any permutation of the
-    input rows (fixed summation order policy).
+    Observations are summed in a canonical order, so the sums are
+    bit-identical under any permutation of the input rows: rank fixed per
+    chain (`_canonical_rank`, computed here when not passed), `lam` breaks
+    exact-duplicate ties.
     """
     lam = np.asarray(lam, dtype=float).ravel()
     if lam.shape != (data.n,):
@@ -136,10 +151,7 @@ def build_suffstats(lam: np.ndarray, data: Dataset) -> SuffStats:
     if not np.all(lam > 0):
         raise ValueError("lam must be strictly positive")
 
-    keys = (lam, data.rewards, data.actions) + tuple(
-        data.features[:, j] for j in range(data.p - 1, -1, -1)
-    )
-    order = np.lexsort(keys)
+    order = np.lexsort((lam, _canonical_rank(data) if rank is None else rank))
     x = data.features[order]
     a = data.actions[order]
     w = owl_weights(data)[order]
@@ -220,7 +232,11 @@ def _active_set_logdet_quad(
 
 
 def draw_gamma_and_beta_ss(
-    state: ChainState, data: Dataset, prior: SpikeSlabPrior, rng: np.random.Generator
+    state: ChainState,
+    data: Dataset,
+    prior: SpikeSlabPrior,
+    rng: np.random.Generator,
+    rank: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nested single-site sweep over inclusion indicators, then the slab draw.
 
@@ -229,7 +245,7 @@ def draw_gamma_and_beta_ss(
     rest fixed. After the sweep, beta on the active set is drawn from its
     conditional Gaussian and the inactive coordinates are exactly zero.
     """
-    suff = build_suffstats(state.lam, data)
+    suff = build_suffstats(state.lam, data, rank)
     p = data.p
     sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
     prior_prec = 1.0 / (prior.nu**2 * sigma_sq)
@@ -286,6 +302,7 @@ def _run_single_chain(
 ) -> tuple[np.ndarray, np.ndarray | None]:
     rng = substream(config.seed, chain_index)
     state = _init_state(data, prior, config)
+    rank = _canonical_rank(data)
     kept = config.n_draws - config.burn_in
     beta_out = np.empty((kept, data.p))
     gamma_out = np.empty((kept, data.p), dtype=np.int8) if state.gamma is not None else None
@@ -293,25 +310,28 @@ def _run_single_chain(
     for g in range(config.n_draws):
         try:
             if isinstance(prior, NormalPrior):
-                suff = build_suffstats(state.lam, data)
+                suff = build_suffstats(state.lam, data, rank)
                 state.beta = draw_beta_normal(suff, prior, rng)
                 state.lam = draw_lambda(state.beta, data, rng)
             elif isinstance(prior, ExponentialPowerPrior):
-                suff = build_suffstats(state.lam, data)
+                suff = build_suffstats(state.lam, data, rank)
                 state.beta = draw_beta_ep(suff, state.omega, prior, rng)
                 state.lam = draw_lambda(state.beta, data, rng)
                 state.omega = draw_omega(state.beta, prior, rng)
             elif isinstance(prior, SpikeSlabPrior):
                 state.lam = draw_lambda(state.beta, data, rng)
-                state.gamma, state.beta = draw_gamma_and_beta_ss(state, data, prior, rng)
+                state.gamma, state.beta = draw_gamma_and_beta_ss(state, data, prior, rng, rank)
             else:
                 raise TypeError(f"unknown prior type {type(prior)!r}")
-        except (np.linalg.LinAlgError, FloatingPointError, OverflowError) as exc:
+        except (ValueError, FloatingPointError, OverflowError) as exc:  # LinAlgError is a ValueError
             raise GibbsNumericalError(str(exc), chain_index, g) from exc
 
-        assert np.all(np.isfinite(state.beta)), f"non-finite beta at iteration {g}"
-        assert np.all(state.lam > 0), f"nonpositive lam at iteration {g}"
-        assert state.omega is None or np.all(state.omega > 0), f"nonpositive omega at iteration {g}"
+        if not np.all(np.isfinite(state.beta)):
+            raise GibbsNumericalError("non-finite beta", chain_index, g)
+        if not np.all(state.lam > 0):
+            raise GibbsNumericalError("nonpositive lam", chain_index, g)
+        if state.omega is not None and not np.all(state.omega > 0):
+            raise GibbsNumericalError("nonpositive omega", chain_index, g)
 
         if g >= config.burn_in:
             beta_out[g - config.burn_in] = state.beta

@@ -308,19 +308,21 @@ def uncertainty_study(
     nu: float = 0.8,
     resolution: int = 33,
     configs: dict | None = None,
+    signal_scale: float = 1.0,
 ):
     """Fit the shrinkage-prior variant once and map grid certainties.
 
     Returns (draws, coords, certainty matrix, recommendations, magnitudes):
     the deterministic lattice on the first two features with all others at
-    zero, plus the per-feature absolute posterior means.
+    zero, plus the per-feature absolute posterior means. signal_scale is
+    the scenario's (0 gives a signal-free control).
     """
     from .prediction import GridSpec, certainty_grid, coefficient_magnitudes
 
     cfg = dict(DEFAULT_METHOD_CONFIG)
     cfg.update(configs or {})
     cfg["nu"] = nu
-    spec = ScenarioSpec(scenario_id=scenario_id, n_train=n_train, seed=seed)
+    spec = ScenarioSpec(scenario_id=scenario_id, n_train=n_train, seed=seed, signal_scale=signal_scale)
     train, _ = generate_scenario(spec, 0, substream(seed, 0, 0))
     draws = fit_bowl(train, "bowl-ep", cfg, seed=_fit_seed(seed, 0, 1))
     grid = GridSpec(dims=(0, 1), resolution=resolution)

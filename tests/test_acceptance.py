@@ -27,15 +27,10 @@ from scipy.stats import spearmanr
 
 from bowl.cli import main as cli_main
 from bowl.gibbs import ChainState, draw_gamma_and_beta_ss
-from bowl.prediction import GridSpec, certainty_grid, coefficient_magnitudes
 from bowl.pseudo_model import Dataset, SpikeSlabPrior
 from bowl.rng import substream
 from bowl.simulate import (
-    DEFAULT_METHOD_CONFIG,
     ScenarioSpec,
-    _fit_seed,
-    fit_bowl,
-    generate_scenario,
     run_experiment,
     true_optimal_rule,
     uncertainty_study,
@@ -137,17 +132,6 @@ def _replication_arrays(runs):
     return coords, certainty, actions, mags
 
 
-def _study_pipeline(seed, signal_scale, n_train=UNCERTAINTY_N, configs=None):
-    """uncertainty_study's fit and map, with the scenario's signal_scale exposed."""
-    cfg = dict(DEFAULT_METHOD_CONFIG)
-    cfg.update(configs or {})
-    spec = ScenarioSpec(scenario_id=1, n_train=n_train, seed=seed, signal_scale=signal_scale)
-    train, _ = generate_scenario(spec, 0, substream(seed, 0, 0))
-    draws = fit_bowl(train, "bowl-ep", cfg, seed=_fit_seed(seed, 0, 1))
-    coords, certainty, recs = certainty_grid(draws, GridSpec(dims=(0, 1), resolution=33))
-    return coords, certainty, recs, coefficient_magnitudes(draws)
-
-
 @pytest.fixture(scope="module")
 def uncertainty_replications():
     """The shrinkage-prior study at the pre-registered seeds, shared by criteria 6 and 7."""
@@ -214,14 +198,11 @@ def test_criterion_7_feature_relevance(uncertainty_replications):
 
 
 def test_criteria_6_and_7_reject_signal_free_control():
-    # The control must run the study's own pipeline; pin that on a cheap fit.
-    small = {"n_draws": 40, "burn_in": 10}
-    _, _, ref_cert, _, ref_mags = uncertainty_study(scenario_id=1, n_train=100, seed=3, configs=small)
-    _, cert, _, mags = _study_pipeline(3, 1.0, n_train=100, configs=small)
-    assert np.array_equal(cert, ref_cert) and np.array_equal(mags, ref_mags)
-
     coords, certainty, actions, mags = _replication_arrays(
-        [_study_pipeline(s, 0.0) for s in UNCERTAINTY_SEEDS]
+        [
+            uncertainty_study(scenario_id=1, n_train=UNCERTAINTY_N, seed=s, signal_scale=0.0)[1:]
+            for s in UNCERTAINTY_SEEDS
+        ]
     )
     geometry_ok, geometry_detail = uncertainty_geometry(coords, certainty, actions)
     relevance_ok, relevance_detail = feature_relevance(mags)

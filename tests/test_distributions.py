@@ -203,6 +203,40 @@ class TestMvn:
         with pytest.raises(ValueError):
             MvnParams(np.zeros(2), np.array([[1.0, 0.2], [0.0, 1.0]]))
 
+    def test_symmetry_check_agrees_with_allclose(self):
+        def accepted(precision):
+            try:
+                MvnParams(np.zeros(len(precision)), precision)
+            except np.linalg.LinAlgError:  # a ValueError subclass, raised after the check
+                pass
+            except ValueError as exc:
+                assert "symmetric" in str(exc)
+                return False
+            return True
+
+        # Mirror entries pushed to within a few ulps of allclose's tolerance,
+        # atol + rtol * |b| with b the transposed entry, on either side.
+        rng = substream(23)
+        outcomes = []
+        for _ in range(400):
+            a = rng.standard_normal((4, 4)) * 10.0 ** rng.integers(-9, 4)
+            precision = a @ a.T + np.eye(4)
+            i, j = rng.choice(4, size=2, replace=False)
+            b = precision[j, i]
+            edge = (1e-8 + 1e-5 * abs(b)) * (1.0 + int(rng.integers(-6, 7)) * 2.0**-52)
+            precision[i, j] = b + rng.choice([-1.0, 1.0]) * edge
+            outcomes.append(accepted(precision))
+            assert outcomes[-1] == np.allclose(precision, precision.T)
+        assert 0 < sum(outcomes) < len(outcomes)
+
+        with np.errstate(invalid="ignore"):
+            for i, j, value, mirror in [(0, 0, np.inf, np.inf), (0, 1, np.inf, np.inf),
+                                        (0, 1, np.inf, -np.inf), (0, 1, np.nan, np.nan),
+                                        (0, 1, 1.0, np.inf)]:
+                precision = np.eye(2)
+                precision[i, j], precision[j, i] = value, mirror
+                assert accepted(precision) == np.allclose(precision, precision.T)
+
 
 class TestDeterminism:
     def test_identical_seeds_reproduce_streams(self):

@@ -1,15 +1,22 @@
 import math
+import os
+import subprocess
+import sys
+import textwrap
 
 import numpy as np
 import pytest
 from scipy import integrate
 from scipy.stats import ks_2samp, norm
 
+import bowl
 from bowl.diagnostics import effective_sample_size, split_rhat
 from bowl.gibbs import (
     ChainState,
     GibbsConfig,
     GibbsNumericalError,
+    SuffStats,
+    _canonical_rank,
     build_suffstats,
     draw_beta_ep,
     draw_beta_normal,
@@ -24,6 +31,7 @@ from bowl.pseudo_model import (
     NormalPrior,
     SpikeSlabPrior,
     owl_weight,
+    owl_weights,
 )
 from bowl.rng import substream
 from bowl.verify import metropolis_beta_samples, oracle_instance
@@ -39,6 +47,36 @@ def random_dataset(seed, n=7, p=3, rho=0.4):
         rewards=rng.uniform(0.2, 4.0, size=n),
         rho=rho,
     )
+
+
+def duplicated_dataset(seed, n=36, p=3, rho=0.4):
+    """Rows drawn with replacement from 9 distinct ones, with a column of mixed +0.0 and -0.0."""
+    base = random_dataset(seed, n=9, p=p, rho=rho)
+    rng = substream(seed, 1)
+    idx = rng.integers(0, base.n, size=n)
+    features = base.features[idx].copy()
+    features[:, 1] = np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0)
+    return Dataset(features, base.actions[idx], base.rewards[idx], rho)
+
+
+def lexsort_suffstats(lam, data, rank=None):
+    """Reference build_suffstats: the 13-key lexsort (lam, r, a, x_p..x_1) on every call.
+
+    `rank` is accepted and ignored, so this can stand in for the real one.
+    """
+    lam = np.asarray(lam, dtype=float).ravel()
+    keys = (lam, data.rewards, data.actions) + tuple(
+        data.features[:, j] for j in range(data.p - 1, -1, -1)
+    )
+    order = np.lexsort(keys)
+    x = data.features[order]
+    a = data.actions[order]
+    w = owl_weights(data)[order]
+    lam_o = lam[order]
+    precision = x.T @ ((w**2 / lam_o)[:, None] * x)
+    precision = 0.5 * (precision + precision.T)
+    linear = x.T @ (w * (1.0 + w / lam_o) * a)
+    return SuffStats(precision, linear)
 
 
 class TestDrawLambda:
@@ -89,14 +127,39 @@ class TestBuildSuffstats:
         np.testing.assert_allclose(suff.linear_data, linear, atol=1e-12)
 
     def test_permutation_bit_exact(self):
-        data = random_dataset(36, n=12)
-        lam = substream(37).uniform(0.5, 2.0, size=data.n)
-        suff = build_suffstats(lam, data)
-        perm = substream(38).permutation(data.n)
-        shuffled = Dataset(data.features[perm], data.actions[perm], data.rewards[perm], data.rho)
-        suff_p = build_suffstats(lam[perm], shuffled)
-        np.testing.assert_array_equal(suff.precision_data, suff_p.precision_data)
-        np.testing.assert_array_equal(suff.linear_data, suff_p.linear_data)
+        for data in (random_dataset(36, n=12), duplicated_dataset(36)):
+            lam = substream(37).uniform(0.5, 2.0, size=data.n)
+            suff = build_suffstats(lam, data)
+            perm = substream(38).permutation(data.n)
+            shuffled = Dataset(data.features[perm], data.actions[perm], data.rewards[perm], data.rho)
+            suff_p = build_suffstats(lam[perm], shuffled)
+            np.testing.assert_array_equal(suff.precision_data, suff_p.precision_data)
+            np.testing.assert_array_equal(suff.linear_data, suff_p.linear_data)
+
+    @pytest.mark.parametrize("lam_kind", ["distinct", "tied", "all_equal"])
+    def test_matches_lexsort_reference_bit_exact(self, lam_kind):
+        # Duplicated rows and +-0.0 entries form the tie groups that lam breaks.
+        for seed in range(5):
+            data = duplicated_dataset(100 + seed)
+            rng = substream(110, seed)
+            lam = {
+                "distinct": rng.uniform(0.5, 2.0, size=data.n),
+                "tied": rng.choice([0.5, 1.0, 2.0], size=data.n),
+                "all_equal": np.ones(data.n),
+            }[lam_kind]
+            ref = lexsort_suffstats(lam, data)
+            for suff in (build_suffstats(lam, data), build_suffstats(lam, data, _canonical_rank(data))):
+                np.testing.assert_array_equal(suff.precision_data, ref.precision_data)
+                np.testing.assert_array_equal(suff.linear_data, ref.linear_data)
+
+    def test_canonical_rank_ties_exact_duplicates_only(self):
+        data = Dataset(
+            np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 2.0], [-1.0, 5.0]]),
+            np.array([1.0, 1.0, -1.0, 1.0, 1.0]),
+            np.array([1.0, 1.0, 1.0, 1.0, 1.0]),
+            0.5,
+        )
+        np.testing.assert_array_equal(_canonical_rank(data), [3, 3, 2, 4, 1])
 
     def test_rejects_nonpositive_lambda(self):
         data = random_dataset(39)
@@ -380,6 +443,83 @@ class TestRunChain:
         monkeypatch.setattr("bowl.gibbs.build_suffstats", explode)
         with pytest.raises(GibbsNumericalError, match="chain 0, iteration 0"):
             run_chain(data, NormalPrior(), GibbsConfig(n_draws=10, burn_in=0, seed=1))
+
+    @pytest.mark.parametrize(
+        "prior", [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior()], ids=["normal", "ep", "ss"]
+    )
+    def test_draws_match_lexsort_reference(self, monkeypatch, prior):
+        data = duplicated_dataset(69)
+        config = GibbsConfig(n_draws=40, burn_in=10, n_chains=2, seed=6)
+        real = run_chain(data, prior, config)
+        monkeypatch.setattr("bowl.gibbs.build_suffstats", lexsort_suffstats)
+        ref = run_chain(data, prior, config)
+        np.testing.assert_array_equal(real.beta, ref.beta)
+        if ref.gamma is not None:
+            np.testing.assert_array_equal(real.gamma, ref.gamma)
+
+    def test_nonfinite_beta_raises(self, monkeypatch):
+        data = random_dataset(70)
+        monkeypatch.setattr("bowl.gibbs.draw_beta_normal", lambda *args: np.full(data.p, np.nan))
+        with pytest.raises(GibbsNumericalError, match="chain 0, iteration 0"):
+            run_chain(data, NormalPrior(), GibbsConfig(n_draws=10, burn_in=0, seed=1))
+
+    def test_nonfinite_spike_slab_beta_raises(self, monkeypatch):
+        data = random_dataset(71)
+        monkeypatch.setattr(
+            "bowl.gibbs.draw_gamma_and_beta_ss",
+            lambda *args: (np.ones(data.p, dtype=np.int8), np.full(data.p, np.nan)),
+        )
+        with pytest.raises(GibbsNumericalError, match="chain 0, iteration 0: non-finite beta"):
+            run_chain(data, SpikeSlabPrior(), GibbsConfig(n_draws=10, burn_in=0, seed=1))
+
+    def test_nonpositive_lambda_raises(self, monkeypatch):
+        data = random_dataset(72)
+        real_draw = bowl.gibbs.draw_lambda
+
+        def zero_first(beta, data, rng):
+            lam = real_draw(beta, data, rng)
+            lam[0] = 0.0
+            return lam
+
+        monkeypatch.setattr("bowl.gibbs.draw_lambda", zero_first)
+        with pytest.raises(GibbsNumericalError, match="chain 0, iteration 0: nonpositive lam"):
+            run_chain(data, NormalPrior(), GibbsConfig(n_draws=10, burn_in=0, seed=1))
+
+    def test_invariants_raise_under_optimize_flag(self):
+        # python -O strips assert statements; the chain invariants must not be asserts.
+        script = textwrap.dedent(
+            """
+            import numpy as np
+            import bowl.gibbs as g
+            from bowl.pseudo_model import Dataset, NormalPrior
+
+            data = Dataset(np.array([[0.5, 1.0], [-0.3, 0.2]]), np.array([1.0, -1.0]),
+                           np.array([1.0, 2.0]), 0.5)
+            real_draw = g.draw_lambda
+            patches = {
+                "draw_beta_normal": lambda *args: np.full(2, np.nan),
+                "draw_lambda": lambda *args: real_draw(*args) * np.array([0.0, 1.0]),
+            }
+            for name, fake in patches.items():
+                original = getattr(g, name)
+                setattr(g, name, fake)
+                try:
+                    g.run_chain(data, NormalPrior(), g.GibbsConfig(n_draws=5, burn_in=0))
+                except g.GibbsNumericalError as exc:
+                    if "chain 0, iteration 0" not in str(exc):
+                        raise SystemExit(f"{name}: wrong location: {exc}")
+                else:
+                    raise SystemExit(f"{name}: no GibbsNumericalError")
+                setattr(g, name, original)
+            print("ok")
+            """
+        )
+        src = os.path.dirname(os.path.dirname(bowl.__file__))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        result = subprocess.run(
+            [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
+        )
+        assert result.returncode == 0 and result.stdout.strip() == "ok", result.stderr + result.stdout
 
 
 class TestDiagnostics:
