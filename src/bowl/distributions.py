@@ -64,10 +64,11 @@ class MvnParams:
         precision = np.asarray(precision, dtype=float)
         if mean.ndim != 1 or precision.shape != (mean.size, mean.size):
             raise ValueError("mean must be length-p and precision p x p")
-        # np.allclose(precision, precision.T)'s own rule, at a third of its cost.
+        if not (np.isfinite(mean).all() and np.isfinite(precision).all()):
+            raise ValueError("mean and precision must be finite")
+        # np.allclose(precision, precision.T)'s own rule on finite entries, at a third of its cost.
         t = precision.T
-        close = (np.abs(precision - t) <= 1e-8 + 1e-5 * np.abs(t)) & np.isfinite(t) | (precision == t)
-        if not close.all():
+        if not (np.abs(precision - t) <= 1e-8 + 1e-5 * np.abs(t)).all():
             raise ValueError("precision matrix must be symmetric")
         self.mean = mean
         self.precision = precision

@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import lapack
 
 from .distributions import MvnParams, _gig_half_draw_vec, _invgauss_draw, sample_mvn
 from .pseudo_model import (
@@ -72,7 +72,6 @@ class GibbsConfig:
     burn_in: int = 150
     n_chains: int = 1
     seed: int = 0
-    init: str = "zeros"  # or "ridge"
 
     def __post_init__(self):
         if self.n_draws < 1:
@@ -81,8 +80,6 @@ class GibbsConfig:
             raise ValueError("burn_in must satisfy 0 <= burn_in < n_draws")
         if self.n_chains < 1:
             raise ValueError("n_chains must be positive")
-        if self.init not in ("zeros", "ridge"):
-            raise ValueError(f"unknown init rule {self.init!r}")
 
 
 @dataclass
@@ -208,27 +205,46 @@ def draw_omega(beta: np.ndarray, prior: ExponentialPowerPrior, rng: np.random.Ge
     return out
 
 
-def _active_set_logdet_quad(
-    precision_data: np.ndarray,
-    linear_data: np.ndarray,
-    prior_prec: np.ndarray,
-    active: np.ndarray,
-) -> float:
-    """Data-dependent part of the log marginal with beta integrated out.
-
-    Returns (1/2)[sum log prior_prec - log|B^{-1}| + b' B b] over the active
-    coordinates; zero for an empty active set (all constants shared by the
-    gamma configurations cancel in the Bernoulli ratio).
-    """
+def _active_inverse(a_mat: np.ndarray, active: np.ndarray) -> np.ndarray:
+    """A_SS^{-1} embedded in a p x p array of zeros, from one Cholesky factorization of A_SS."""
+    m_inv = np.zeros_like(a_mat)
     idx = np.flatnonzero(active)
-    if idx.size == 0:
-        return 0.0
-    b_inv = precision_data[np.ix_(idx, idx)] + np.diag(prior_prec[idx])
-    chol = np.linalg.cholesky(b_inv)
-    half_logdet = float(np.sum(np.log(np.diag(chol))))
-    u = solve_triangular(chol, linear_data[idx], lower=True)
-    quad = float(u @ u)
-    return 0.5 * float(np.sum(np.log(prior_prec[idx]))) - half_logdet + 0.5 * quad
+    if idx.size > 0:
+        block = np.ix_(idx, idx)
+        chol_inv = lapack.dtrtri(np.linalg.cholesky(a_mat[block]), lower=1)[0]
+        m_inv[block] = chol_inv.T @ chol_inv
+    return m_inv
+
+
+def _inclusion_log_bf(a_mat, b_vec, m_inv, active, prior_prec_j, j) -> tuple[float, float, np.ndarray | None]:
+    """Log Bayes factor of gamma_j = 1 over 0, read off m_inv = A_SS^{-1} (`_active_inverse`).
+
+    With R = S - {j}: s = A_jj - A_jR A_RR^{-1} A_Rj and t = b_j - A_jR A_RR^{-1} b_R.
+    Returns (1/2)(log prior_prec_j - log s + t^2 / s), s, and, for an inactive j,
+    the v = m_inv A_.j that adding j needs (else None).
+    """
+    if active[j]:
+        s = 1.0 / m_inv[j, j]
+        t = float(m_inv[j] @ b_vec) * s
+        v = None
+    else:
+        v = m_inv @ a_mat[:, j]
+        s = a_mat[j, j] - float(a_mat[j] @ v)
+        t = b_vec[j] - float(v @ b_vec)
+    if not (0.0 < s < math.inf and math.isfinite(t)):
+        raise ValueError(f"non-positive or non-finite Schur complement {s!r} at coordinate {j}")
+    return 0.5 * (math.log(prior_prec_j) - math.log(s) + t * t / s), s, v
+
+
+def _flip_inverse(m_inv: np.ndarray, j: int, s: float, v: np.ndarray | None) -> None:
+    """Rank-one update of m_inv in place as gamma_j flips; s and v from `_inclusion_log_bf`."""
+    if v is not None:  # add j: + (v - e_j)(v - e_j)' / s
+        v[j] = -1.0
+        m_inv += np.outer(v, v) / s
+    else:  # drop j: - M_.j M_j. / M_jj, then zero row and column j
+        m_inv -= np.outer(m_inv[:, j], m_inv[:, j]) / m_inv[j, j]
+        m_inv[j, :] = 0.0
+        m_inv[:, j] = 0.0
 
 
 def draw_gamma_and_beta_ss(
@@ -242,55 +258,37 @@ def draw_gamma_and_beta_ss(
 
     For each coordinate j, the Bernoulli odds compare the beta-integrated
     log marginals of the augmented model under gamma_j = 0 vs 1 holding the
-    rest fixed. After the sweep, beta on the active set is drawn from its
-    conditional Gaussian and the inactive coordinates are exactly zero.
+    rest fixed. The active block of A = precision_data + diag(prior_prec) is
+    factored once per sweep, and each accepted flip updates its inverse by
+    one rank-one term. After the sweep, beta on the active set is drawn from
+    its conditional Gaussian and the inactive coordinates are exactly zero.
     """
     suff = build_suffstats(state.lam, data, rank)
-    p = data.p
     sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
     prior_prec = 1.0 / (prior.nu**2 * sigma_sq)
-    log_pi = math.log(prior.pi_incl)
-    log_one_minus_pi = math.log1p(-prior.pi_incl)
+    log_prior_odds_out = math.log1p(-prior.pi_incl) - math.log(prior.pi_incl)
+    a_mat = suff.precision_data + np.diag(prior_prec)
+    b_vec = suff.linear_data
 
-    gamma = np.asarray(state.gamma, dtype=np.int8).copy()
-    active = gamma.astype(bool)
-    current_part = _active_set_logdet_quad(suff.precision_data, suff.linear_data, prior_prec, active)
-
-    for j in range(p):
-        flipped = active.copy()
-        flipped[j] = not flipped[j]
-        flipped_part = _active_set_logdet_quad(
-            suff.precision_data, suff.linear_data, prior_prec, flipped
-        )
-        if active[j]:
-            log_w1, log_w0 = current_part + log_pi, flipped_part + log_one_minus_pi
-        else:
-            log_w1, log_w0 = flipped_part + log_pi, current_part + log_one_minus_pi
-        prob_include = 1.0 / (1.0 + math.exp(min(log_w0 - log_w1, 700.0)))
+    active = np.asarray(state.gamma, dtype=bool).copy()
+    m_inv = _active_inverse(a_mat, active)
+    for j in range(data.p):
+        log_bf, s, v = _inclusion_log_bf(a_mat, b_vec, m_inv, active, prior_prec[j], j)
+        prob_include = 1.0 / (1.0 + math.exp(min(log_prior_odds_out - log_bf, 700.0)))
         include = rng.uniform() < prob_include
         if include != active[j]:
+            _flip_inverse(m_inv, j, s, v)
             active[j] = include
-            current_part = flipped_part
 
-    beta = np.zeros(p)
+    beta = np.zeros(data.p)
     idx = np.flatnonzero(active)
     if idx.size > 0:
-        b_inv = suff.precision_data[np.ix_(idx, idx)] + np.diag(prior_prec[idx])
-        beta[idx] = _gaussian_from_natural(b_inv, suff.linear_data[idx], rng)
+        beta[idx] = _gaussian_from_natural(a_mat[np.ix_(idx, idx)], b_vec[idx], rng)
     return active.astype(np.int8), beta
 
 
-def _ridge_warm_start(data: Dataset) -> np.ndarray:
-    # Weighted ridge regression of the observed action on the features.
-    if data.n == 0:
-        return np.zeros(data.p)
-    w = owl_weights(data)
-    xtx = data.features.T @ (w[:, None] * data.features) + np.eye(data.p)
-    return np.linalg.solve(xtx, data.features.T @ (w * data.actions))
-
-
-def _init_state(data: Dataset, prior: PriorSpec, config: GibbsConfig) -> ChainState:
-    beta = _ridge_warm_start(data) if config.init == "ridge" else np.zeros(data.p)
+def _init_state(data: Dataset, prior: PriorSpec) -> ChainState:
+    beta = np.zeros(data.p)
     lam = np.ones(data.n)
     omega = np.ones(data.p) if isinstance(prior, ExponentialPowerPrior) else None
     gamma = np.ones(data.p, dtype=np.int8) if isinstance(prior, SpikeSlabPrior) else None
@@ -301,7 +299,7 @@ def _run_single_chain(
     data: Dataset, prior: PriorSpec, config: GibbsConfig, chain_index: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     rng = substream(config.seed, chain_index)
-    state = _init_state(data, prior, config)
+    state = _init_state(data, prior)
     rank = _canonical_rank(data)
     kept = config.n_draws - config.burn_in
     beta_out = np.empty((kept, data.p))

@@ -3,21 +3,33 @@
 Each check compares a sampler or density against an independent route:
 adaptive quadrature for the scale-mixture identity, closed-form moments
 for the latent-scale draws, direct linear solves for the Gaussian
-conditionals, and a long random-walk Metropolis chain for the full
+conditionals, a fresh factorization per subset for the spike-and-slab
+inclusion odds, and a long random-walk Metropolis chain for the full
 Gibbs kernel. The test suite reuses these for the acceptance gate.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import quad
+from scipy.linalg import solve_triangular
 from scipy.stats import ks_2samp
 
 from .distributions import _gig_half_draw_vec
-from .gibbs import GibbsConfig, build_suffstats, draw_beta_ep, draw_beta_normal, run_chain
+from .gibbs import (
+    GibbsConfig,
+    _active_inverse,
+    _flip_inverse,
+    _inclusion_log_bf,
+    build_suffstats,
+    draw_beta_ep,
+    draw_beta_normal,
+    run_chain,
+)
 from .pseudo_model import (
     Dataset,
     ExponentialPowerPrior,
@@ -93,9 +105,8 @@ def check_gig_moments(seed: int = 0, n_draws: int = 100_000) -> CheckResult:
     )
 
 
-def _moment_instance(seed: int):
+def _moment_instance(seed: int, n: int = 6, p: int = 3):
     rng = substream(seed, 402)
-    n, p = 6, 3
     features = rng.uniform(-1.0, 1.0, size=(n, p))
     data = Dataset(
         features=features,
@@ -138,6 +149,64 @@ def check_beta_conditional_moments(seed: int = 0, n_draws: int = 100_000) -> Che
     ok &= bool(mean_err.max() < 3.0 and cov_err < 0.10)
     details.append(f"shrinkage: max|mean err|/SE={mean_err.max():.2f}, cov rel err={cov_err:.3f}")
     return CheckResult("beta conditional moments", ok, "; ".join(details))
+
+
+def subset_log_marginal(
+    precision_data: np.ndarray, linear_data: np.ndarray, prior_prec: np.ndarray, active: np.ndarray
+) -> float:
+    """Data-dependent part of the log marginal with beta integrated out.
+
+    Returns (1/2)[sum log prior_prec - log|B^{-1}| + b' B b] over the active
+    coordinates, from a fresh Cholesky factorization of the active block;
+    zero for an empty active set (all constants shared by the gamma
+    configurations cancel in the Bernoulli ratio).
+    """
+    idx = np.flatnonzero(active)
+    if idx.size == 0:
+        return 0.0
+    chol = np.linalg.cholesky(precision_data[np.ix_(idx, idx)] + np.diag(prior_prec[idx]))
+    half_logdet = float(np.sum(np.log(np.diag(chol))))
+    u = solve_triangular(chol, linear_data[idx], lower=True)
+    return 0.5 * float(np.sum(np.log(prior_prec[idx]))) - half_logdet + 0.5 * float(u @ u)
+
+
+def ss_sweep_gaps(seed: int = 0) -> tuple[float, float]:
+    """Worst relative gaps of the sweep's Schur algebra to fresh factorizations, over every (S, j) at p=5.
+
+    The log odds (`_inclusion_log_bf`) against subset_log_marginal(S + {j}) -
+    subset_log_marginal(S - {j}); the rank-one update as j flips
+    (`_flip_inverse`) against a fresh inverse of the flipped set.
+    """
+    p = 5
+    data, lam = _moment_instance(seed, n=12, p=p)
+    suff = build_suffstats(lam, data)
+    prior_prec = 1.0 / (0.8 * np.linspace(0.5, 1.5, p)) ** 2
+    a_mat = suff.precision_data + np.diag(prior_prec)
+    odds_gap = inverse_gap = 0.0
+    for active in map(np.array, itertools.product((False, True), repeat=p)):
+        m_inv = _active_inverse(a_mat, active)
+        for j in range(p):
+            log_bf, s, v = _inclusion_log_bf(a_mat, suff.linear_data, m_inv, active, prior_prec[j], j)
+            with_j, without_j = active.copy(), active.copy()
+            with_j[j], without_j[j] = True, False
+            direct = subset_log_marginal(suff.precision_data, suff.linear_data, prior_prec, with_j)
+            direct -= subset_log_marginal(suff.precision_data, suff.linear_data, prior_prec, without_j)
+            odds_gap = max(odds_gap, abs(log_bf - direct) / max(abs(direct), 1.0))
+            flipped = m_inv.copy()
+            _flip_inverse(flipped, j, s, v)
+            fresh = _active_inverse(a_mat, without_j if active[j] else with_j)
+            inverse_gap = max(inverse_gap, np.abs(flipped - fresh).max() / np.abs(fresh).max(initial=1.0))
+    return float(odds_gap), float(inverse_gap)
+
+
+def check_ss_log_odds(tol: float = 1e-6, seed: int = 0) -> CheckResult:
+    odds_gap, inverse_gap = ss_sweep_gaps(seed)
+    return CheckResult(
+        "spike-and-slab Schur log odds",
+        odds_gap < tol and inverse_gap < tol,
+        f"max relative gap to fresh factorizations over every (S, j) at p=5: log odds {odds_gap:.3e}, "
+        f"rank-one inverse update {inverse_gap:.3e} (tol {tol:g})",
+    )
 
 
 def oracle_instance() -> tuple[Dataset, NormalPrior]:
@@ -246,6 +315,7 @@ def run_all(tol: float = 1e-6, quick: bool = False, seed: int = 0) -> list[Check
         check_scale_mixture_identity(tol),
         check_gig_moments(seed),
         check_beta_conditional_moments(seed),
+        check_ss_log_odds(tol, seed),
     ]
     if not quick:
         checks.append(check_gibbs_vs_metropolis(seed))

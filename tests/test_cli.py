@@ -157,7 +157,7 @@ class TestVerify:
     def test_quick_passes(self, capsys):
         assert main(["verify", "--quick"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 3
+        assert out.count("[PASS]") == 4
 
     def test_absurd_tolerance_fails(self, capsys):
         assert main(["verify", "--quick", "--tol", "1e-300"]) == 1

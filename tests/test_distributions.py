@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -229,13 +230,24 @@ class TestMvn:
             assert outcomes[-1] == np.allclose(precision, precision.T)
         assert 0 < sum(outcomes) < len(outcomes)
 
-        with np.errstate(invalid="ignore"):
-            for i, j, value, mirror in [(0, 0, np.inf, np.inf), (0, 1, np.inf, np.inf),
-                                        (0, 1, np.inf, -np.inf), (0, 1, np.nan, np.nan),
-                                        (0, 1, 1.0, np.inf)]:
-                precision = np.eye(2)
-                precision[i, j], precision[j, i] = value, mirror
-                assert accepted(precision) == np.allclose(precision, precision.T)
+    @pytest.mark.parametrize(
+        "i, j, value, mirror",
+        [(0, 0, np.inf, np.inf), (0, 1, np.inf, np.inf), (0, 1, np.inf, -np.inf),
+         (0, 1, np.nan, np.nan), (0, 1, 1.0, np.inf)],
+    )
+    def test_nonfinite_precision_rejected(self, i, j, value, mirror):
+        # Symmetric inf entries pass np.allclose; they must fail here, with no warning.
+        precision = np.eye(2)
+        precision[i, j], precision[j, i] = value, mirror
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="finite"):
+                MvnParams(np.zeros(2), precision)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_mean_rejected(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            MvnParams(np.array([0.0, value]), np.eye(2))
 
 
 class TestDeterminism:

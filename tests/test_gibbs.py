@@ -17,6 +17,7 @@ from bowl.gibbs import (
     GibbsNumericalError,
     SuffStats,
     _canonical_rank,
+    _gaussian_from_natural,
     build_suffstats,
     draw_beta_ep,
     draw_beta_normal,
@@ -34,7 +35,7 @@ from bowl.pseudo_model import (
     owl_weights,
 )
 from bowl.rng import substream
-from bowl.verify import metropolis_beta_samples, oracle_instance
+from bowl.verify import metropolis_beta_samples, oracle_instance, ss_sweep_gaps, subset_log_marginal
 
 N = 100_000
 
@@ -77,6 +78,37 @@ def lexsort_suffstats(lam, data, rank=None):
     precision = 0.5 * (precision + precision.T)
     linear = x.T @ (w * (1.0 + w / lam_o) * a)
     return SuffStats(precision, linear)
+
+
+def cholesky_ss_reference(state, data, prior, rng, rank=None):
+    """Reference draw_gamma_and_beta_ss: a fresh Cholesky of the active block for every flip.
+
+    The sweep as it was before the Schur-complement updates, so it can stand in for the real one.
+    """
+    suff = build_suffstats(state.lam, data, rank)
+    prior_prec = 1.0 / (prior.nu**2 * np.asarray(prior.sigma_j, dtype=float) ** 2)
+    log_pi, log_one_minus_pi = math.log(prior.pi_incl), math.log1p(-prior.pi_incl)
+    active = np.asarray(state.gamma, dtype=bool).copy()
+    current_part = subset_log_marginal(suff.precision_data, suff.linear_data, prior_prec, active)
+    for j in range(data.p):
+        flipped = active.copy()
+        flipped[j] = not flipped[j]
+        flipped_part = subset_log_marginal(suff.precision_data, suff.linear_data, prior_prec, flipped)
+        if active[j]:
+            log_w1, log_w0 = current_part + log_pi, flipped_part + log_one_minus_pi
+        else:
+            log_w1, log_w0 = flipped_part + log_pi, current_part + log_one_minus_pi
+        prob_include = 1.0 / (1.0 + math.exp(min(log_w0 - log_w1, 700.0)))
+        include = rng.uniform() < prob_include
+        if include != active[j]:
+            active[j] = include
+            current_part = flipped_part
+    beta = np.zeros(data.p)
+    idx = np.flatnonzero(active)
+    if idx.size > 0:
+        b_inv = suff.precision_data[np.ix_(idx, idx)] + np.diag(prior_prec[idx])
+        beta[idx] = _gaussian_from_natural(b_inv, suff.linear_data[idx], rng)
+    return active.astype(np.int8), beta
 
 
 class TestDrawLambda:
@@ -349,6 +381,51 @@ class TestDrawGammaAndBetaSs:
             wins += int(incl[0] > incl[1])
         assert wins >= 19
 
+    def test_schur_log_odds_match_direct_marginals(self):
+        # Every (S, j) of a p=5 problem, against a fresh factorization per subset.
+        for seed in range(4):
+            odds_gap, inverse_gap = ss_sweep_gaps(seed)
+            assert odds_gap < 1e-10
+            assert inverse_gap < 1e-10
+
+    def test_p3_gamma_frequencies_match_enumeration(self):
+        # lam fixed: the sweeps form a Markov chain on gamma whose stationary law is
+        # the exact posterior over the 2^3 configurations.
+        data = random_dataset(81, n=8, p=3)
+        lam = substream(81, 1).uniform(0.5, 2.0, size=data.n)
+        prior = SpikeSlabPrior(nu=0.8, pi_incl=0.4, sigma_j=np.array([0.5, 0.8, 1.2]))
+        suff = build_suffstats(lam, data)
+        prior_prec = 1.0 / (prior.nu**2 * prior.sigma_j**2)
+        configs = [np.array([(code >> k) & 1 for k in range(3)], dtype=bool) for code in range(8)]
+        log_post = np.array([
+            g.sum() * math.log(prior.pi_incl) + (~g).sum() * math.log1p(-prior.pi_incl)
+            + subset_log_marginal(suff.precision_data, suff.linear_data, prior_prec, g)
+            for g in configs
+        ])
+        exact = np.exp(log_post - log_post.max())
+        exact /= exact.sum()
+        assert exact.min() > 0.005  # every configuration is visited
+
+        rng = substream(81, 2)
+        state = ChainState(beta=np.zeros(3), lam=lam, gamma=np.ones(3, dtype=np.int8))
+        counts = np.zeros(8)
+        n_sweeps = 20_000
+        for _ in range(n_sweeps):
+            state.gamma, state.beta = draw_gamma_and_beta_ss(state, data, prior, rng)
+            counts[int(state.gamma @ (1 << np.arange(3)))] += 1
+        assert np.abs(counts / n_sweeps - exact).max() < 0.02
+
+    def test_nonpositive_schur_complement_raises(self, monkeypatch):
+        # A_00 > 0 but the 2x2 block is indefinite: adding coordinate 1 to {0} fails
+        # (pi near 1 keeps coordinate 0 in).
+        data = random_dataset(82, n=5, p=2)
+        prior = SpikeSlabPrior(nu=1.0, pi_incl=1.0 - 1e-12, sigma_j=np.ones(2))
+        indefinite = SuffStats(np.array([[0.0, 3.0], [3.0, 0.0]]), np.ones(2))
+        monkeypatch.setattr("bowl.gibbs.build_suffstats", lambda *args: indefinite)
+        state = ChainState(beta=np.zeros(2), lam=np.ones(data.n), gamma=np.array([1, 0], dtype=np.int8))
+        with pytest.raises(ValueError, match="Schur complement"):
+            draw_gamma_and_beta_ss(state, data, prior, substream(83))
+
     def test_empty_active_set_returns_zero_beta(self):
         data = random_dataset(60, n=4, p=2)
         prior = SpikeSlabPrior(nu=0.8, pi_incl=1e-12, sigma_j=np.full(2, 0.7))
@@ -456,6 +533,43 @@ class TestRunChain:
         np.testing.assert_array_equal(real.beta, ref.beta)
         if ref.gamma is not None:
             np.testing.assert_array_equal(real.gamma, ref.gamma)
+
+    @pytest.mark.parametrize("make_data", [random_dataset, duplicated_dataset], ids=["random", "duplicated"])
+    def test_ss_draws_match_cholesky_reference(self, monkeypatch, make_data):
+        data = make_data(84, n=40, p=4)
+        config = GibbsConfig(n_draws=60, burn_in=10, n_chains=2, seed=7)
+        real = run_chain(data, SpikeSlabPrior(), config)
+        monkeypatch.setattr("bowl.gibbs.draw_gamma_and_beta_ss", cholesky_ss_reference)
+        ref = run_chain(data, SpikeSlabPrior(), config)
+        assert 0 < real.gamma.mean() < 1  # the sweeps both add and drop coordinates
+        np.testing.assert_array_equal(real.beta, ref.beta)
+        np.testing.assert_array_equal(real.gamma, ref.gamma)
+
+    def test_non_pd_active_block_raises_with_location(self, monkeypatch):
+        # Iteration 0 starts from the full active set, whose block fails the Cholesky
+        # factorization; iteration 1 starts from the empty set (pi near 0), so the
+        # first add meets a negative Schur complement.
+        data = random_dataset(85)
+        prior = SpikeSlabPrior(pi_incl=1e-12)
+        config = GibbsConfig(n_draws=5, burn_in=0, n_chains=2, seed=1)
+        indefinite = SuffStats(-100.0 * np.eye(data.p), np.zeros(data.p))
+        monkeypatch.setattr("bowl.gibbs.build_suffstats", lambda *args: indefinite)
+        with pytest.raises(GibbsNumericalError, match="chain 0, iteration 0") as exc:
+            run_chain(data, prior, config)
+        assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
+
+        calls = []
+
+        def definite_then_indefinite(lam, data, rank=None):
+            calls.append(1)
+            if len(calls) == 1:
+                return SuffStats(np.eye(data.p), np.zeros(data.p))
+            return indefinite
+
+        monkeypatch.setattr("bowl.gibbs.build_suffstats", definite_then_indefinite)
+        with pytest.raises(GibbsNumericalError, match="chain 0, iteration 1: non-positive") as exc:
+            run_chain(data, prior, config)
+        assert (exc.value.chain, exc.value.iteration) == (0, 1)
 
     def test_nonfinite_beta_raises(self, monkeypatch):
         data = random_dataset(70)
