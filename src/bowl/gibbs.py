@@ -216,35 +216,22 @@ def _active_inverse(a_mat: np.ndarray, active: np.ndarray) -> np.ndarray:
     return m_inv
 
 
-def _inclusion_log_bf(a_mat, b_vec, m_inv, active, prior_prec_j, j) -> tuple[float, float, np.ndarray | None]:
+def _inclusion_log_bf(a_mat, b_vec, m_inv, active, prior_prec_j, j) -> float:
     """Log Bayes factor of gamma_j = 1 over 0, read off m_inv = A_SS^{-1} (`_active_inverse`).
 
-    With R = S - {j}: s = A_jj - A_jR A_RR^{-1} A_Rj and t = b_j - A_jR A_RR^{-1} b_R.
-    Returns (1/2)(log prior_prec_j - log s + t^2 / s), s, and, for an inactive j,
-    the v = m_inv A_.j that adding j needs (else None).
+    With R = S - {j}: s = A_jj - A_jR A_RR^{-1} A_Rj and t = b_j - A_jR A_RR^{-1} b_R,
+    and the log Bayes factor is (1/2)(log prior_prec_j - log s + t^2 / s).
     """
     if active[j]:
         s = 1.0 / m_inv[j, j]
         t = float(m_inv[j] @ b_vec) * s
-        v = None
     else:
         v = m_inv @ a_mat[:, j]
         s = a_mat[j, j] - float(a_mat[j] @ v)
         t = b_vec[j] - float(v @ b_vec)
     if not (0.0 < s < math.inf and math.isfinite(t)):
         raise ValueError(f"non-positive or non-finite Schur complement {s!r} at coordinate {j}")
-    return 0.5 * (math.log(prior_prec_j) - math.log(s) + t * t / s), s, v
-
-
-def _flip_inverse(m_inv: np.ndarray, j: int, s: float, v: np.ndarray | None) -> None:
-    """Rank-one update of m_inv in place as gamma_j flips; s and v from `_inclusion_log_bf`."""
-    if v is not None:  # add j: + (v - e_j)(v - e_j)' / s
-        v[j] = -1.0
-        m_inv += np.outer(v, v) / s
-    else:  # drop j: - M_.j M_j. / M_jj, then zero row and column j
-        m_inv -= np.outer(m_inv[:, j], m_inv[:, j]) / m_inv[j, j]
-        m_inv[j, :] = 0.0
-        m_inv[:, j] = 0.0
+    return 0.5 * (math.log(prior_prec_j) - math.log(s) + t * t / s)
 
 
 def draw_gamma_and_beta_ss(
@@ -259,9 +246,10 @@ def draw_gamma_and_beta_ss(
     For each coordinate j, the Bernoulli odds compare the beta-integrated
     log marginals of the augmented model under gamma_j = 0 vs 1 holding the
     rest fixed. The active block of A = precision_data + diag(prior_prec) is
-    factored once per sweep, and each accepted flip updates its inverse by
-    one rank-one term. After the sweep, beta on the active set is drawn from
-    its conditional Gaussian and the inactive coordinates are exactly zero.
+    factored once per sweep and again after each accepted flip (fewer than
+    one flip per sweep in practice). After the sweep, beta on the active set
+    is drawn from its conditional Gaussian and the inactive coordinates are
+    exactly zero.
     """
     suff = build_suffstats(state.lam, data, rank)
     sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
@@ -273,12 +261,12 @@ def draw_gamma_and_beta_ss(
     active = np.asarray(state.gamma, dtype=bool).copy()
     m_inv = _active_inverse(a_mat, active)
     for j in range(data.p):
-        log_bf, s, v = _inclusion_log_bf(a_mat, b_vec, m_inv, active, prior_prec[j], j)
+        log_bf = _inclusion_log_bf(a_mat, b_vec, m_inv, active, prior_prec[j], j)
         prob_include = 1.0 / (1.0 + math.exp(min(log_prior_odds_out - log_bf, 700.0)))
         include = rng.uniform() < prob_include
         if include != active[j]:
-            _flip_inverse(m_inv, j, s, v)
             active[j] = include
+            m_inv = _active_inverse(a_mat, active)
 
     beta = np.zeros(data.p)
     idx = np.flatnonzero(active)

@@ -35,7 +35,7 @@ from bowl.pseudo_model import (
     owl_weights,
 )
 from bowl.rng import substream
-from bowl.verify import metropolis_beta_samples, oracle_instance, ss_sweep_gaps, subset_log_marginal
+from bowl.verify import check_ss_log_odds, metropolis_beta_samples, oracle_instance, subset_log_marginal
 
 N = 100_000
 
@@ -58,6 +58,14 @@ def duplicated_dataset(seed, n=36, p=3, rho=0.4):
     features = base.features[idx].copy()
     features[:, 1] = np.where(rng.uniform(size=n) < 0.5, 0.0, -0.0)
     return Dataset(features, base.actions[idx], base.rewards[idx], rho)
+
+
+def correlated_dataset(seed, n=7, p=3, rho=0.4):
+    """random_dataset's actions and rewards, with features that share one common factor (correlation ~0.9)."""
+    base = random_dataset(seed, n=n, p=p, rho=rho)
+    rng = substream(seed, 2)
+    features = rng.standard_normal((n, 1)) + 0.3 * rng.standard_normal((n, p))
+    return Dataset(features, base.actions, base.rewards, rho)
 
 
 def lexsort_suffstats(lam, data, rank=None):
@@ -384,9 +392,8 @@ class TestDrawGammaAndBetaSs:
     def test_schur_log_odds_match_direct_marginals(self):
         # Every (S, j) of a p=5 problem, against a fresh factorization per subset.
         for seed in range(4):
-            odds_gap, inverse_gap = ss_sweep_gaps(seed)
-            assert odds_gap < 1e-10
-            assert inverse_gap < 1e-10
+            result = check_ss_log_odds(1e-10, seed)
+            assert result.passed, result.detail
 
     def test_p3_gamma_frequencies_match_enumeration(self):
         # lam fixed: the sweeps form a Markov chain on gamma whose stationary law is
@@ -534,8 +541,12 @@ class TestRunChain:
         if ref.gamma is not None:
             np.testing.assert_array_equal(real.gamma, ref.gamma)
 
-    @pytest.mark.parametrize("make_data", [random_dataset, duplicated_dataset], ids=["random", "duplicated"])
+    @pytest.mark.parametrize(
+        "make_data", [random_dataset, duplicated_dataset, correlated_dataset], ids=["random", "duplicated", "correlated"]
+    )
     def test_ss_draws_match_cholesky_reference(self, monkeypatch, make_data):
+        # Correlated features make a coordinate's odds depend on the flips made earlier
+        # in the same sweep, so a stale inverse after a flip changes the draws.
         data = make_data(84, n=40, p=4)
         config = GibbsConfig(n_draws=60, burn_in=10, n_chains=2, seed=7)
         real = run_chain(data, SpikeSlabPrior(), config)
