@@ -1,25 +1,15 @@
 """Bayesian outcome-weighted learning for individualized treatment rules."""
 
-from .distributions import (
-    GigHalfParams,
-    InvGaussianParams,
-    MvnParams,
-    log_density_gig_half,
-    sample_gig_half,
-    sample_inverse_gaussian,
-    sample_mvn,
-)
+from .distributions import MvnParams, log_density_gig_half, sample_mvn
 from .pseudo_model import (
     Dataset,
     ExponentialPowerPrior,
-    ItrCoefficients,
     NormalPrior,
     SpikeSlabPrior,
     load_dataset_csv,
     log_pseudo_likelihood,
     log_pseudo_posterior,
     owl_objective,
-    owl_weight,
     owl_weights,
     reward_transform,
 )
@@ -37,14 +27,8 @@ from .gibbs import (
     draw_omega,
     run_chain,
 )
-from .prediction import (
-    Recommendation,
-    certainty_grid,
-    coefficient_magnitudes,
-    predictive_prob,
-    recommend,
-)
-from .owl import OwlFit, fit_owl_linear, predict_owl
+from .prediction import certainty_grid, coefficient_magnitudes, recommend
+from .owl import OwlFit, fit_owl_linear, predict_owl_batch
 from .simulate import (
     ExperimentResult,
     ScenarioSpec,

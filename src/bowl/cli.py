@@ -21,7 +21,7 @@ import numpy as np
 from . import verify as verify_checks
 from .diagnostics import effective_sample_size, split_rhat
 from .gibbs import GibbsConfig, GibbsNumericalError, PosteriorDraws, run_chain
-from .prediction import GridSpec, certainty_grid, coefficient_magnitudes, recommend
+from .prediction import certainty_grid, coefficient_magnitudes, recommend
 from .pseudo_model import (
     DataError,
     Dataset,
@@ -30,6 +30,7 @@ from .pseudo_model import (
     SpikeSlabPrior,
     add_intercept,
     load_dataset_csv,
+    read_numeric_csv,
 )
 from .simulate import METHODS, ScenarioSpec, run_experiment, uncertainty_study
 
@@ -37,6 +38,8 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
+
+GRID_HEADER = ["x_j1", "x_j2", "prob_plus", "action", "certainty"]
 
 
 def _fmt(value) -> str:
@@ -75,28 +78,30 @@ def _read_config_comment(path: Path) -> dict:
 
 
 def _parse_draws_csv(path: Path) -> PosteriorDraws:
+    """Beta draws of a `bowl fit` draws.csv, checked against its config echo."""
     config = _read_config_comment(path)
-    with open(path) as fh:
-        fh.readline()
-        header = fh.readline().strip().split(",")
-        body = [line for line in fh.read().splitlines() if line.strip()]
-    if not body:
-        raise DataError(f"{path}: no retained draws")
-    rows = np.array([[float(v) for v in line.split(",")] for line in body])
+    header, body = read_numeric_csv(path)
     beta_cols = [i for i, name in enumerate(header) if name.startswith("beta_")]
-    if not beta_cols:
-        raise DataError(f"{path}: no beta_* columns found")
-    beta = rows[:, beta_cols]
-    n_chains = int(config.get("n_chains", 1))
-    kept = beta.shape[0] // n_chains
-    gibbs_config = GibbsConfig(
-        n_draws=int(config.get("n_draws", kept)),
-        burn_in=int(config.get("burn_in", 0)),
-        n_chains=n_chains,
-        seed=int(config.get("seed", 0)),
-    )
+    if header[:2] != ["chain", "draw"] or not beta_cols:
+        raise DataError(f"{path}: expected columns chain, draw, then beta_*")
+    try:
+        gibbs_config = GibbsConfig(
+            n_draws=int(config["n_draws"]),
+            burn_in=int(config["burn_in"]),
+            n_chains=int(config["n_chains"]),
+            seed=int(config["seed"]),
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataError(f"{path}: bad n_draws, burn_in, n_chains or seed in config ({exc})") from None
+    n_chains, kept = gibbs_config.n_chains, gibbs_config.n_draws - gibbs_config.burn_in
+    if body.shape[0] != n_chains * kept:
+        raise DataError(f"{path}: {body.shape[0]} draw rows, config says {n_chains} x {kept}")
+    chain = np.repeat(np.arange(n_chains), kept)
+    draw = np.tile(np.arange(gibbs_config.burn_in, gibbs_config.n_draws), n_chains)
+    if not (np.array_equal(body[:, 0], chain) and np.array_equal(body[:, 1], draw)):
+        raise DataError(f"{path}: chain and draw columns are not in the order bowl fit writes them")
     return PosteriorDraws(
-        beta=beta.reshape(n_chains, kept, beta.shape[1]),
+        beta=body[:, beta_cols].reshape(n_chains, kept, len(beta_cols)),
         config=gibbs_config,
         chain_seeds=[(gibbs_config.seed, c) for c in range(n_chains)],
         meta={"intercept": bool(config.get("intercept", False))},
@@ -186,21 +191,12 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _load_query_csv(path: Path, p_expected: int) -> np.ndarray:
-    with open(path) as fh:
-        lines = [ln for ln in fh.read().splitlines() if ln and not ln.startswith("#")]
-    if not lines:
-        raise DataError(f"{path}: empty query file")
-    header = lines[0].split(",")
-    expected = [f"x{j}" for j in range(1, p_expected + 1)]
-    if [c.strip() for c in header] != expected:
-        raise DataError(f"{path}: query columns must be exactly {','.join(expected)}")
-    rows = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float)
-    if rows.ndim != 2 or rows.shape[1] != p_expected:
-        raise DataError(f"{path}: expected {p_expected} feature columns")
-    if not np.all(np.isfinite(rows)):
-        raise DataError(f"{path}: NaN or Inf in query features")
-    return rows
+def _prediction_rows(x: np.ndarray, prob: np.ndarray, action: np.ndarray, certainty: np.ndarray):
+    """One output row per query or lattice node: its features, prob_plus, action, certainty."""
+    return (
+        [*xi, p, a, c]
+        for xi, p, a, c in zip(x.tolist(), prob.tolist(), action.tolist(), certainty.tolist())
+    )
 
 
 def cmd_predict(args) -> int:
@@ -211,27 +207,22 @@ def cmd_predict(args) -> int:
     echo = {"command": "predict", "draws": str(args.draws), "source_config": config}
 
     if args.grid:
-        spec = GridSpec(dims=(args.grid_dims[0] - 1, args.grid_dims[1] - 1), resolution=args.grid_res)
-        coords, _, recs = certainty_grid(draws, spec)
+        dims = (args.grid_dims[0] - 1, args.grid_dims[1] - 1)
+        coords, *preds = certainty_grid(draws, dims, args.grid_res)
         echo["grid_dims"] = list(args.grid_dims)
         echo["grid_res"] = args.grid_res
-        rows = [
-            [c[0], c[1], r.prob_plus, r.action, r.certainty]
-            for c, r in zip(coords, recs)
-        ]
         out = out_dir / "certainty_grid.csv"
-        _atomic_write(out, _csv_text(echo, ["x_j1", "x_j2", "prob_plus", "action", "certainty"], rows))
+        _atomic_write(out, _csv_text(echo, GRID_HEADER, _prediction_rows(coords, *preds)))
     else:
         if not args.query:
             raise DataError("predict needs either --query CSV or --grid")
-        queries = _load_query_csv(Path(args.query), n_raw)
-        rows = []
-        for x in queries:
-            rec = recommend(draws, x)
-            rows.append(list(x) + [rec.prob_plus, rec.action, rec.certainty])
-        header = [f"x{j}" for j in range(1, n_raw + 1)] + ["prob_plus", "action", "certainty"]
+        header, queries = read_numeric_csv(args.query)
+        expected = [f"x{j}" for j in range(1, n_raw + 1)]
+        if header != expected:
+            raise DataError(f"{args.query}: query columns must be exactly {','.join(expected)}")
+        rows = _prediction_rows(queries, *recommend(draws, queries))
         out = out_dir / "recommendations.csv"
-        _atomic_write(out, _csv_text(echo, header, rows))
+        _atomic_write(out, _csv_text(echo, expected + ["prob_plus", "action", "certainty"], rows))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -278,19 +269,14 @@ def cmd_reproduce(args) -> int:
         _csv_text(echo, ["method", "scenario", "n_train", "rep", "rate"], raw_rows),
     )
 
-    _, coords, _, recs, mags = uncertainty_study(
+    _, coords, *preds, mags = uncertainty_study(
         scenario_id=args.scenario,
         n_train=args.heatmap_n,
         seed=args.seed,
         resolution=args.grid_res,
     )
-    grid_rows = [
-        [c[0], c[1], r.prob_plus, r.action, r.certainty] for c, r in zip(coords, recs)
-    ]
-    _atomic_write(
-        out_dir / "heatmap.csv",
-        _csv_text(echo, ["x_j1", "x_j2", "prob_plus", "action", "certainty"], grid_rows),
-    )
+    heatmap = _csv_text(echo, GRID_HEADER, _prediction_rows(coords, *preds))
+    _atomic_write(out_dir / "heatmap.csv", heatmap)
     _atomic_write(
         out_dir / "coefficient_magnitudes.csv",
         _csv_text(echo, ["feature", "magnitude"], [[f"x{j + 1}", m] for j, m in enumerate(mags)]),

@@ -9,7 +9,6 @@ own Generator.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import solve_triangular
@@ -17,38 +16,6 @@ from scipy.linalg import solve_triangular
 # Below this, the inverse-Gaussian mean 1/sqrt(chi) is so large that the
 # half-order GIG is indistinguishable from its chi=0 Gamma limit.
 CHI_DEGENERATE = 1e-12
-
-
-@dataclass(frozen=True)
-class InvGaussianParams:
-    """Inverse-Gaussian with mean `mu` and shape `lambda_shape`."""
-
-    mu: float
-    lambda_shape: float
-
-    def __post_init__(self):
-        if not (self.mu > 0):
-            raise ValueError(f"inverse-Gaussian mean must be positive, got {self.mu}")
-        if not (self.lambda_shape > 0):
-            raise ValueError(f"inverse-Gaussian shape must be positive, got {self.lambda_shape}")
-
-
-@dataclass(frozen=True)
-class GigHalfParams:
-    """Generalized inverse Gaussian of fixed order 1/2.
-
-    Density proportional to x^{-1/2} exp{-(chi/x + psi*x)/2} on x > 0.
-    chi = 0 is the documented degenerate case (a Gamma(1/2, psi/2) limit).
-    """
-
-    psi: float
-    chi: float
-
-    def __post_init__(self):
-        if not (self.psi > 0):
-            raise ValueError(f"psi must be positive, got {self.psi}")
-        if not (self.chi >= 0):
-            raise ValueError(f"chi must be nonnegative, got {self.chi}")
 
 
 class MvnParams:
@@ -91,11 +58,6 @@ def _invgauss_draw(mu, lambda_shape, rng: np.random.Generator):
     return np.where(u <= mu / (mu + x_small), x_small, mu * mu / x_small)
 
 
-def sample_inverse_gaussian(params: InvGaussianParams, rng: np.random.Generator) -> float:
-    """Draw one value from IG(mu, lambda_shape)."""
-    return float(_invgauss_draw(np.float64(params.mu), params.lambda_shape, rng))
-
-
 def _gig_half_draw_vec(psi: float, chi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """Vector of independent GIG(1/2, psi, chi_i) draws.
 
@@ -104,6 +66,10 @@ def _gig_half_draw_vec(psi: float, chi: np.ndarray, rng: np.random.Generator) ->
     cutoff fall back to the exact chi=0 limit Gamma(1/2, rate psi/2).
     """
     chi = np.asarray(chi, dtype=float)
+    if not (psi > 0):
+        raise ValueError(f"psi must be positive, got {psi}")
+    if np.any(chi < 0):
+        raise ValueError("chi must be nonnegative")
     out = np.empty_like(chi)
     degenerate = chi < CHI_DEGENERATE
     if degenerate.any():
@@ -115,11 +81,6 @@ def _gig_half_draw_vec(psi: float, chi: np.ndarray, rng: np.random.Generator) ->
     return out
 
 
-def sample_gig_half(params: GigHalfParams, rng: np.random.Generator) -> float:
-    """Draw one value from GIG(1/2, psi, chi)."""
-    return float(_gig_half_draw_vec(params.psi, np.atleast_1d(params.chi), rng)[0])
-
-
 def sample_mvn(params: MvnParams, rng: np.random.Generator) -> np.ndarray:
     """Draw from N(mean, precision^{-1}) via the precision Cholesky factor.
 
@@ -129,18 +90,20 @@ def sample_mvn(params: MvnParams, rng: np.random.Generator) -> np.ndarray:
     return params.mean + solve_triangular(params.chol_lower, z, trans="T", lower=True)
 
 
-def log_density_gig_half(x: float, params: GigHalfParams) -> float:
+def log_density_gig_half(x: float, psi: float, chi: float) -> float:
     """Log density of GIG(1/2, psi, chi) at x, including normalization.
 
-    C(1/2, psi, chi) = (psi/chi)^{1/4} / (2 K_{1/2}(sqrt(psi*chi))) with
+    The density is proportional to x^{-1/2} exp{-(chi/x + psi*x)/2} on x > 0,
+    with C(1/2, psi, chi) = (psi/chi)^{1/4} / (2 K_{1/2}(sqrt(psi*chi))) and
     the half-order Bessel function in closed form,
     K_{1/2}(z) = sqrt(pi/(2z)) exp(-z).
     """
     if not (x > 0):
         raise ValueError(f"x must be positive, got {x}")
-    if not (params.chi > 0):
+    if not (psi > 0):
+        raise ValueError(f"psi must be positive, got {psi}")
+    if not (chi > 0):
         raise ValueError("log density requires chi > 0")
-    psi, chi = params.psi, params.chi
     z = math.sqrt(psi * chi)
     log_k_half = 0.5 * (math.log(math.pi) - math.log(2.0) - math.log(z)) - z
     log_c = 0.25 * math.log(psi / chi) - math.log(2.0) - log_k_half

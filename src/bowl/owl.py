@@ -84,20 +84,8 @@ def fit_owl_linear(
     return OwlFit(suffix_sum / suffix_count, trace, reg_strength)
 
 
-def owl_objective_at(fit: OwlFit, data: Dataset) -> float:
-    """Regularized objective of the fit on the given data."""
-    return _regularized_objective(fit.beta, data, owl_weights(data), fit.reg_strength)
-
-
-def predict_owl(fit: OwlFit, x: np.ndarray) -> int:
-    """sign(x'beta) with ties sent to +1."""
-    x = np.asarray(x, dtype=float).ravel()
-    if x.shape != fit.beta.shape:
-        raise ValueError(f"feature vector has length {x.size}, expected {fit.beta.size}")
-    return 1 if float(x @ fit.beta) >= 0.0 else -1
-
-
 def predict_owl_batch(fit: OwlFit, features: np.ndarray) -> np.ndarray:
+    """sign(x'beta) per row, with ties sent to +1."""
     features = np.atleast_2d(np.asarray(features, dtype=float))
     if features.shape[1] != fit.beta.size:
         raise ValueError("feature matrix width does not match the fit")

@@ -10,98 +10,69 @@ here exactly as during training (draws.meta["intercept"]).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.special import ndtr
 
 from .gibbs import PosteriorDraws
+from .pseudo_model import add_intercept
+
+# Rows per matrix product, as a number of (row, draw) cells: the block's one
+# temporary, which ndtr overwrites in place, stays at 2 MB whatever the query size.
+_BLOCK_CELLS = 2**18
 
 
-@dataclass(frozen=True)
-class Recommendation:
-    """Recommended action with the posterior-predictive certainty.
+def recommend(draws: PosteriorDraws, x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Recommendations for each row of the raw feature matrix x (m x p_raw).
 
-    certainty = max(prob_plus, 1 - prob_plus) is the predictive probability
-    of the action actually recommended; ties at 0.5 go to +1.
+    Returns (prob_plus, action, certainty), each of length m: the mean over
+    draws of Phi(x'beta), the action +1 or -1 (ties at 0.5 go to +1), and
+    certainty = max(prob_plus, 1 - prob_plus), the predictive probability
+    of the action recommended.
     """
-
-    action: int
-    prob_plus: float
-    certainty: float
-
-
-def _design_vector(draws: PosteriorDraws, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=float).ravel()
-    if draws.meta.get("intercept", False):
-        x = np.concatenate([[1.0], x])
-    p = draws.beta.shape[-1]
-    if x.shape != (p,):
-        raise ValueError(f"feature vector has length {x.size}, expected {p - int(draws.meta.get('intercept', False))}")
-    return x
-
-
-def predictive_prob(draws: PosteriorDraws, x: np.ndarray) -> float:
-    """Average of Phi(x'beta) over all retained draws."""
-    xd = _design_vector(draws, x)
-    return float(np.mean(ndtr(draws.stacked_beta @ xd)))
-
-
-def recommend(draws: PosteriorDraws, x: np.ndarray) -> Recommendation:
-    prob = predictive_prob(draws, x)
-    action = 1 if prob >= 0.5 else -1
-    return Recommendation(action=action, prob_plus=prob, certainty=max(prob, 1.0 - prob))
-
-
-@dataclass(frozen=True)
-class GridSpec:
-    """A k x k lattice over two raw feature coordinates (0-based indices)."""
-
-    dims: tuple[int, int] = (0, 1)
-    lo: float = -1.0
-    hi: float = 1.0
-    resolution: int = 33
+    x = np.atleast_2d(np.asarray(x, dtype=float))
+    beta = draws.stacked_beta
+    intercept = bool(draws.meta.get("intercept", False))
+    if beta.shape[0] == 0:
+        raise ValueError("no retained draws")
+    p_raw = beta.shape[1] - intercept
+    if x.ndim != 2 or x.shape[1] != p_raw:
+        raise ValueError(f"features have shape {x.shape}, expected {p_raw} columns")
+    prob = np.empty(x.shape[0])
+    step = max(1, _BLOCK_CELLS // beta.shape[0])
+    for lo in range(0, x.shape[0], step):
+        block = x[lo : lo + step]
+        design = add_intercept(block) if intercept else block
+        z = design @ beta.T
+        prob[lo : lo + step] = ndtr(z, out=z).mean(axis=1)
+    return prob, np.where(prob >= 0.5, 1, -1), np.maximum(prob, 1.0 - prob)
 
 
 def certainty_grid(
-    draws: PosteriorDraws, grid_spec: GridSpec, fill: float = 0.0
-) -> tuple[np.ndarray, np.ndarray, list[Recommendation]]:
-    """Evaluate recommendations on the lattice.
+    draws: PosteriorDraws, dims: tuple[int, int] = (0, 1), resolution: int = 33
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Recommendations on a k x k lattice over two raw features (0-based dims).
 
-    Returns (node coordinates (k*k, 2), k x k certainty matrix,
-    recommendations in row-major order with the second grid dimension
-    varying fastest).
+    The lattice spans [-1, 1] on both features, with every other feature
+    at 0. Returns (node coordinates (k*k, 2), prob_plus, action, certainty),
+    nodes in row-major order with the second grid dimension varying fastest.
     """
-    k = grid_spec.resolution
+    k = resolution
     if k < 2:
         raise ValueError("grid resolution must be at least 2")
-    j1, j2 = grid_spec.dims
+    j1, j2 = dims
     n_raw = draws.beta.shape[-1] - int(draws.meta.get("intercept", False))
     if not (0 <= j1 < n_raw and 0 <= j2 < n_raw and j1 != j2):
-        raise ValueError(f"grid dims {grid_spec.dims} invalid for {n_raw} features")
-
-    ticks = np.linspace(grid_spec.lo, grid_spec.hi, k)
-    coords = np.empty((k * k, 2))
-    certainty = np.empty((k, k))
-    recs: list[Recommendation] = []
-    base = np.full(n_raw, float(fill))
-    for i1, v1 in enumerate(ticks):
-        for i2, v2 in enumerate(ticks):
-            x = base.copy()
-            x[j1] = v1
-            x[j2] = v2
-            rec = recommend(draws, x)
-            recs.append(rec)
-            coords[i1 * k + i2] = (v1, v2)
-            certainty[i1, i2] = rec.certainty
-    return coords, certainty, recs
+        raise ValueError(f"grid dims {tuple(dims)} invalid for {n_raw} features")
+    ticks = np.linspace(-1.0, 1.0, k)
+    coords = np.column_stack([np.repeat(ticks, k), np.tile(ticks, k)])
+    x = np.zeros((k * k, n_raw))
+    x[:, [j1, j2]] = coords
+    return (coords, *recommend(draws, x))
 
 
-def coefficient_magnitudes(draws: PosteriorDraws, include_intercept: bool = False) -> np.ndarray:
-    """Absolute posterior mean per coordinate (intercept dropped by default)."""
+def coefficient_magnitudes(draws: PosteriorDraws) -> np.ndarray:
+    """Absolute posterior mean per raw feature (the intercept is dropped)."""
     if draws.stacked_beta.shape[0] == 0:
         raise ValueError("no retained draws")
     mags = np.abs(draws.posterior_mean())
-    if draws.meta.get("intercept", False) and not include_intercept:
-        mags = mags[1:]
-    return mags
+    return mags[1:] if draws.meta.get("intercept", False) else mags

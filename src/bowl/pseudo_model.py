@@ -19,6 +19,43 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and numeric body of a CSV file, skipping blank and `#` comment rows.
+
+    Every body row must have as many cells as the header, and every cell
+    must parse as a finite float; the header's meaning is the caller's to
+    check. Each rejection raises DataError naming the file.
+    """
+    header, rows = None, []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = [c.strip() for c in row]
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: ragged rows (line {reader.line_num} has {len(row)} cells, "
+                    f"the header {len(header)})"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                line = reader.line_num
+                raise DataError(f"{path}: non-numeric cell on line {line} ({exc})") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    values = np.array(rows)
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(f"{path}: NaN or Inf in column {header[j]}, data row {i + 1}")
+    return header, values
+
+
 @dataclass
 class Dataset:
     """Trial data: features (n x p), actions in {-1,+1}, positive rewards.
@@ -60,19 +97,6 @@ class Dataset:
     @property
     def p(self) -> int:
         return self.features.shape[1]
-
-
-@dataclass
-class ItrCoefficients:
-    """Linear-rule coefficients; `intercept` marks a constant-1 leading column."""
-
-    beta: np.ndarray
-    intercept: bool = False
-
-    def __post_init__(self):
-        self.beta = np.asarray(self.beta, dtype=float).ravel()
-        if not np.all(np.isfinite(self.beta)):
-            raise ValueError("coefficients must be finite")
 
 
 @dataclass(frozen=True)
@@ -153,21 +177,8 @@ def add_intercept(features: np.ndarray) -> np.ndarray:
     return np.hstack([np.ones((features.shape[0], 1)), features])
 
 
-def _beta_vector(beta) -> np.ndarray:
-    if isinstance(beta, ItrCoefficients):
-        return beta.beta
-    return np.asarray(beta, dtype=float).ravel()
-
-
-def owl_weight(a: float, r: float, rho: float) -> float:
-    """Inverse-propensity reward weight r / (a*rho + (1-a)/2)."""
-    if not (r > 0):
-        raise ValueError(f"reward must be positive, got {r}")
-    return r / rho if a == 1 else r / (1.0 - rho)
-
-
 def owl_weights(data: Dataset) -> np.ndarray:
-    """Vector of per-observation weights."""
+    """Inverse-propensity reward weights r_i / rho, or r_i / (1 - rho) where a_i = -1."""
     return data.rewards / np.where(data.actions == 1.0, data.rho, 1.0 - data.rho)
 
 
@@ -178,7 +189,7 @@ def _check_dims(beta: np.ndarray, data: Dataset) -> None:
 
 def hinge_losses(beta, data: Dataset) -> np.ndarray:
     """Per-observation hinge terms max(1 - a_i x_i'beta, 0)."""
-    b = _beta_vector(beta)
+    b = np.asarray(beta, dtype=float).ravel()
     _check_dims(b, data)
     return np.maximum(1.0 - data.actions * (data.features @ b), 0.0)
 
@@ -205,7 +216,7 @@ def log_pseudo_posterior(state, data: Dataset, prior: PriorSpec) -> float:
     part is the scale-mixture-of-normals form whose lam-marginal recovers
     exp(log_pseudo_likelihood) exactly.
     """
-    beta = _beta_vector(state.beta)
+    beta = np.asarray(state.beta, dtype=float).ravel()
     _check_dims(beta, data)
     lam = np.asarray(state.lam, dtype=float).ravel()
     if lam.shape != (data.n,):
@@ -283,11 +294,7 @@ def load_dataset_csv(path, rho: float) -> tuple[Dataset, RewardShift]:
     Actions must be -1 or +1; all values must be finite. Raw rewards may be
     nonpositive: the reward shift is applied here and returned for reporting.
     """
-    with open(path, newline="") as fh:
-        rows = [row for row in csv.reader(fh) if row and not row[0].lstrip().startswith("#")]
-    if not rows:
-        raise DataError(f"{path}: empty file")
-    header = [c.strip() for c in rows[0]]
+    header, values = read_numeric_csv(path)
     expected_tail = ["a", "r"]
     if len(header) < 3 or header[-2:] != expected_tail:
         missing = [c for c in expected_tail if c not in header]
@@ -297,17 +304,6 @@ def load_dataset_csv(path, rho: float) -> tuple[Dataset, RewardShift]:
     x_cols = header[:-2]
     if x_cols != [f"x{j}" for j in range(1, len(x_cols) + 1)]:
         raise DataError(f"{path}: feature columns must be named x1..xp in order, got {x_cols}")
-    body = rows[1:]
-    if not body:
-        raise DataError(f"{path}: no data rows")
-    try:
-        values = np.array([[float(v) for v in row] for row in body], dtype=float)
-    except ValueError as exc:
-        raise DataError(f"{path}: non-numeric cell ({exc})") from exc
-    if values.shape[1] != len(header):
-        raise DataError(f"{path}: ragged rows")
-    if not np.all(np.isfinite(values)):
-        raise DataError(f"{path}: NaN or Inf values are not allowed")
     features = values[:, :-2]
     actions = values[:, -2]
     if not np.all(np.isin(actions, (-1.0, 1.0))):

@@ -312,12 +312,13 @@ def uncertainty_study(
 ):
     """Fit the shrinkage-prior variant once and map grid certainties.
 
-    Returns (draws, coords, certainty matrix, recommendations, magnitudes):
-    the deterministic lattice on the first two features with all others at
-    zero, plus the per-feature absolute posterior means. signal_scale is
-    the scenario's (0 gives a signal-free control).
+    Returns (draws, coords, prob_plus, action, certainty, magnitudes): the
+    deterministic lattice on the first two features with all others at
+    zero, as certainty_grid gives it, plus the per-feature absolute
+    posterior means. signal_scale is the scenario's (0 gives a
+    signal-free control).
     """
-    from .prediction import GridSpec, certainty_grid, coefficient_magnitudes
+    from .prediction import certainty_grid, coefficient_magnitudes
 
     cfg = dict(DEFAULT_METHOD_CONFIG)
     cfg.update(configs or {})
@@ -325,7 +326,4 @@ def uncertainty_study(
     spec = ScenarioSpec(scenario_id=scenario_id, n_train=n_train, seed=seed, signal_scale=signal_scale)
     train, _ = generate_scenario(spec, 0, substream(seed, 0, 0))
     draws = fit_bowl(train, "bowl-ep", cfg, seed=_fit_seed(seed, 0, 1))
-    grid = GridSpec(dims=(0, 1), resolution=resolution)
-    coords, certainty, recs = certainty_grid(draws, grid)
-    mags = coefficient_magnitudes(draws)
-    return draws, coords, certainty, recs, mags
+    return (draws, *certainty_grid(draws, (0, 1), resolution), coefficient_magnitudes(draws))

@@ -120,15 +120,15 @@ def test_criterion_5_table_reproduction():
 
 
 def _replication_arrays(runs):
-    """Stack per-seed (coords, certainty matrix, recommendations, magnitudes).
+    """Stack per-seed (coords, prob_plus, action, certainty, magnitudes).
 
     Returns the lattice coordinates, then (R, k*k) certainty and action
     arrays in coordinate order, then the (R, p) coefficient magnitudes.
     """
     coords = runs[0][0]
-    certainty = np.array([cert.ravel() for _, cert, _, _ in runs])
-    actions = np.array([[r.action for r in recs] for _, _, recs, _ in runs])
-    mags = np.array([m for _, _, _, m in runs])
+    certainty = np.array([cert for _, _, _, cert, _ in runs])
+    actions = np.array([action for _, _, action, _, _ in runs])
+    mags = np.array([m for _, _, _, _, m in runs])
     return coords, certainty, actions, mags
 
 

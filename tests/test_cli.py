@@ -3,7 +3,8 @@ import json
 import numpy as np
 import pytest
 
-from bowl.cli import main
+from bowl.cli import _parse_draws_csv, main
+from bowl.prediction import recommend
 from bowl.simulate import ScenarioSpec, generate_scenario
 
 
@@ -17,6 +18,10 @@ def write_scenario_csv(path, n=60, seed=3, p=10):
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
     return data
+
+
+def query_features(m, p=10):
+    return generate_scenario(ScenarioSpec(1, m, seed=4, p=p), 1)[0].features
 
 
 class TestFit:
@@ -77,8 +82,86 @@ class TestPredict:
         write_scenario_csv(csv, n=40)
         out = tmp_path / "fit"
         assert main(["fit", "--data", str(csv), "--draws", "80", "--burn-in", "20",
-                     "--seed", "2", "--out-dir", str(out)]) == 0
+                     "--chains", "2", "--jobs", "1", "--seed", "2", "--out-dir", str(out)]) == 0
         return out / "draws.csv"
+
+    @staticmethod
+    def rejects(argv, path, capsys):
+        """`bowl predict` exits 2 and its message names the offending file."""
+        assert main(["predict"] + argv) == 2
+        assert str(path) in capsys.readouterr().err
+
+    @staticmethod
+    def edited_draws(fitted, tmp_path, edit):
+        """A copy of draws.csv with `edit` applied to its list of data rows."""
+        lines = fitted.read_text().splitlines()
+        path = tmp_path / "edited_draws.csv"
+        path.write_text("\n".join(lines[:2] + edit(lines[2:])) + "\n")
+        return path
+
+    def test_nonfinite_draw_exit_2(self, fitted, tmp_path, capsys):
+        for bad in ("nan", "inf", "-inf"):
+            def edit(rows):
+                cells = rows[5].split(",")
+                cells[3] = bad
+                return rows[:5] + [",".join(cells)] + rows[6:]
+
+            path = self.edited_draws(fitted, tmp_path, edit)
+            self.rejects(["--draws", str(path), "--grid", "--out-dir", str(tmp_path)], path, capsys)
+
+    def test_missing_draw_rows_exit_2(self, fitted, tmp_path, capsys):
+        path = self.edited_draws(fitted, tmp_path, lambda rows: rows[:-2])
+        self.rejects(["--draws", str(path), "--grid", "--out-dir", str(tmp_path)], path, capsys)
+
+    def test_chain_and_draw_columns_checked(self, fitted, tmp_path, capsys):
+        def swap_chains(rows):  # chain 1's rows first
+            return rows[60:] + rows[:60]
+
+        def skip_a_draw(rows):  # the same row count, one draw index repeated
+            return rows[:1] + rows[:1] + rows[2:]
+
+        for edit in (swap_chains, skip_a_draw):
+            path = self.edited_draws(fitted, tmp_path, edit)
+            self.rejects(["--draws", str(path), "--grid", "--out-dir", str(tmp_path)], path, capsys)
+
+    def test_malformed_query_exit_2(self, fitted, tmp_path, capsys):
+        header = ",".join(f"x{j}" for j in range(1, 11))
+        row = ",".join(["0.1"] * 10)
+        bodies = {
+            "non_numeric": row + "\n" + row.replace("0.1", "abc", 1),
+            "ragged": row + "\n" + row + ",0.2",
+            "short": row + "\n0.1,0.2",
+            "nonfinite": row.replace("0.1", "nan", 1),
+            "header_only": "",
+        }
+        for name, body in bodies.items():
+            query = tmp_path / f"{name}.csv"
+            query.write_text(header + "\n" + body + "\n")
+            self.rejects(["--draws", str(fitted), "--query", str(query),
+                          "--out-dir", str(tmp_path)], query, capsys)
+
+    def test_query_rerun_byte_identical_and_equal_to_recommend(self, fitted, tmp_path):
+        x = query_features(300)
+        query = tmp_path / "query.csv"
+        lines = [",".join(f"x{j}" for j in range(1, 11))]
+        lines += [",".join(repr(v) for v in row) for row in x.tolist()]
+        query.write_text("\n".join(lines) + "\n")
+        outs = [tmp_path / "pa", tmp_path / "pb"]
+        for out in outs:
+            assert main(["predict", "--draws", str(fitted), "--query", str(query),
+                         "--out-dir", str(out)]) == 0
+        raw = [(out / "recommendations.csv").read_bytes() for out in outs]
+        assert raw[0] == raw[1]
+        body = np.loadtxt(outs[0] / "recommendations.csv", delimiter=",", skiprows=2,
+                          comments=None)
+        prob, action, certainty = recommend(_parse_draws_csv(fitted), x)
+        np.testing.assert_array_equal(body[:, :10], x)
+        np.testing.assert_array_equal(body[:, 10], prob)
+        np.testing.assert_array_equal(body[:, 11], action)
+        np.testing.assert_array_equal(body[:, 12], certainty)
+        # The action column is written as the integers 1 and -1.
+        actions = {line.split(",")[11] for line in raw[0].decode().splitlines()[2:]}
+        assert actions <= {"1", "-1"}
 
     def test_grid_row_count(self, fitted, tmp_path):
         out = tmp_path / "pred"

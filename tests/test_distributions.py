@@ -7,14 +7,10 @@ from scipy import integrate
 from scipy.stats import invgauss, ks_2samp
 
 from bowl.distributions import (
-    GigHalfParams,
-    InvGaussianParams,
     MvnParams,
     _gig_half_draw_vec,
     _invgauss_draw,
     log_density_gig_half,
-    sample_gig_half,
-    sample_inverse_gaussian,
     sample_mvn,
 )
 from bowl.rng import substream
@@ -64,9 +60,7 @@ class TestInverseGaussian:
     def test_degenerate_concentration(self):
         # mu = 1 with enormous shape: draws pile up at the mean.
         rng = substream(3)
-        draws = np.array([
-            sample_inverse_gaussian(InvGaussianParams(1.0, 1e8), rng) for _ in range(2_000)
-        ])
+        draws = _invgauss_draw(np.full(2_000, 1.0), 1e8, rng)
         assert abs(draws.mean() - 1.0) < 1e-3
 
     def test_matches_rejection_oracle(self):
@@ -76,13 +70,15 @@ class TestInverseGaussian:
         assert ks_2samp(ours, oracle).statistic < 0.02
 
     def test_scalar_api_and_validation(self):
-        rng = substream(6)
-        x = sample_inverse_gaussian(InvGaussianParams(2.0, 1.0), rng)
-        assert x > 0
-        with pytest.raises(ValueError):
-            InvGaussianParams(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            InvGaussianParams(1.0, 0.0)
+        # A 0-d mean gives one draw; the sampler's callers reach it only
+        # through _gig_half_draw_vec, which validates the IG shape psi and
+        # (through chi) the IG mean sqrt(psi/chi).
+        x = _invgauss_draw(np.float64(2.0), 1.0, substream(6))
+        assert x.shape == () and x > 0
+        with pytest.raises(ValueError, match="psi"):
+            _gig_half_draw_vec(0.0, np.ones(3), substream(6))
+        with pytest.raises(ValueError, match="chi"):
+            _gig_half_draw_vec(1.0, np.array([1.0, -1.0]), substream(6))
 
 
 class TestGigHalf:
@@ -116,9 +112,8 @@ class TestGigHalf:
         psi, chi = 2.5, 0.7
         rng = substream(14)
         draws = _gig_half_draw_vec(psi, np.full(N, chi), rng)
-        params = GigHalfParams(psi, chi)
         mean_q, _ = integrate.quad(
-            lambda x: x * math.exp(log_density_gig_half(x, params)), 0, np.inf
+            lambda x: x * math.exp(log_density_gig_half(x, psi, chi)), 0, np.inf
         )
         se = draws.std(ddof=1) / math.sqrt(N)
         assert abs(draws.mean() - mean_q) < 4 * se
@@ -130,45 +125,53 @@ class TestGigHalf:
         np.testing.assert_array_equal(a, b)
 
     def test_scalar_api_and_validation(self):
-        assert sample_gig_half(GigHalfParams(1.0, 4.0), substream(16)) > 0
-        with pytest.raises(ValueError):
-            GigHalfParams(0.0, 1.0)
-        with pytest.raises(ValueError):
-            GigHalfParams(1.0, -0.1)
+        x = _gig_half_draw_vec(1.0, np.array([4.0]), substream(16))
+        assert x.shape == (1,) and x[0] > 0
+        for psi in (0.0, -1.0, np.nan):
+            with pytest.raises(ValueError, match="psi"):
+                _gig_half_draw_vec(psi, np.ones(2), substream(16))
+        with pytest.raises(ValueError, match="chi"):
+            _gig_half_draw_vec(1.0, np.array([1.0, -0.1]), substream(16))
 
 
 class TestGigHalfLogDensity:
     @pytest.mark.parametrize("psi", [0.5, 1.0, 2.0])
     @pytest.mark.parametrize("chi", [0.5, 1.0, 2.0])
     def test_normalizes_to_one(self, psi, chi):
-        params = GigHalfParams(psi, chi)
         total, _ = integrate.quad(
-            lambda x: math.exp(log_density_gig_half(x, params)), 0, np.inf, limit=200
+            lambda x: math.exp(log_density_gig_half(x, psi, chi)), 0, np.inf, limit=200
         )
         assert abs(total - 1.0) < 1e-6
 
     def test_mode_location(self):
         # Stationarity: d/dx log density flips sign at (-1/2 + sqrt(1/4 + psi chi)) / psi.
         psi, chi = 1.0, 4.0
-        params = GigHalfParams(psi, chi)
         x_star = (-0.5 + math.sqrt(0.25 + psi * chi)) / psi
         h = 1e-5
-        left = log_density_gig_half(x_star - h, params) - log_density_gig_half(x_star - 2 * h, params)
-        right = log_density_gig_half(x_star + 2 * h, params) - log_density_gig_half(x_star + h, params)
+
+        def f(x):
+            return log_density_gig_half(x, psi, chi)
+
+        left = f(x_star - h) - f(x_star - 2 * h)
+        right = f(x_star + 2 * h) - f(x_star + h)
         assert left > 0 > right
 
     def test_value_matches_quadrature_normalized_kernel(self):
-        params = GigHalfParams(1.0, 1.0)
         kernel = lambda x: x**-0.5 * math.exp(-0.5 * (1.0 / x + x))
         z, _ = integrate.quad(kernel, 0, np.inf, limit=200)
         expected = math.log(kernel(1.0) / z)
-        assert log_density_gig_half(1.0, params) == pytest.approx(expected, abs=1e-9)
+        assert log_density_gig_half(1.0, 1.0, 1.0) == pytest.approx(expected, abs=1e-9)
 
     def test_domain_violations(self):
         with pytest.raises(ValueError):
-            log_density_gig_half(-1.0, GigHalfParams(1.0, 1.0))
+            log_density_gig_half(-1.0, 1.0, 1.0)
         with pytest.raises(ValueError):
-            log_density_gig_half(1.0, GigHalfParams(1.0, 0.0))
+            log_density_gig_half(1.0, 1.0, 0.0)
+        with pytest.raises(ValueError):
+            log_density_gig_half(1.0, 1.0, -0.1)
+        for psi in (0.0, -1.0):
+            with pytest.raises(ValueError, match="psi"):
+                log_density_gig_half(1.0, psi, 1.0)
 
 
 class TestMvn:
@@ -252,10 +255,10 @@ class TestMvn:
 
 class TestDeterminism:
     def test_identical_seeds_reproduce_streams(self):
-        params = GigHalfParams(1.0, 2.0)
-        a = [sample_gig_half(params, substream(99, i)) for i in range(5)]
-        b = [sample_gig_half(params, substream(99, i)) for i in range(5)]
+        a = [_gig_half_draw_vec(1.0, np.array([2.0]), substream(99, i))[0] for i in range(5)]
+        b = [_gig_half_draw_vec(1.0, np.array([2.0]), substream(99, i))[0] for i in range(5)]
         assert a == b
+        assert len(set(a)) == 5
 
     def test_vectorized_draws_reproduce(self):
         chi = substream(7).uniform(0.0, 5.0, size=1000)

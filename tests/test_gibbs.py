@@ -31,7 +31,6 @@ from bowl.pseudo_model import (
     ExponentialPowerPrior,
     NormalPrior,
     SpikeSlabPrior,
-    owl_weight,
     owl_weights,
 )
 from bowl.rng import substream
@@ -159,8 +158,9 @@ class TestBuildSuffstats:
         precision = np.zeros((data.p, data.p))
         linear = np.zeros(data.p)
         for i in range(data.n):
-            w = owl_weight(data.actions[i], data.rewards[i], data.rho)
-            ax = data.actions[i] * data.features[i]
+            a, r = data.actions[i], data.rewards[i]
+            w = r / data.rho if a == 1 else r / (1 - data.rho)
+            ax = a * data.features[i]
             precision += np.outer(ax, ax) * (w**2 / lam[i])
             linear += w * (1.0 + w / lam[i]) * ax
         np.testing.assert_allclose(suff.precision_data, precision, atol=1e-12)

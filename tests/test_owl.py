@@ -1,16 +1,14 @@
 import numpy as np
 import pytest
 
-from bowl.owl import (
-    OwlFit,
-    fit_owl_linear,
-    flipped_owl_dataset,
-    owl_objective_at,
-    predict_owl,
-    predict_owl_batch,
-)
-from bowl.pseudo_model import Dataset, owl_weights
+from bowl.owl import OwlFit, fit_owl_linear, flipped_owl_dataset, predict_owl_batch
+from bowl.pseudo_model import Dataset, owl_objective, owl_weights
 from bowl.rng import substream
+
+
+def regularized_objective(fit, data):
+    """The fit's own objective: mean weighted hinge plus (reg/2)||beta||^2."""
+    return owl_objective(fit.beta, data) + 0.5 * fit.reg_strength * float(fit.beta @ fit.beta)
 
 
 def random_dataset(seed, n=12, p=2, rho=0.5):
@@ -47,13 +45,13 @@ class TestFitOwlLinear:
         )
         fit = fit_owl_linear(data, reg_strength=1e-3, epochs=200, seed=0)
         assert fit.beta[0] > 0
-        assert owl_objective_at(fit, data) < 0.1
+        assert regularized_objective(fit, data) < 0.1
 
     def test_within_two_percent_of_grid_search(self):
         for seed in range(10):
             data = random_dataset(seed)
             fit = fit_owl_linear(data, reg_strength=1e-3, epochs=400, seed=seed)
-            achieved = owl_objective_at(fit, data)
+            achieved = regularized_objective(fit, data)
             best = grid_min_objective(data, 1e-3)
             assert achieved <= 1.02 * best + 1e-9, f"seed {seed}: {achieved} vs grid {best}"
 
@@ -63,7 +61,7 @@ class TestFitOwlLinear:
             fit = fit_owl_linear(data, reg_strength=1e-3, epochs=100, seed=seed)
             w = owl_weights(data)
             at_zero = float(np.mean(w * np.ones(data.n)))
-            assert owl_objective_at(fit, data) <= at_zero
+            assert regularized_objective(fit, data) <= at_zero
 
     def test_trace_smoothed_nonincreasing_and_makes_progress(self):
         data = random_dataset(7, n=40, p=3)
@@ -91,11 +89,13 @@ class TestFitOwlLinear:
 class TestPredictOwl:
     def test_sign_rule(self):
         fit = OwlFit(np.array([1.0, 0.0]), np.zeros(1), 1e-3)
-        assert predict_owl(fit, np.array([0.3, -0.9])) == 1
+        xs = np.array([[0.3, -0.9], [-0.3, 0.9]])
+        np.testing.assert_array_equal(predict_owl_batch(fit, xs), [1, -1])
 
     def test_tie_goes_to_plus_one(self):
         fit = OwlFit(np.array([1.0, 1.0]), np.zeros(1), 1e-3)
-        assert predict_owl(fit, np.array([0.5, -0.5])) == 1
+        xs = np.array([[0.5, -0.5], [0.0, 0.0]])
+        np.testing.assert_array_equal(predict_owl_batch(fit, xs), [1, 1])
 
     def test_matches_loop_oracle(self):
         rng = substream(10)
@@ -103,7 +103,7 @@ class TestPredictOwl:
         xs = rng.uniform(-1, 1, size=(100, 3))
         batch = predict_owl_batch(fit, xs)
         for i in range(100):
-            assert batch[i] == predict_owl(fit, xs[i])
+            assert batch[i] == (1 if float(xs[i] @ fit.beta) >= 0.0 else -1)
 
     def test_scale_invariance_of_decision(self):
         rng = substream(11)
@@ -117,7 +117,7 @@ class TestPredictOwl:
     def test_dimension_mismatch(self):
         fit = OwlFit(np.array([1.0, 0.0]), np.zeros(1), 1e-3)
         with pytest.raises(ValueError):
-            predict_owl(fit, np.array([1.0, 2.0, 3.0]))
+            predict_owl_batch(fit, np.array([[1.0, 2.0, 3.0]]))
 
 
 class TestFlippedOwlDataset:

@@ -9,7 +9,6 @@ from bowl.pseudo_model import (
     DataError,
     Dataset,
     ExponentialPowerPrior,
-    ItrCoefficients,
     NormalPrior,
     SpikeSlabPrior,
     add_intercept,
@@ -18,7 +17,6 @@ from bowl.pseudo_model import (
     log_pseudo_likelihood,
     log_pseudo_posterior,
     owl_objective,
-    owl_weight,
     owl_weights,
     resolve_prior,
     reward_transform,
@@ -36,25 +34,31 @@ def random_dataset(seed, n=5, p=3, rho=0.4):
     )
 
 
+def one_row_weight(a, r, rho):
+    return owl_weights(Dataset(np.zeros((1, 1)), np.array([a]), np.array([r]), rho))[0]
+
+
 class TestOwlWeight:
     def test_positive_action(self):
-        assert owl_weight(1, 2.0, 0.5) == pytest.approx(4.0)
+        assert one_row_weight(1.0, 2.0, 0.5) == pytest.approx(4.0)
 
     def test_negative_action_symmetric_rho(self):
-        assert owl_weight(-1, 2.0, 0.5) == pytest.approx(4.0)
+        assert one_row_weight(-1.0, 2.0, 0.5) == pytest.approx(4.0)
 
     def test_negative_action_asymmetric_rho(self):
-        assert owl_weight(-1, 3.0, 0.25) == pytest.approx(4.0)
+        assert one_row_weight(-1.0, 3.0, 0.25) == pytest.approx(4.0)
 
     def test_rejects_nonpositive_reward(self):
-        with pytest.raises(ValueError):
-            owl_weight(1, 0.0, 0.5)
+        for r in (0.0, -1.0):
+            with pytest.raises(DataError):
+                one_row_weight(1.0, r, 0.5)
 
     def test_vector_weights_match_scalar(self):
         data = random_dataset(0)
         w = owl_weights(data)
         for i in range(data.n):
-            assert w[i] == pytest.approx(owl_weight(data.actions[i], data.rewards[i], data.rho))
+            a, r, rho = data.actions[i], data.rewards[i], data.rho
+            assert w[i] == pytest.approx(r / rho if a == 1 else r / (1 - rho))
 
 
 class TestOwlObjective:
@@ -76,15 +80,17 @@ class TestOwlObjective:
         beta = substream(2).normal(size=data.p)
         expected = 0.0
         for i in range(data.n):
-            w = owl_weight(data.actions[i], data.rewards[i], data.rho)
+            a, r = data.actions[i], data.rewards[i]
+            w = r / data.rho if a == 1 else r / (1 - data.rho)
             expected += w * max(1.0 - data.actions[i] * float(data.features[i] @ beta), 0.0)
         expected /= data.n
         assert owl_objective(beta, data) == pytest.approx(expected, abs=1e-12)
 
-    def test_accepts_itr_coefficients(self):
+    def test_accepts_array_like_coefficients(self):
         data = random_dataset(1)
         beta = substream(2).normal(size=data.p)
-        assert owl_objective(ItrCoefficients(beta), data) == owl_objective(beta, data)
+        assert owl_objective(list(beta), data) == owl_objective(beta, data)
+        assert owl_objective(beta[:, None], data) == owl_objective(beta, data)
 
     def test_permutation_invariant(self):
         data = random_dataset(3, n=8)
@@ -127,7 +133,7 @@ class TestLogPseudoLikelihood:
         beta = substream(11).normal(size=data.p)
         expected = sum(
             -2.0
-            * owl_weight(data.actions[i], data.rewards[i], data.rho)
+            * (data.rewards[i] / (data.rho if data.actions[i] == 1 else 1 - data.rho))
             * max(1.0 - data.actions[i] * float(data.features[i] @ beta), 0.0)
             for i in range(data.n)
         )
@@ -328,3 +334,34 @@ class TestDatasetAndCsv:
         path.write_text("x1,a,r\n0.5,2,2.0\n")
         with pytest.raises(DataError):
             load_dataset_csv(path, rho=0.5)
+
+    def test_csv_rejects_ragged_rows(self, tmp_path):
+        for body in ("0.5,1,2.0,7\n", "0.5,1\n"):
+            path = tmp_path / "data.csv"
+            path.write_text("x1,a,r\n0.25,-1,1.0\n" + body)
+            with pytest.raises(DataError, match="ragged rows") as exc:
+                load_dataset_csv(path, rho=0.5)
+            assert str(path) in str(exc.value) and "line 3" in str(exc.value)
+
+    def test_csv_errors_name_the_file(self, tmp_path):
+        cases = {
+            "empty": "",
+            "comments_only": "# nothing here\n",
+            "header_only": "x1,a,r\n",
+            "non_numeric": "x1,a,r\n0.5,1,abc\n",
+            "inf": "x1,a,r\n0.5,1,inf\n",
+        }
+        for name, text in cases.items():
+            path = tmp_path / f"{name}.csv"
+            path.write_text(text)
+            with pytest.raises(DataError, match=str(path)):
+                load_dataset_csv(path, rho=0.5)
+
+    def test_csv_keeps_reader_semantics(self, tmp_path):
+        # Quoted cells, blank lines, indented comment rows and CRLF endings parse as before.
+        path = tmp_path / "data.csv"
+        lines = ["  # leading comment", "x1, a ,r", "", '"0.5",1,2.0', "  # mid comment", "-0.25,-1,1.5"]
+        path.write_text("\r\n".join(lines) + "\r\n")
+        data, _ = load_dataset_csv(path, rho=0.5)
+        np.testing.assert_array_equal(data.features, [[0.5], [-0.25]])
+        np.testing.assert_array_equal(data.actions, [1.0, -1.0])
