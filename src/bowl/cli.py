@@ -74,11 +74,17 @@ def _read_config_comment(path: Path) -> dict:
         first = fh.readline().strip()
     if not first.startswith("# config="):
         raise DataError(f"{path}: missing '# config=' metadata line")
-    return json.loads(first[len("# config=") :])
+    try:
+        config = json.loads(first[len("# config=") :])
+    except json.JSONDecodeError as exc:
+        raise DataError(f"{path}: malformed '# config=' line ({exc})") from None
+    if not isinstance(config, dict):
+        raise DataError(f"{path}: the '# config=' line is not a JSON object")
+    return config
 
 
-def _parse_draws_csv(path: Path) -> PosteriorDraws:
-    """Beta draws of a `bowl fit` draws.csv, checked against its config echo."""
+def _parse_draws_csv(path: Path) -> tuple[PosteriorDraws, dict]:
+    """Beta draws of a `bowl fit` draws.csv, checked against its config echo, and that echo."""
     config = _read_config_comment(path)
     header, body = read_numeric_csv(path)
     beta_cols = [i for i, name in enumerate(header) if name.startswith("beta_")]
@@ -100,12 +106,13 @@ def _parse_draws_csv(path: Path) -> PosteriorDraws:
     draw = np.tile(np.arange(gibbs_config.burn_in, gibbs_config.n_draws), n_chains)
     if not (np.array_equal(body[:, 0], chain) and np.array_equal(body[:, 1], draw)):
         raise DataError(f"{path}: chain and draw columns are not in the order bowl fit writes them")
-    return PosteriorDraws(
+    draws = PosteriorDraws(
         beta=body[:, beta_cols].reshape(n_chains, kept, len(beta_cols)),
         config=gibbs_config,
         chain_seeds=[(gibbs_config.seed, c) for c in range(n_chains)],
         meta={"intercept": bool(config.get("intercept", False))},
     )
+    return draws, config
 
 
 def _prior_from_args(args) -> NormalPrior | ExponentialPowerPrior | SpikeSlabPrior:
@@ -201,8 +208,7 @@ def _prediction_rows(x: np.ndarray, prob: np.ndarray, action: np.ndarray, certai
 
 def cmd_predict(args) -> int:
     out_dir = Path(args.out_dir)
-    draws = _parse_draws_csv(Path(args.draws))
-    config = _read_config_comment(Path(args.draws))
+    draws, config = _parse_draws_csv(Path(args.draws))
     n_raw = draws.beta.shape[-1] - int(draws.meta.get("intercept", False))
     echo = {"command": "predict", "draws": str(args.draws), "source_config": config}
 
@@ -254,6 +260,9 @@ def cmd_reproduce(args) -> int:
             scenario_id=args.scenario, n_train=n_train, n_reps=args.reps, seed=args.seed
         )
         result = run_experiment(spec, methods, jobs=args.jobs)
+        for method, rep, message in result.failures:
+            print(f"warning: {method} (n={n_train}) rep {rep} failed and is left out of its rate: "
+                  f"{message}", file=sys.stderr)
         for cell in result.cells:
             table_rows.append(
                 [cell.method, args.scenario, n_train, cell.mean_rate, cell.mc_se, cell.n_reps_ok]

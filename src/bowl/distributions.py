@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.linalg import solve_triangular
+from scipy.linalg import LinAlgError, lapack
 
 # Below this, the inverse-Gaussian mean 1/sqrt(chi) is so large that the
 # half-order GIG is indistinguishable from its chi=0 Gamma limit.
@@ -68,7 +68,7 @@ def _gig_half_draw_vec(psi: float, chi: np.ndarray, rng: np.random.Generator) ->
     chi = np.asarray(chi, dtype=float)
     if not (psi > 0):
         raise ValueError(f"psi must be positive, got {psi}")
-    if np.any(chi < 0):
+    if (chi < 0).any():
         raise ValueError("chi must be nonnegative")
     out = np.empty_like(chi)
     degenerate = chi < CHI_DEGENERATE
@@ -85,9 +85,17 @@ def sample_mvn(params: MvnParams, rng: np.random.Generator) -> np.ndarray:
     """Draw from N(mean, precision^{-1}) via the precision Cholesky factor.
 
     x = mean + L^{-T} z has covariance (L L^T)^{-1} = precision^{-1} exactly.
+    The LAPACK call is the one `solve_triangular(L, z, trans="T", lower=True)`
+    makes for a C-ordered L, without its wrapper, and gives the same bits.
     """
+    chol = params.chol_lower
     z = rng.standard_normal(params.mean.size)
-    return params.mean + solve_triangular(params.chol_lower, z, trans="T", lower=True)
+    if not (np.isfinite(chol).all() and np.isfinite(z).all()):
+        raise ValueError("Cholesky factor and noise must be finite")
+    x, info = lapack.dtrtrs(chol.T, z, lower=0, trans=0)
+    if info != 0:
+        raise LinAlgError(f"triangular solve failed: LAPACK dtrtrs info={info}")
+    return params.mean + x
 
 
 def log_density_gig_half(x: float, psi: float, chi: float) -> float:

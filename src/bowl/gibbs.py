@@ -110,7 +110,7 @@ class PosteriorDraws:
 def draw_lambda(beta: np.ndarray, data: Dataset, rng: np.random.Generator) -> np.ndarray:
     """Sample lam_i ~ GIG(1/2, 1, w_i^2 (1 - a_i x_i'beta)^2) independently."""
     beta = np.asarray(beta, dtype=float)
-    if not np.all(np.isfinite(beta)):
+    if not np.isfinite(beta).all():
         raise ValueError("beta must be finite")
     w = owl_weights(data)
     margins = 1.0 - data.actions * (data.features @ beta)
@@ -132,29 +132,56 @@ def _canonical_rank(data: Dataset) -> np.ndarray:
     return rank
 
 
-def build_suffstats(lam: np.ndarray, data: Dataset, rank: np.ndarray | None = None) -> SuffStats:
+@dataclass(frozen=True)
+class CanonicalRows:
+    """A dataset's rows gathered once in canonical order (`_canonical_rank`).
+
+    Without exact-duplicate rows the order is the same for every `lam`, so
+    a sweep only gathers `lam`. `tied_rank` (the canonical ranks in that
+    order) is kept only when duplicates exist; `lam` then breaks their ties
+    and the order is re-sorted every sweep.
+    """
+
+    order: np.ndarray
+    tied_rank: np.ndarray | None
+    x: np.ndarray
+    a: np.ndarray
+    w: np.ndarray
+    w_sq: np.ndarray
+
+    @classmethod
+    def of(cls, data: Dataset) -> CanonicalRows:
+        rank = _canonical_rank(data)
+        order = np.argsort(rank, kind="stable")
+        rank = rank[order]
+        tied = data.n > 0 and rank[-1] < data.n
+        w = owl_weights(data)[order]
+        return cls(order, rank if tied else None, data.features[order], data.actions[order], w, w**2)
+
+
+def build_suffstats(lam: np.ndarray, data: Dataset, rows: CanonicalRows | None = None) -> SuffStats:
     """Accumulate the canonical sufficient statistics for the beta draw.
 
     Observations are summed in a canonical order, so the sums are
-    bit-identical under any permutation of the input rows: rank fixed per
-    chain (`_canonical_rank`, computed here when not passed), `lam` breaks
-    exact-duplicate ties.
+    bit-identical under any permutation of the input rows: rows gathered
+    once per chain (`CanonicalRows`, made here when not passed), `lam`
+    breaks exact-duplicate ties.
     """
     lam = np.asarray(lam, dtype=float).ravel()
     if lam.shape != (data.n,):
         raise ValueError(f"lam has length {lam.size}, expected {data.n}")
     if data.n == 0:
         return SuffStats(np.zeros((data.p, data.p)), np.zeros(data.p))
-    if not np.all(lam > 0):
+    if not (lam > 0).all():
         raise ValueError("lam must be strictly positive")
 
-    order = np.lexsort((lam, _canonical_rank(data) if rank is None else rank))
-    x = data.features[order]
-    a = data.actions[order]
-    w = owl_weights(data)[order]
-    lam_o = lam[order]
+    rows = CanonicalRows.of(data) if rows is None else rows
+    lam_o, x, a, w, w_sq = lam[rows.order], rows.x, rows.a, rows.w, rows.w_sq
+    if rows.tied_rank is not None:
+        tie_order = np.lexsort((lam_o, rows.tied_rank))
+        lam_o, x, a, w, w_sq = lam_o[tie_order], x[tie_order], a[tie_order], w[tie_order], w_sq[tie_order]
 
-    precision = x.T @ ((w**2 / lam_o)[:, None] * x)
+    precision = x.T @ ((w_sq / lam_o)[:, None] * x)
     precision = 0.5 * (precision + precision.T)
     linear = x.T @ (w * (1.0 + w / lam_o) * a)
     return SuffStats(precision, linear)
@@ -178,7 +205,7 @@ def draw_beta_ep(
 ) -> np.ndarray:
     """beta ~ N(B2 b2, B2), B2^{-1} = precision_data + diag(1/(nu^2 sigma_j^2 omega_j))."""
     omega = np.asarray(omega, dtype=float).ravel()
-    if not np.all(omega > 0):
+    if not (omega > 0).all():
         raise ValueError("omega must be strictly positive")
     sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
     b_inv = suff.precision_data + np.diag(1.0 / (prior.nu**2 * sigma_sq * omega))
@@ -239,7 +266,7 @@ def draw_gamma_and_beta_ss(
     data: Dataset,
     prior: SpikeSlabPrior,
     rng: np.random.Generator,
-    rank: np.ndarray | None = None,
+    rows: CanonicalRows | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nested single-site sweep over inclusion indicators, then the slab draw.
 
@@ -251,7 +278,7 @@ def draw_gamma_and_beta_ss(
     is drawn from its conditional Gaussian and the inactive coordinates are
     exactly zero.
     """
-    suff = build_suffstats(state.lam, data, rank)
+    suff = build_suffstats(state.lam, data, rows)
     sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
     prior_prec = 1.0 / (prior.nu**2 * sigma_sq)
     log_prior_odds_out = math.log1p(-prior.pi_incl) - math.log(prior.pi_incl)
@@ -260,10 +287,11 @@ def draw_gamma_and_beta_ss(
 
     active = np.asarray(state.gamma, dtype=bool).copy()
     m_inv = _active_inverse(a_mat, active)
+    uniforms = rng.uniform(size=data.p)  # the same stream as one scalar draw per coordinate
     for j in range(data.p):
         log_bf = _inclusion_log_bf(a_mat, b_vec, m_inv, active, prior_prec[j], j)
         prob_include = 1.0 / (1.0 + math.exp(min(log_prior_odds_out - log_bf, 700.0)))
-        include = rng.uniform() < prob_include
+        include = uniforms[j] < prob_include
         if include != active[j]:
             active[j] = include
             m_inv = _active_inverse(a_mat, active)
@@ -284,11 +312,10 @@ def _init_state(data: Dataset, prior: PriorSpec) -> ChainState:
 
 
 def _run_single_chain(
-    data: Dataset, prior: PriorSpec, config: GibbsConfig, chain_index: int
+    data: Dataset, rows: CanonicalRows, prior: PriorSpec, config: GibbsConfig, chain_index: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     rng = substream(config.seed, chain_index)
     state = _init_state(data, prior)
-    rank = _canonical_rank(data)
     kept = config.n_draws - config.burn_in
     beta_out = np.empty((kept, data.p))
     gamma_out = np.empty((kept, data.p), dtype=np.int8) if state.gamma is not None else None
@@ -296,27 +323,27 @@ def _run_single_chain(
     for g in range(config.n_draws):
         try:
             if isinstance(prior, NormalPrior):
-                suff = build_suffstats(state.lam, data, rank)
+                suff = build_suffstats(state.lam, data, rows)
                 state.beta = draw_beta_normal(suff, prior, rng)
                 state.lam = draw_lambda(state.beta, data, rng)
             elif isinstance(prior, ExponentialPowerPrior):
-                suff = build_suffstats(state.lam, data, rank)
+                suff = build_suffstats(state.lam, data, rows)
                 state.beta = draw_beta_ep(suff, state.omega, prior, rng)
                 state.lam = draw_lambda(state.beta, data, rng)
                 state.omega = draw_omega(state.beta, prior, rng)
             elif isinstance(prior, SpikeSlabPrior):
                 state.lam = draw_lambda(state.beta, data, rng)
-                state.gamma, state.beta = draw_gamma_and_beta_ss(state, data, prior, rng, rank)
+                state.gamma, state.beta = draw_gamma_and_beta_ss(state, data, prior, rng, rows)
             else:
                 raise TypeError(f"unknown prior type {type(prior)!r}")
         except (ValueError, FloatingPointError, OverflowError) as exc:  # LinAlgError is a ValueError
             raise GibbsNumericalError(str(exc), chain_index, g) from exc
 
-        if not np.all(np.isfinite(state.beta)):
+        if not np.isfinite(state.beta).all():
             raise GibbsNumericalError("non-finite beta", chain_index, g)
-        if not np.all(state.lam > 0):
+        if not (state.lam > 0).all():
             raise GibbsNumericalError("nonpositive lam", chain_index, g)
-        if state.omega is not None and not np.all(state.omega > 0):
+        if state.omega is not None and not (state.omega > 0).all():
             raise GibbsNumericalError("nonpositive omega", chain_index, g)
 
         if g >= config.burn_in:
@@ -327,8 +354,8 @@ def _run_single_chain(
 
 
 def _chain_worker(args) -> tuple[int, np.ndarray, np.ndarray | None]:
-    data, prior, config, chain_index = args
-    beta, gamma = _run_single_chain(data, prior, config, chain_index)
+    data, rows, prior, config, chain_index = args
+    beta, gamma = _run_single_chain(data, rows, prior, config, chain_index)
     return chain_index, beta, gamma
 
 
@@ -342,16 +369,17 @@ def run_chain(
     assembly is always ordered by chain index.
     """
     prior = resolve_prior(prior, data.features)
+    rows = CanonicalRows.of(data)
     results: list[tuple[np.ndarray, np.ndarray | None]] = [None] * config.n_chains
     if jobs > 1 and config.n_chains > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, config.n_chains)) as pool:
             for idx, beta, gamma in pool.map(
-                _chain_worker, [(data, prior, config, c) for c in range(config.n_chains)]
+                _chain_worker, [(data, rows, prior, config, c) for c in range(config.n_chains)]
             ):
                 results[idx] = (beta, gamma)
     else:
         for c in range(config.n_chains):
-            results[c] = _run_single_chain(data, prior, config, c)
+            results[c] = _run_single_chain(data, rows, prior, config, c)
 
     beta = np.stack([r[0] for r in results])
     gamma = None

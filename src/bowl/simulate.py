@@ -209,6 +209,8 @@ class MethodCell:
 @dataclass
 class ExperimentResult:
     cells: list[MethodCell] = field(default_factory=list)
+    # (method, rep, GibbsNumericalError message) for every NaN rate.
+    failures: list[tuple[str, int, str]] = field(default_factory=list)
 
     def cell(self, method: str, n_train: int | None = None) -> MethodCell:
         for c in self.cells:
@@ -217,7 +219,7 @@ class ExperimentResult:
         raise KeyError(f"no cell for {method!r}, n_train={n_train}")
 
 
-def _one_replication(args) -> tuple[int, dict[str, float]]:
+def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]]:
     spec, rep, methods, cfg = args
     x_tr, a_tr, r_tr, _ = generate_scenario_raw(
         spec, rep, substream(spec.seed, rep, 0), n_obs=spec.n_train
@@ -229,6 +231,7 @@ def _one_replication(args) -> tuple[int, dict[str, float]]:
     bowl_train = Dataset(x_tr, a_tr, shifted_rewards, spec.rho)
 
     rates: dict[str, float] = {}
+    failures: list[tuple[str, int, str]] = []
     for m_idx, method in enumerate(methods):
         # The Bayesian variants need the positivity shift (the pseudo-
         # likelihood weights must be positive); the frequentist baseline
@@ -239,9 +242,10 @@ def _one_replication(args) -> tuple[int, dict[str, float]]:
                 method, train, x_te, cfg, seed=_fit_seed(spec.seed, rep, m_idx)
             )
             rates[method] = misclassification_rate(predicted, truth)
-        except GibbsNumericalError:
+        except GibbsNumericalError as exc:
             rates[method] = float("nan")
-    return rep, rates
+            failures.append((method, rep, str(exc)))
+    return rates, failures
 
 
 def _fit_seed(seed: int, rep: int, method_index: int) -> int:
@@ -271,19 +275,15 @@ def run_experiment(
     cfg.update(configs or {})
 
     tasks = [(spec, rep, methods, cfg) for rep in range(spec.n_reps)]
-    per_rep: list[dict[str, float]] = [None] * spec.n_reps
     if jobs > 1 and spec.n_reps > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for rep, rates in pool.map(_one_replication, tasks, chunksize=1):
-                per_rep[rep] = rates
+            outcomes = list(pool.map(_one_replication, tasks, chunksize=1))
     else:
-        for task in tasks:
-            rep, rates = _one_replication(task)
-            per_rep[rep] = rates
+        outcomes = [_one_replication(task) for task in tasks]
 
-    result = ExperimentResult()
+    result = ExperimentResult(failures=[f for _, failures in outcomes for f in failures])
     for method in methods:
-        rates = np.array([per_rep[rep][method] for rep in range(spec.n_reps)])
+        rates = np.array([rep_rates[method] for rep_rates, _ in outcomes])
         ok = rates[~np.isnan(rates)]
         mean = float(ok.mean()) if ok.size else float("nan")
         se = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else float("nan")

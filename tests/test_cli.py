@@ -3,9 +3,11 @@ import json
 import numpy as np
 import pytest
 
+import bowl.simulate
 from bowl.cli import _parse_draws_csv, main
+from bowl.gibbs import GibbsNumericalError
 from bowl.prediction import recommend
-from bowl.simulate import ScenarioSpec, generate_scenario
+from bowl.simulate import ScenarioSpec, _fit_seed, generate_scenario
 
 
 def write_scenario_csv(path, n=60, seed=3, p=10):
@@ -154,7 +156,7 @@ class TestPredict:
         assert raw[0] == raw[1]
         body = np.loadtxt(outs[0] / "recommendations.csv", delimiter=",", skiprows=2,
                           comments=None)
-        prob, action, certainty = recommend(_parse_draws_csv(fitted), x)
+        prob, action, certainty = recommend(_parse_draws_csv(fitted)[0], x)
         np.testing.assert_array_equal(body[:, :10], x)
         np.testing.assert_array_equal(body[:, 10], prob)
         np.testing.assert_array_equal(body[:, 11], action)
@@ -192,6 +194,13 @@ class TestPredict:
         assert main(["predict", "--draws", str(fitted), "--query", str(query),
                      "--out-dir", str(tmp_path)]) == 2
 
+    def test_malformed_config_line_exit_2(self, fitted, tmp_path, capsys):
+        lines = fitted.read_text().splitlines()
+        for name, config in (("not_json", "{n_draws: 80}"), ("not_object", "[1, 2]")):
+            path = tmp_path / f"{name}.csv"
+            path.write_text("\n".join(["# config=" + config] + lines[1:]) + "\n")
+            self.rejects(["--draws", str(path), "--grid", "--out-dir", str(tmp_path)], path, capsys)
+
     def test_zero_draws_file_exit_2(self, tmp_path):
         empty = tmp_path / "draws.csv"
         empty.write_text('# config={"intercept": false, "n_chains": 1}\nchain,draw,beta_x1\n')
@@ -226,6 +235,38 @@ class TestReproduce:
         assert len(lines) == 2 + 2  # two methods, one n
         raw = (out / "raw_rates.csv").read_text().splitlines()
         assert len(raw) == 2 + 2 * 2
+
+    def test_failed_rep_is_nan_and_explained(self, tmp_path, monkeypatch, capsys):
+        args = ["reproduce", "--scenario", "1", "--n", "50", "--reps", "3",
+                "--methods", "owl,bowl-normal", "--seed", "5", "--heatmap-n", "60",
+                "--grid-res", "4", "--jobs", "1"]
+        assert main(args + ["--out-dir", str(tmp_path / "clean")]) == 0
+        real_run_chain = bowl.simulate.run_chain
+        failing_seed = _fit_seed(5, 1, 1)  # bowl-normal, rep 1
+
+        def fail_one_rep(data, prior, config, **kwargs):
+            if config.seed == failing_seed:
+                raise GibbsNumericalError("synthetic failure", chain=0, iteration=7)
+            return real_run_chain(data, prior, config, **kwargs)
+
+        monkeypatch.setattr("bowl.simulate.run_chain", fail_one_rep)
+        capsys.readouterr()
+        assert main(args + ["--out-dir", str(tmp_path / "failed")]) == 0
+        warnings = [line for line in capsys.readouterr().err.splitlines() if line.startswith("warning:")]
+        assert len(warnings) == 1
+        assert "bowl-normal" in warnings[0] and "rep 1" in warnings[0]
+        assert "chain 0, iteration 7: synthetic failure" in warnings[0]
+
+        clean = (tmp_path / "clean" / "raw_rates.csv").read_text().splitlines()
+        failed = (tmp_path / "failed" / "raw_rates.csv").read_text().splitlines()
+        assert len(clean) == len(failed) == 2 + 2 * 3
+        for before, after in zip(clean[2:], failed[2:]):
+            if after.startswith("bowl-normal,1,50,1,"):
+                assert after.endswith(",nan") and not before.endswith(",nan")
+            else:
+                assert after == before
+        table = (tmp_path / "failed" / "tables.csv").read_text().splitlines()
+        assert [row.split(",")[-1] for row in table[2:]] == ["3", "2"]  # n_reps_ok: owl, bowl-normal
 
     def test_zero_reps_exit_2(self, tmp_path):
         assert main(["reproduce", "--scenario", "1", "--reps", "0",

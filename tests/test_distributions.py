@@ -3,7 +3,10 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
+from scipy.linalg import solve_triangular
 from scipy.stats import invgauss, ks_2samp
 
 from bowl.distributions import (
@@ -251,6 +254,38 @@ class TestMvn:
     def test_nonfinite_mean_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
             MvnParams(np.array([0.0, value]), np.eye(2))
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-6, 6))
+    def test_draw_bit_identical_to_solve_triangular(self, p, seed, log_scale):
+        rng = substream(seed)
+        a = rng.standard_normal((p, p)) * 10.0**log_scale
+        params = MvnParams(rng.standard_normal(p), a @ a.T + 1e-3 * np.eye(p))
+        draw = sample_mvn(params, substream(seed, 1))
+        z = substream(seed, 1).standard_normal(p)
+        reference = params.mean + solve_triangular(params.chol_lower, z, trans="T", lower=True)
+        np.testing.assert_array_equal(draw, reference)
+
+    def test_singular_factor_raises_linalg_error(self):
+        params = MvnParams(np.zeros(3), np.eye(3))
+        params.chol_lower = params.chol_lower.copy()
+        params.chol_lower[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            sample_mvn(params, substream(24))
+
+    def test_nonfinite_factor_or_noise_raises(self):
+        params = MvnParams(np.zeros(3), np.eye(3))
+        params.chol_lower = params.chol_lower.copy()
+        params.chol_lower[2, 0] = np.nan
+        with pytest.raises(ValueError, match="finite"):
+            sample_mvn(params, substream(25))
+
+        class InfNoise:
+            def standard_normal(self, size):
+                return np.array([0.0, np.inf, 0.0])[:size]
+
+        with pytest.raises(ValueError, match="finite"):
+            sample_mvn(MvnParams(np.zeros(3), np.eye(3)), InfNoise())
 
 
 class TestDeterminism:

@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import subprocess
@@ -12,6 +13,7 @@ from scipy.stats import ks_2samp, norm
 import bowl
 from bowl.diagnostics import effective_sample_size, split_rhat
 from bowl.gibbs import (
+    CanonicalRows,
     ChainState,
     GibbsConfig,
     GibbsNumericalError,
@@ -67,10 +69,10 @@ def correlated_dataset(seed, n=7, p=3, rho=0.4):
     return Dataset(features, base.actions, base.rewards, rho)
 
 
-def lexsort_suffstats(lam, data, rank=None):
+def lexsort_suffstats(lam, data, rows=None):
     """Reference build_suffstats: the 13-key lexsort (lam, r, a, x_p..x_1) on every call.
 
-    `rank` is accepted and ignored, so this can stand in for the real one.
+    `rows` is accepted and ignored, so this can stand in for the real one.
     """
     lam = np.asarray(lam, dtype=float).ravel()
     keys = (lam, data.rewards, data.actions) + tuple(
@@ -87,12 +89,12 @@ def lexsort_suffstats(lam, data, rank=None):
     return SuffStats(precision, linear)
 
 
-def cholesky_ss_reference(state, data, prior, rng, rank=None):
+def cholesky_ss_reference(state, data, prior, rng, rows=None):
     """Reference draw_gamma_and_beta_ss: a fresh Cholesky of the active block for every flip.
 
     The sweep as it was before the Schur-complement updates, so it can stand in for the real one.
     """
-    suff = build_suffstats(state.lam, data, rank)
+    suff = build_suffstats(state.lam, data, rows)
     prior_prec = 1.0 / (prior.nu**2 * np.asarray(prior.sigma_j, dtype=float) ** 2)
     log_pi, log_one_minus_pi = math.log(prior.pi_incl), math.log1p(-prior.pi_incl)
     active = np.asarray(state.gamma, dtype=bool).copy()
@@ -178,9 +180,14 @@ class TestBuildSuffstats:
 
     @pytest.mark.parametrize("lam_kind", ["distinct", "tied", "all_equal"])
     def test_matches_lexsort_reference_bit_exact(self, lam_kind):
-        # Duplicated rows and +-0.0 entries form the tie groups that lam breaks.
-        for seed in range(5):
-            data = duplicated_dataset(100 + seed)
+        # Duplicated rows and +-0.0 entries form the tie groups that lam breaks, so they
+        # take the per-call sort; tie-free rows take the order gathered once.
+        for make_data, seed in itertools.product(
+            (duplicated_dataset, random_dataset, correlated_dataset), range(5)
+        ):
+            data = make_data(100 + seed, n=36)
+            rows = CanonicalRows.of(data)
+            assert (rows.tied_rank is not None) == (make_data is duplicated_dataset)
             rng = substream(110, seed)
             lam = {
                 "distinct": rng.uniform(0.5, 2.0, size=data.n),
@@ -188,7 +195,7 @@ class TestBuildSuffstats:
                 "all_equal": np.ones(data.n),
             }[lam_kind]
             ref = lexsort_suffstats(lam, data)
-            for suff in (build_suffstats(lam, data), build_suffstats(lam, data, _canonical_rank(data))):
+            for suff in (build_suffstats(lam, data), build_suffstats(lam, data, rows)):
                 np.testing.assert_array_equal(suff.precision_data, ref.precision_data)
                 np.testing.assert_array_equal(suff.linear_data, ref.linear_data)
 
@@ -532,14 +539,17 @@ class TestRunChain:
         "prior", [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior()], ids=["normal", "ep", "ss"]
     )
     def test_draws_match_lexsort_reference(self, monkeypatch, prior):
-        data = duplicated_dataset(69)
+        # The tie fallback (duplicated rows) and the order gathered once (the other two).
         config = GibbsConfig(n_draws=40, burn_in=10, n_chains=2, seed=6)
-        real = run_chain(data, prior, config)
-        monkeypatch.setattr("bowl.gibbs.build_suffstats", lexsort_suffstats)
-        ref = run_chain(data, prior, config)
-        np.testing.assert_array_equal(real.beta, ref.beta)
-        if ref.gamma is not None:
-            np.testing.assert_array_equal(real.gamma, ref.gamma)
+        for make_data in (duplicated_dataset, random_dataset, correlated_dataset):
+            data = make_data(69, n=36)
+            real = run_chain(data, prior, config)
+            with monkeypatch.context() as patch:
+                patch.setattr("bowl.gibbs.build_suffstats", lexsort_suffstats)
+                ref = run_chain(data, prior, config)
+            np.testing.assert_array_equal(real.beta, ref.beta)
+            if ref.gamma is not None:
+                np.testing.assert_array_equal(real.gamma, ref.gamma)
 
     @pytest.mark.parametrize(
         "make_data", [random_dataset, duplicated_dataset, correlated_dataset], ids=["random", "duplicated", "correlated"]
@@ -571,7 +581,7 @@ class TestRunChain:
 
         calls = []
 
-        def definite_then_indefinite(lam, data, rank=None):
+        def definite_then_indefinite(lam, data, rows=None):
             calls.append(1)
             if len(calls) == 1:
                 return SuffStats(np.eye(data.p), np.zeros(data.p))
