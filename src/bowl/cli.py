@@ -42,18 +42,13 @@ EXIT_NUMERICAL = 3
 GRID_HEADER = ["x_j1", "x_j2", "prob_plus", "action", "certainty"]
 
 
-def _fmt(value) -> str:
-    if isinstance(value, (float, np.floating)):
-        return repr(float(value))
-    return str(value)
-
-
-def _atomic_write(path: Path, text: str) -> None:
+def _atomic_write(path: Path, chunks) -> None:
+    """Stream the text `chunks` to a buffered temp file beside `path`, then rename it into place."""
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     try:
         with os.fdopen(fd, "w", newline="") as fh:
-            fh.write(text)
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -61,12 +56,16 @@ def _atomic_write(path: Path, text: str) -> None:
         raise
 
 
-def _csv_text(config: dict, header: list[str], rows) -> str:
-    lines = ["# config=" + json.dumps(config, sort_keys=True)]
-    lines.append(",".join(header))
+def _csv_lines(config: dict, header: list[str], rows):
+    """Lines of a CSV artifact: the `# config=` echo, the header, then one line per row.
+
+    Cells are Python scalars (`.tolist()`), written with str: for a float that is
+    its repr, the shortest text that reads back to the same bits.
+    """
+    yield "# config=" + json.dumps(config, sort_keys=True) + "\n"
+    yield ",".join(header) + "\n"
     for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
-    return "\n".join(lines) + "\n"
+        yield ",".join(map(str, row)) + "\n"
 
 
 def _read_config_comment(path: Path) -> dict:
@@ -156,15 +155,14 @@ def cmd_fit(args) -> int:
     header = ["chain", "draw"] + [f"beta_{name}" for name in coef_names]
     if draws.gamma is not None:
         header += [f"gamma_{name}" for name in coef_names]
-    rows = []
     kept = config.n_draws - config.burn_in
-    for c in range(config.n_chains):
-        for k in range(kept):
-            row = [c, config.burn_in + k] + list(draws.beta[c, k])
-            if draws.gamma is not None:
-                row += [int(v) for v in draws.gamma[c, k]]
-            rows.append(row)
-    _atomic_write(out_dir / "draws.csv", _csv_text(echo, header, rows))
+    gamma = draws.gamma if draws.gamma is not None else np.empty((config.n_chains, kept, 0))
+    rows = (
+        [c, config.burn_in + k, *beta, *flags]
+        for c in range(config.n_chains)
+        for k, (beta, flags) in enumerate(zip(draws.beta[c].tolist(), gamma[c].tolist()))
+    )
+    _atomic_write(out_dir / "draws.csv", _csv_lines(echo, header, rows))
 
     stacked = draws.stacked_beta
     ess = {
@@ -193,7 +191,7 @@ def cmd_fit(args) -> int:
             name: float(v)
             for name, v in zip(coef_names, draws.stacked_gamma.mean(axis=0))
         }
-    _atomic_write(out_dir / "summary.json", json.dumps(summary, indent=2, sort_keys=True) + "\n")
+    _atomic_write(out_dir / "summary.json", [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
     print(f"wrote {out_dir / 'draws.csv'} and {out_dir / 'summary.json'}")
     return EXIT_OK
 
@@ -218,7 +216,7 @@ def cmd_predict(args) -> int:
         echo["grid_dims"] = list(args.grid_dims)
         echo["grid_res"] = args.grid_res
         out = out_dir / "certainty_grid.csv"
-        _atomic_write(out, _csv_text(echo, GRID_HEADER, _prediction_rows(coords, *preds)))
+        _atomic_write(out, _csv_lines(echo, GRID_HEADER, _prediction_rows(coords, *preds)))
     else:
         if not args.query:
             raise DataError("predict needs either --query CSV or --grid")
@@ -228,7 +226,7 @@ def cmd_predict(args) -> int:
             raise DataError(f"{args.query}: query columns must be exactly {','.join(expected)}")
         rows = _prediction_rows(queries, *recommend(draws, queries))
         out = out_dir / "recommendations.csv"
-        _atomic_write(out, _csv_text(echo, expected + ["prob_plus", "action", "certainty"], rows))
+        _atomic_write(out, _csv_lines(echo, expected + ["prob_plus", "action", "certainty"], rows))
     print(f"wrote {out}")
     return EXIT_OK
 
@@ -267,15 +265,15 @@ def cmd_reproduce(args) -> int:
             table_rows.append(
                 [cell.method, args.scenario, n_train, cell.mean_rate, cell.mc_se, cell.n_reps_ok]
             )
-            for rep, rate in enumerate(cell.rates):
+            for rep, rate in enumerate(cell.rates.tolist()):
                 raw_rows.append([cell.method, args.scenario, n_train, rep, rate])
     _atomic_write(
         out_dir / "tables.csv",
-        _csv_text(echo, ["method", "scenario", "n_train", "mean_rate", "mc_se", "n_reps_ok"], table_rows),
+        _csv_lines(echo, ["method", "scenario", "n_train", "mean_rate", "mc_se", "n_reps_ok"], table_rows),
     )
     _atomic_write(
         out_dir / "raw_rates.csv",
-        _csv_text(echo, ["method", "scenario", "n_train", "rep", "rate"], raw_rows),
+        _csv_lines(echo, ["method", "scenario", "n_train", "rep", "rate"], raw_rows),
     )
 
     _, coords, *preds, mags = uncertainty_study(
@@ -284,11 +282,11 @@ def cmd_reproduce(args) -> int:
         seed=args.seed,
         resolution=args.grid_res,
     )
-    heatmap = _csv_text(echo, GRID_HEADER, _prediction_rows(coords, *preds))
+    heatmap = _csv_lines(echo, GRID_HEADER, _prediction_rows(coords, *preds))
     _atomic_write(out_dir / "heatmap.csv", heatmap)
     _atomic_write(
         out_dir / "coefficient_magnitudes.csv",
-        _csv_text(echo, ["feature", "magnitude"], [[f"x{j + 1}", m] for j, m in enumerate(mags)]),
+        _csv_lines(echo, ["feature", "magnitude"], [[f"x{j + 1}", m] for j, m in enumerate(mags.tolist())]),
     )
     print(f"wrote tables.csv, raw_rates.csv, heatmap.csv, coefficient_magnitudes.csv in {out_dir}")
     return EXIT_OK
@@ -314,7 +312,7 @@ def build_parser() -> argparse.ArgumentParser:
     def add_shared(p):
         p.add_argument("--seed", type=int, default=0, help="64-bit master seed")
         p.add_argument("--jobs", type=int, default=os.cpu_count() or 1,
-                       help="parallelism for chains and replications")
+                       help="parallelism for chains and replications (at least 1)")
         p.add_argument("--out-dir", default=".", help="directory for output artifacts")
 
     p_fit = sub.add_parser("fit", help="fit a Bayesian ITR on a CSV dataset")
@@ -366,6 +364,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if args.jobs < 1:
+            raise DataError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
     except DataError as exc:
         print(f"error: {exc}", file=sys.stderr)

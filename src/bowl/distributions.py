@@ -33,9 +33,9 @@ class MvnParams:
             raise ValueError("mean must be length-p and precision p x p")
         if not (np.isfinite(mean).all() and np.isfinite(precision).all()):
             raise ValueError("mean and precision must be finite")
-        # np.allclose(precision, precision.T)'s own rule on finite entries, at a third of its cost.
+        # Exact symmetry, else np.allclose(precision, precision.T)'s rule at a third of its cost.
         t = precision.T
-        if not (np.abs(precision - t) <= 1e-8 + 1e-5 * np.abs(t)).all():
+        if not ((precision == t).all() or (np.abs(precision - t) <= 1e-8 + 1e-5 * np.abs(t)).all()):
             raise ValueError("precision matrix must be symmetric")
         self.mean = mean
         self.precision = precision
@@ -70,10 +70,11 @@ def _gig_half_draw_vec(psi: float, chi: np.ndarray, rng: np.random.Generator) ->
         raise ValueError(f"psi must be positive, got {psi}")
     if (chi < 0).any():
         raise ValueError("chi must be nonnegative")
-    out = np.empty_like(chi)
     degenerate = chi < CHI_DEGENERATE
-    if degenerate.any():
-        out[degenerate] = rng.gamma(0.5, 2.0 / psi, size=int(degenerate.sum()))
+    if not degenerate.any():
+        return 1.0 / _invgauss_draw(np.sqrt(psi / chi), psi, rng)
+    out = np.empty_like(chi)
+    out[degenerate] = rng.gamma(0.5, 2.0 / psi, size=int(degenerate.sum()))
     proper = ~degenerate
     if proper.any():
         mu = np.sqrt(psi / chi[proper])

@@ -107,12 +107,17 @@ class PosteriorDraws:
         return self.stacked_beta.mean(axis=0)
 
 
-def draw_lambda(beta: np.ndarray, data: Dataset, rng: np.random.Generator) -> np.ndarray:
-    """Sample lam_i ~ GIG(1/2, 1, w_i^2 (1 - a_i x_i'beta)^2) independently."""
+def draw_lambda(
+    beta: np.ndarray, data: Dataset, rng: np.random.Generator, weights: np.ndarray | None = None
+) -> np.ndarray:
+    """Sample lam_i ~ GIG(1/2, 1, w_i^2 (1 - a_i x_i'beta)^2) independently, w = owl_weights(data).
+
+    A chain passes the weights in, computed once.
+    """
     beta = np.asarray(beta, dtype=float)
     if not np.isfinite(beta).all():
         raise ValueError("beta must be finite")
-    w = owl_weights(data)
+    w = owl_weights(data) if weights is None else weights
     margins = 1.0 - data.actions * (data.features @ beta)
     chi = (w * margins) ** 2
     return _gig_half_draw_vec(1.0, chi, rng)
@@ -319,20 +324,21 @@ def _run_single_chain(
     kept = config.n_draws - config.burn_in
     beta_out = np.empty((kept, data.p))
     gamma_out = np.empty((kept, data.p), dtype=np.int8) if state.gamma is not None else None
+    weights = owl_weights(data)
 
     for g in range(config.n_draws):
         try:
             if isinstance(prior, NormalPrior):
                 suff = build_suffstats(state.lam, data, rows)
                 state.beta = draw_beta_normal(suff, prior, rng)
-                state.lam = draw_lambda(state.beta, data, rng)
+                state.lam = draw_lambda(state.beta, data, rng, weights)
             elif isinstance(prior, ExponentialPowerPrior):
                 suff = build_suffstats(state.lam, data, rows)
                 state.beta = draw_beta_ep(suff, state.omega, prior, rng)
-                state.lam = draw_lambda(state.beta, data, rng)
+                state.lam = draw_lambda(state.beta, data, rng, weights)
                 state.omega = draw_omega(state.beta, prior, rng)
             elif isinstance(prior, SpikeSlabPrior):
-                state.lam = draw_lambda(state.beta, data, rng)
+                state.lam = draw_lambda(state.beta, data, rng, weights)
                 state.gamma, state.beta = draw_gamma_and_beta_ss(state, data, prior, rng, rows)
             else:
                 raise TypeError(f"unknown prior type {type(prior)!r}")

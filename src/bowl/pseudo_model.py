@@ -9,8 +9,10 @@ safe to evaluate concurrently.
 from __future__ import annotations
 
 import csv
+import itertools
 import math
 from dataclasses import dataclass, replace
+from operator import itemgetter
 
 import numpy as np
 
@@ -19,41 +21,71 @@ class DataError(ValueError):
     """Malformed or inconsistent input data."""
 
 
+# How np.loadtxt reads a body line: comma-separated cells, optionally double-quoted.
+_CELLS = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
+
+
+def _rows(path, fh):
+    """(line number, line) of each line of `fh` that is not blank or a `#` comment row.
+
+    A row is one line; only a line with a quote needs `csv.reader` to find
+    its first cell. A quoted cell open at the end of a line is rejected.
+    """
+    for lineno, line in enumerate(fh, 1):
+        if '"' in line:
+            cells = next(csv.reader([line]))
+            if cells[0].lstrip().startswith("#"):
+                continue
+            if cells[-1].endswith(("\n", "\r")):
+                raise DataError(f"{path}: quoted cell left open at the end of line {lineno}")
+        elif line in ("\n", "\r\n", "\r") or line.lstrip().startswith("#"):
+            continue
+        yield lineno, line
+
+
 def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
     """Header and numeric body of a CSV file, skipping blank and `#` comment rows.
 
     Every body row must have as many cells as the header, and every cell
     must parse as a finite float; the header's meaning is the caller's to
-    check. Each rejection raises DataError naming the file.
+    check. Each rejection raises DataError naming the file. The body streams
+    into one np.loadtxt call; a rejected file is read again line by line
+    to name the first bad line.
     """
-    header, rows = None, []
     with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        for row in reader:
-            if not row or row[0].lstrip().startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in row]
-                continue
-            if len(row) != len(header):
+        rows = _rows(path, fh)
+        _, line = next(rows, (0, None))
+        if line is None:
+            raise DataError(f"{path}: empty file")
+        header = [c.strip() for c in next(csv.reader([line]))]
+        lines = map(itemgetter(1), rows)
+        line = next(lines, None)
+        if line is None:
+            raise DataError(f"{path}: no data rows")
+        try:
+            values = np.loadtxt(itertools.chain([line], lines), **_CELLS)
+            if values.shape[1] != len(header):
+                raise ValueError(f"{values.shape[1]} cells per row, the header {len(header)}")
+        except ValueError as exc:
+            reason = str(exc)
+        else:
+            if not np.isfinite(values).all():
+                i, j = np.argwhere(~np.isfinite(values))[0]
+                raise DataError(f"{path}: NaN or Inf in column {header[j]}, data row {i + 1}")
+            return header, values
+    with open(path, newline="") as fh:
+        for lineno, line in itertools.islice(_rows(path, fh), 1, None):
+            n_cells = len(next(csv.reader([line])))
+            if n_cells != len(header):
                 raise DataError(
-                    f"{path}: ragged rows (line {reader.line_num} has {len(row)} cells, "
-                    f"the header {len(header)})"
+                    f"{path}: ragged rows (line {lineno} has {n_cells} cells, the header {len(header)})"
                 )
             try:
-                rows.append([float(v) for v in row])
+                np.loadtxt([line], **_CELLS)
             except ValueError as exc:
-                line = reader.line_num
-                raise DataError(f"{path}: non-numeric cell on line {line} ({exc})") from None
-    if header is None:
-        raise DataError(f"{path}: empty file")
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    values = np.array(rows)
-    if not np.isfinite(values).all():
-        i, j = np.argwhere(~np.isfinite(values))[0]
-        raise DataError(f"{path}: NaN or Inf in column {header[j]}, data row {i + 1}")
-    return header, values
+                detail = str(exc).partition(" at row ")[0]  # numpy's position counts within this line
+                raise DataError(f"{path}: non-numeric cell on line {lineno} ({detail})") from None
+    raise DataError(f"{path}: {reason}")
 
 
 @dataclass

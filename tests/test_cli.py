@@ -277,6 +277,18 @@ class TestReproduce:
                      "--methods", "qlearning", "--out-dir", str(tmp_path)]) == 2
 
 
+class TestJobs:
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "unused.csv", "--chains", "2", "--jobs", "0"],
+        ["reproduce", "--scenario", "1", "--reps", "1", "--jobs", "-3"],
+        ["predict", "--draws", "unused.csv", "--grid", "--jobs", "0"],
+    ])
+    def test_jobs_below_one_exit_2(self, argv, tmp_path, capsys):
+        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
+        assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+
 class TestVerify:
     def test_quick_passes(self, capsys):
         assert main(["verify", "--quick"]) == 0

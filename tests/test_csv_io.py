@@ -1,0 +1,224 @@
+"""The CSV reader and artifact writer against the implementations they replaced.
+
+`oracle_read_numeric_csv` is the csv.reader + float() loop that
+`read_numeric_csv` used to be, and `old_csv_text` the per-cell dispatching
+formatter that `_csv_lines` replaced. Both are kept here as references.
+"""
+
+import csv
+import json
+import math
+import re
+import tempfile
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from bowl.cli import _atomic_write, _csv_lines
+from bowl.pseudo_model import DataError, read_numeric_csv
+
+
+def oracle_read_numeric_csv(path):
+    header, rows = None, []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        for row in reader:
+            if not row or row[0].lstrip().startswith("#"):
+                continue
+            if header is None:
+                header = [c.strip() for c in row]
+                continue
+            if len(row) != len(header):
+                raise DataError(
+                    f"{path}: ragged rows (line {reader.line_num} has {len(row)} cells, "
+                    f"the header {len(header)})"
+                )
+            try:
+                rows.append([float(v) for v in row])
+            except ValueError as exc:
+                line = reader.line_num
+                raise DataError(f"{path}: non-numeric cell on line {line} ({exc})") from None
+    if header is None:
+        raise DataError(f"{path}: empty file")
+    if not rows:
+        raise DataError(f"{path}: no data rows")
+    values = np.array(rows)
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(f"{path}: NaN or Inf in column {header[j]}, data row {i + 1}")
+    return header, values
+
+
+def _fmt(value) -> str:
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    return str(value)
+
+
+def old_csv_text(config: dict, header: list[str], rows) -> str:
+    lines = ["# config=" + json.dumps(config, sort_keys=True)]
+    lines.append(",".join(header))
+    for row in rows:
+        lines.append(",".join(_fmt(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+def bits(values: np.ndarray) -> np.ndarray:
+    return np.ascontiguousarray(values, dtype=float).view(np.int64)
+
+
+def read_either(reader, path):
+    """("ok", header, bits) or ("error", message) for one reader on one file."""
+    try:
+        header, values = reader(path)
+    except DataError as exc:
+        return ("error", str(exc))
+    return ("ok", header, bits(values).tolist())
+
+
+SPECIAL = [0.0, -0.0, math.nan, 1e16, 1e-05, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
+           0.1, 1 / 3, -123456.789, 1e22, 1e-7]
+
+
+class TestWriter:
+    def test_bytes_equal_the_old_formatter(self, tmp_path):
+        gamma = np.array([[1, 0, 1], [0, 0, 1]], dtype=np.int8)
+        beta = np.array([SPECIAL[:3], SPECIAL[3:6]])
+        config = {"command": "test", "seed": 3, "columns": ["x1", "x2"]}
+        header = ["label", "k", "b1", "b2", "b3", "g1", "g2", "g3"]
+        # The old callers passed numpy scalars and int(v) gamma; the new ones pass .tolist().
+        old_rows = [[f"row{k}", k, *beta[k], *[int(v) for v in gamma[k]]] for k in range(2)]
+        old_rows += [["bowl-normal", -7, *SPECIAL[6:9], 1, 0, 1],
+                     ["bowl-ss", 0, *SPECIAL[9:12], 0, 1, 0]]
+        new_rows = [[f"row{k}", k, *beta[k].tolist(), *gamma[k].tolist()] for k in range(2)]
+        new_rows += old_rows[2:]
+        path = tmp_path / "out.csv"
+        _atomic_write(path, _csv_lines(config, header, new_rows))
+        expected = old_csv_text(config, header, old_rows).encode()
+        assert path.read_bytes() == expected
+        assert b"-0.0" in expected and b"nan" in expected and b"1e+16" in expected
+        assert b"5e-324" in expected and b"1e-05" in expected
+
+    def test_failed_write_leaves_no_file(self, tmp_path):
+        def rows():
+            yield [1.0]
+            raise RuntimeError("boom")
+
+        path = tmp_path / "out.csv"
+        with pytest.raises(RuntimeError):
+            _atomic_write(path, _csv_lines({}, ["x1"], rows()))
+        assert list(tmp_path.iterdir()) == []
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
+                    min_size=1, max_size=30))
+    def test_round_trip_is_bit_identical(self, rows):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rt.csv"
+            _atomic_write(path, _csv_lines({"seed": 0}, ["x1", "x2", "x3"], rows))
+            header, values = read_numeric_csv(path)
+        assert header == ["x1", "x2", "x3"]
+        np.testing.assert_array_equal(bits(values), bits(np.array(rows)))
+
+
+# The accepted dialect: one row per line, comma-separated, optional double
+# quotes, whitespace around cells, blank lines, indented `#` comments, LF, CRLF or
+# CR line ends. Cell texts cover float formats and values both readers reject.
+_finite = st.floats(allow_nan=False, allow_infinity=False)
+_number_text = st.one_of(
+    _finite.map(repr),
+    _finite.map(lambda v: "%.17g" % v),
+    _finite.map(lambda v: "%.6e" % v),
+    _finite.map(lambda v: "%.3f" % v),
+    _finite.map(lambda v: "%.25g" % v),
+    _finite.map(lambda v: ("%.4E" % v).replace("E+0", "E")),
+    st.sampled_from(["+.5", "5.", "-0", "007", "1e5", "1E-5", "-1.5e+03", "4.9e-324", "1e400", "1e-400"]),
+)
+_bad_text = st.sampled_from(["abc", "", "1e", ".", "--1", "0x10", "1 2", "nan", "-inf", "Infinity", "1;2"])
+_space = st.sampled_from(["", " ", "  ", "\t"])
+
+
+@st.composite
+def _cell(draw):
+    text = draw(st.one_of(_number_text, _number_text, _number_text, _bad_text))
+    if draw(st.booleans()) and draw(st.booleans()):
+        return '"' + draw(_space) + text + draw(_space) + '"' + draw(st.sampled_from(["", " "]))
+    return draw(_space) + text + draw(_space)
+
+
+@st.composite
+def _csv_file(draw):
+    k = draw(st.integers(1, 4))
+    names = [f"x{j}" for j in range(1, k + 1)]
+    lines = [",".join(draw(_space) + name + draw(_space) for name in names)]
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "comment", "ragged"]))
+        if kind == "blank":
+            lines.append("")
+        elif kind == "comment":
+            lines.append(draw(_space) + "#" + draw(st.text("ab ,.#-", max_size=8)))
+        else:
+            n = k + draw(st.sampled_from([-1, 1])) if kind == "ragged" else k
+            lines.append(",".join(draw(_cell()) for _ in range(max(n, 1))))
+    lead = draw(st.lists(st.sampled_from(["", "# lead, comment", "  # indented"]), max_size=2))
+    newline = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    text = newline.join(lead + lines)
+    return text + (newline if draw(st.booleans()) else "")
+
+
+class TestReader:
+    @settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(_csv_file())
+    def test_agrees_with_the_oracle(self, text):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "in.csv"
+            path.write_bytes(text.encode())
+            new = read_either(read_numeric_csv, path)
+            old = read_either(oracle_read_numeric_csv, path)
+        assert new[0] == old[0], (new, old)
+        if new[0] == "ok":
+            assert new == old
+            return
+        message, expected = new[1], old[1]
+        assert message.startswith(f"{path}: ")
+        if "non-numeric cell" in expected:
+            # The parenthesis holds the parser's own message, which differs.
+            assert message.split(" (")[0] == expected.split(" (")[0]
+        else:
+            assert message == expected
+
+    def test_crlf_quotes_comments_and_whitespace(self, tmp_path):
+        path = tmp_path / "data.csv"
+        lines = ["  # leading comment", " x1 , x2 ", "", '"0.5"," 1e-3 " ', '"# quoted comment",1',
+                 "\t# tab comment", "-.25 ,\t7E2", '"1"2,3']
+        path.write_text("\r\n".join(lines) + "\r\n")
+        header, values = read_numeric_csv(path)
+        assert header == ["x1", "x2"]
+        np.testing.assert_array_equal(values, [[0.5, 1e-3], [-0.25, 700.0], [12.0, 3.0]])
+
+    @pytest.mark.parametrize("cell", ["1_000", "١", "１"])
+    def test_rejects_what_only_float_accepted(self, tmp_path, cell):
+        # float() takes digit-group underscores and non-ASCII digits; numpy does not.
+        path = tmp_path / "data.csv"
+        path.write_text(f"x1,x2\n1,2\n3,{cell}\n")
+        assert oracle_read_numeric_csv(path)[1].shape == (2, 2)
+        with pytest.raises(DataError, match=re.escape(f"{path}: non-numeric cell on line 3 (")):
+            read_numeric_csv(path)
+
+    def test_rejects_a_quoted_cell_spanning_lines(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text('x1,x2\n1,2\n"3\n",4\n')
+        with pytest.raises(DataError, match=re.escape(f"{path}: quoted cell left open at the end of line 3")):
+            read_numeric_csv(path)
+
+    def test_error_names_the_physical_line(self, tmp_path):
+        path = tmp_path / "data.csv"
+        path.write_text("# c\nx1,x2\n\n1,2\n# c\n\n3,4\n5,x\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: non-numeric cell on line 8 (")):
+            read_numeric_csv(path)
+        path.write_text("x1,x2\n1,2,3\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: ragged rows (line 2 has 3 cells, the header 2)")):
+            read_numeric_csv(path)
