@@ -8,7 +8,6 @@ from .pseudo_model import (
     SpikeSlabPrior,
     load_dataset_csv,
     log_pseudo_likelihood,
-    log_pseudo_posterior,
     owl_objective,
     owl_weights,
     reward_transform,

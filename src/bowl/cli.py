@@ -293,7 +293,7 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify_checks.run_all(tol=args.tol, quick=args.quick, seed=args.seed)
+    checks = verify_checks.run_all(tol=args.tol, seed=args.seed)
     any_failed = False
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -354,8 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver = sub.add_parser("verify", help="run the numerical identity checks")
     add_shared(p_ver)
     p_ver.add_argument("--tol", type=float, default=1e-6,
-                       help="tolerance for the scale-mixture identity check")
-    p_ver.add_argument("--quick", action="store_true", help="skip the long-chain check")
+                       help="tolerance for the scale-mixture identity and spike-and-slab log-odds checks")
     p_ver.set_defaults(func=cmd_verify)
     return parser
 

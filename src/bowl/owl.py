@@ -14,15 +14,7 @@ from .rng import substream
 @dataclass
 class OwlFit:
     beta: np.ndarray
-    # Best regularized objective achieved by an epoch-end averaged iterate so
-    # far; nonincreasing by construction.
-    objective_trace: np.ndarray
     reg_strength: float
-
-
-def _regularized_objective(beta: np.ndarray, data: Dataset, w: np.ndarray, reg: float) -> float:
-    hinge = np.maximum(1.0 - data.actions * (data.features @ beta), 0.0)
-    return float(np.mean(w * hinge) + 0.5 * reg * (beta @ beta))
 
 
 def fit_owl_linear(
@@ -30,15 +22,12 @@ def fit_owl_linear(
     reg_strength: float = 1e-3,
     epochs: int = 80,
     seed: int = 0,
-    step_scale: float | None = None,
 ) -> OwlFit:
     """Minimize (1/n) sum_i w_i (1 - a_i x_i'beta)_+ + (reg/2)||beta||^2.
 
     Deterministic-shuffle stochastic subgradient descent with step size
     c/sqrt(t); the returned coefficients are the average of the iterates
-    over the last half of all steps (suffix averaging). The per-epoch
-    trace records the best objective reached at the running average of
-    all iterates, which decays far more smoothly than the raw iterate.
+    over the last half of all steps (suffix averaging).
     """
     if epochs < 1:
         raise ValueError("epochs must be at least 1")
@@ -47,41 +36,31 @@ def fit_owl_linear(
     rng = substream(seed)
     n, p = data.features.shape
     if n == 0:
-        return OwlFit(np.zeros(p), np.zeros(0), reg_strength)
+        return OwlFit(np.zeros(p), reg_strength)
     w = owl_weights(data)
     x = data.features
     a = data.actions
-
-    if step_scale is None:
-        # Scale steps to the average subgradient magnitude so rules of
-        # unit-order norm are reachable within the first few epochs.
-        gbar = float(np.mean(w * np.linalg.norm(x, axis=1))) + reg_strength
-        step_scale = 1.0 / gbar
+    # Scale steps to the average subgradient magnitude so rules of
+    # unit-order norm are reachable within the first few epochs.
+    step0 = 1.0 / (float(np.mean(w * np.linalg.norm(x, axis=1))) + reg_strength)
 
     total_steps = epochs * n
     suffix_start = total_steps // 2
     beta = np.zeros(p)
-    run_sum = np.zeros(p)
     suffix_sum = np.zeros(p)
-    suffix_count = 0
-    trace = np.empty(epochs)
     t = 0
-    for epoch in range(epochs):
+    for _ in range(epochs):
         for i in rng.permutation(n):
             t += 1
-            eta = step_scale / math.sqrt(t)
+            eta = step0 / math.sqrt(t)
             xi = x[i]
             if 1.0 - a[i] * (xi @ beta) > 0.0:
                 beta = (1.0 - eta * reg_strength) * beta + (eta * w[i] * a[i]) * xi
             else:
                 beta = (1.0 - eta * reg_strength) * beta
-            run_sum += beta
             if t > suffix_start:
                 suffix_sum += beta
-                suffix_count += 1
-        value = _regularized_objective(run_sum / t, data, w, reg_strength)
-        trace[epoch] = value if epoch == 0 else min(value, trace[epoch - 1])
-    return OwlFit(suffix_sum / suffix_count, trace, reg_strength)
+    return OwlFit(suffix_sum / (total_steps - suffix_start), reg_strength)
 
 
 def predict_owl_batch(fit: OwlFit, features: np.ndarray) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dataset representation, the weighted-hinge objective, and its pseudo-posterior.
+"""Dataset representation, priors, the weighted-hinge objective, and its pseudo-likelihood.
 
 The "likelihood" here is not generative: exp of minus twice the weighted
 hinge loss, so that maximizing it is the same problem as minimizing the
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import itertools
-import math
 from dataclasses import dataclass, replace
 from operator import itemgetter
 
@@ -158,13 +157,10 @@ class ExponentialPowerPrior:
 
     nu: float = 0.8
     sigma_j: np.ndarray | None = None
-    alpha: int = 1
 
     def __post_init__(self):
         if not (self.nu > 0):
             raise ValueError("nu must be positive")
-        if self.alpha != 1:
-            raise ValueError("only the double-exponential case alpha = 1 is supported")
 
 
 @dataclass(frozen=True)
@@ -238,57 +234,6 @@ def log_pseudo_likelihood(beta, data: Dataset) -> float:
     if data.n == 0:
         return 0.0
     return float(-2.0 * np.sum(owl_weights(data) * hinge_losses(beta, data)))
-
-
-def log_pseudo_posterior(state, data: Dataset, prior: PriorSpec) -> float:
-    """Joint log density of the augmented state, up to an additive constant.
-
-    `state` carries beta and the positive scale augmentation lam (length n),
-    plus omega (exponential-power prior) or gamma (spike-and-slab). The data
-    part is the scale-mixture-of-normals form whose lam-marginal recovers
-    exp(log_pseudo_likelihood) exactly.
-    """
-    beta = np.asarray(state.beta, dtype=float).ravel()
-    _check_dims(beta, data)
-    lam = np.asarray(state.lam, dtype=float).ravel()
-    if lam.shape != (data.n,):
-        raise ValueError(f"lam has length {lam.size}, expected {data.n}")
-    if data.n > 0 and not np.all(lam > 0):
-        raise ValueError("lam must be strictly positive")
-
-    total = 0.0
-    if data.n > 0:
-        w = owl_weights(data)
-        resid = w + lam - w * data.actions * (data.features @ beta)
-        total += float(-0.5 * np.sum(np.log(lam) + resid**2 / lam))
-
-    if isinstance(prior, NormalPrior):
-        mu0 = prior.mu0_vector(data.p)
-        total += float(-0.5 * np.sum((beta - mu0) ** 2) / prior.sigma0_sq)
-    elif isinstance(prior, ExponentialPowerPrior):
-        omega = np.asarray(state.omega, dtype=float).ravel()
-        if omega.shape != beta.shape or not np.all(omega > 0):
-            raise ValueError("omega must be positive and length p")
-        sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
-        total += float(
-            -0.5 * np.sum(np.log(omega) + beta**2 / (prior.nu**2 * sigma_sq * omega) + omega)
-        )
-    elif isinstance(prior, SpikeSlabPrior):
-        gamma = np.asarray(state.gamma).astype(bool).ravel()
-        if gamma.shape != beta.shape:
-            raise ValueError("gamma must be length p")
-        if np.any(beta[~gamma] != 0.0):
-            raise ValueError("beta must be exactly zero where gamma is zero")
-        sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
-        active = gamma
-        slab_var = prior.nu**2 * sigma_sq[active]
-        total += float(
-            -0.5 * np.sum(np.log(2.0 * math.pi * slab_var) + beta[active] ** 2 / slab_var)
-        )
-        total += float(np.sum(np.where(gamma, math.log(prior.pi_incl), math.log1p(-prior.pi_incl))))
-    else:
-        raise TypeError(f"unknown prior type {type(prior)!r}")
-    return total
 
 
 @dataclass(frozen=True)

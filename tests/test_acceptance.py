@@ -2,8 +2,11 @@
 
 Run with `pytest -s tests/test_acceptance.py` to see every line. The
 criteria use pre-registered seeds throughout; none were selected by
-outcome. The table criterion runs at 50 replications and uses both
-cores, which keeps it well under its runtime budget on a desktop.
+outcome. Criterion 2 compares 45,000 Gibbs draws of a one-feature
+instance with the closed-form CDF of its pseudo-posterior (one-sample
+KS < 0.03), so no second sampler's noise enters the test. The table
+criterion runs at 50 replications and uses both cores, which keeps it
+well under its runtime budget on a desktop.
 
 Criteria 6 (uncertainty-map geometry) and 7 (feature relevance) are
 figure properties, that is, statements about the expected behaviour of
@@ -37,7 +40,7 @@ from bowl.simulate import (
 )
 from bowl.verify import (
     check_beta_conditional_moments,
-    check_gibbs_vs_metropolis,
+    check_gibbs_vs_exact,
     check_gig_moments,
     check_scale_mixture_identity,
 )
@@ -63,7 +66,7 @@ def test_criterion_1_scale_mixture_identity():
 
 def test_criterion_2_sampler_exactness_oracle():
     start = time.time()
-    result = check_gibbs_vs_metropolis(seed=0, metropolis_steps=2_000_000)
+    result = check_gibbs_vs_exact(seed=0)
     elapsed = time.time() - start
     report(2, result.passed and elapsed < 120.0, f"{result.detail}; runtime {elapsed:.1f}s (< 2 min)")
 

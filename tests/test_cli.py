@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import bowl.simulate
+from bowl import verify
 from bowl.cli import _parse_draws_csv, main
 from bowl.gibbs import GibbsNumericalError
 from bowl.prediction import recommend
@@ -290,11 +291,15 @@ class TestJobs:
 
 
 class TestVerify:
-    def test_quick_passes(self, capsys):
-        assert main(["verify", "--quick"]) == 0
+    def test_full_run_passes(self, capsys):
+        assert main(["verify"]) == 0
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 4
+        assert out.count("[PASS]") == 5
 
-    def test_absurd_tolerance_fails(self, capsys):
-        assert main(["verify", "--quick", "--tol", "1e-300"]) == 1
+    def test_absurd_tolerance_fails(self, monkeypatch, capsys):
+        # The two sampling checks ignore --tol and run at full size in criteria 2 and 3.
+        for name in ("check_beta_conditional_moments", "check_gibbs_vs_exact"):
+            stub = verify.CheckResult(name, True, "stubbed")
+            monkeypatch.setattr(verify, name, lambda seed, stub=stub: stub)
+        assert main(["verify", "--tol", "1e-300"]) == 1
         assert "[FAIL]" in capsys.readouterr().out

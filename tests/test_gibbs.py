@@ -7,8 +7,11 @@ import textwrap
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 from scipy import integrate
-from scipy.stats import ks_2samp, norm
+from scipy.optimize import minimize_scalar
+from scipy.stats import kstest, norm
 
 import bowl
 from bowl.diagnostics import effective_sample_size, split_rhat
@@ -33,10 +36,11 @@ from bowl.pseudo_model import (
     ExponentialPowerPrior,
     NormalPrior,
     SpikeSlabPrior,
+    log_pseudo_likelihood,
     owl_weights,
 )
 from bowl.rng import substream
-from bowl.verify import check_ss_log_odds, metropolis_beta_samples, oracle_instance, subset_log_marginal
+from bowl.verify import check_ss_log_odds, exact_beta_cdf, oracle_instance, subset_log_marginal
 
 N = 100_000
 
@@ -450,6 +454,58 @@ class TestDrawGammaAndBetaSs:
         np.testing.assert_array_equal(beta, np.zeros(2))
 
 
+ORACLE_FEATURES = st.one_of(
+    st.just(0.0), st.sampled_from([0.5, -1.0]), st.floats(0.1, 2.0), st.floats(-2.0, -0.1)
+)
+
+
+class TestExactBetaCdf:
+    # Rows with x = 0 add no kink, the sampled values repeat kinks, and
+    # weights up to 40 put a segment's Gaussian mean far outside it (the
+    # examples: far above a lower segment, far below an upper one).
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rows=st.lists(
+            st.tuples(ORACLE_FEATURES, st.sampled_from([-1.0, 1.0]), st.floats(0.05, 8.0)),
+            min_size=1,
+            max_size=6,
+        ),
+        rho=st.floats(0.2, 0.8),
+        mu0=st.floats(-2.0, 2.0),
+        sigma0_sq=st.floats(0.05, 4.0),
+    )
+    @example(rows=[(1.0, 1.0, 8.0), (0.0, -1.0, 1.0)], rho=0.2, mu0=0.0, sigma0_sq=4.0)
+    @example(rows=[(1.0, -1.0, 8.0), (1.0, -1.0, 8.0)], rho=0.8, mu0=0.0, sigma0_sq=4.0)
+    def test_matches_quadrature(self, rows, rho, mu0, sigma0_sq):
+        x, a, r = map(np.array, zip(*rows))
+        data = Dataset(x[:, None], a, r, rho)
+
+        def log_target(b):
+            return log_pseudo_likelihood([b], data) - (b - mu0) ** 2 / (2.0 * sigma0_sq)
+
+        mode = minimize_scalar(lambda b: -log_target(b)).x  # the target is log-concave
+        top = log_target(mode)
+
+        def density(b):
+            return math.exp(log_target(b) - top)
+
+        sd = math.sqrt(sigma0_sq)
+        kinks = [1.0 / s for s in a * x if s != 0.0]
+        points = np.unique(kinks + [mode + k * sd for k in (-2.0, -0.5, 0.0, 0.5, 2.0)])
+        ends = np.concatenate(([-np.inf], points, [np.inf]))
+        pieces = [
+            integrate.quad(density, lo, hi, epsabs=0.0, epsrel=1e-11, limit=200)[0]
+            for lo, hi in zip(ends[:-1], ends[1:])
+        ]
+        expected = np.cumsum(pieces)[:-1] / sum(pieces)
+        got = exact_beta_cdf(data, NormalPrior(mu0=mu0, sigma0_sq=sigma0_sq))(points)
+        np.testing.assert_allclose(got, expected, rtol=0.0, atol=1e-8)
+
+    def test_rejects_more_than_one_feature(self):
+        with pytest.raises(ValueError):
+            exact_beta_cdf(random_dataset(70), NormalPrior())
+
+
 class TestRunChain:
     def test_bitwise_deterministic(self):
         data = random_dataset(62)
@@ -485,19 +541,21 @@ class TestRunChain:
         assert np.all(np.abs(stacked.mean(axis=0) - [1.0, -0.5]) < 3.5 * se)
         assert np.all(np.abs(stacked.var(axis=0) - 0.8) < 0.05 * 0.8)
 
-    def test_one_observation_matches_metropolis(self):
+    def test_one_observation_matches_exact_cdf(self):
         data = Dataset(np.array([[1.0]]), np.array([1.0]), np.array([0.9]), 0.5)
         prior = NormalPrior(mu0=0.0, sigma0_sq=1.0)
         gibbs = run_chain(data, prior, GibbsConfig(n_draws=22_000, burn_in=2_000, seed=3))
-        oracle = metropolis_beta_samples(data, prior, 400_000, seed=12)
-        assert ks_2samp(gibbs.stacked_beta[:, 0], oracle).statistic < 0.03
+        assert kstest(gibbs.stacked_beta[:, 0], exact_beta_cdf(data, prior)).statistic < 0.03
 
     def test_one_cycle_preserves_stationary_moments(self):
-        # Start beta* from the (Metropolis-sampled) target, push it through
-        # one full Gibbs cycle, and check test-function expectations agree.
+        # Start beta* from exact target draws (the exact CDF inverted at
+        # stratified uniforms), push it through one full Gibbs cycle, and
+        # check test-function expectations agree.
         data, prior = oracle_instance()
-        oracle = metropolis_beta_samples(data, prior, 800_000, seed=21)
-        batch = oracle[:: max(1, oracle.size // 8000)]
+        size = 10_000
+        grid = np.linspace(-8.0, 8.0, 32_001)
+        uniforms = (np.arange(size) + substream(21).uniform(size=size)) / size
+        batch = np.interp(uniforms, exact_beta_cdf(data, prior)(grid), grid)
         rng = substream(65)
         cycled = np.empty(batch.size)
         for i, beta_star in enumerate(batch):
@@ -506,10 +564,8 @@ class TestRunChain:
             beta_new = draw_beta_normal(suff, prior, rng)
             cycled[i] = beta_new[0]
         for f in (lambda x: x, lambda x: x * x, np.abs):
-            target, got = f(oracle), f(cycled)
-            se = math.sqrt(
-                target.var(ddof=1) / target.size * 20 + got.var(ddof=1) / got.size
-            )  # factor 20 absorbs oracle autocorrelation
+            target, got = f(batch), f(cycled)
+            se = math.sqrt(target.var(ddof=1) / target.size + got.var(ddof=1) / got.size)
             assert abs(got.mean() - target.mean()) < 4 * se
 
     def test_spike_slab_zero_iff_excluded(self):

