@@ -8,6 +8,7 @@ safe to evaluate concurrently.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import itertools
 from dataclasses import dataclass, replace
@@ -22,6 +23,7 @@ class DataError(ValueError):
 
 # How np.loadtxt reads a body line: comma-separated cells, optionally double-quoted.
 _CELLS = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
+_REJECT_BLOCK = 256  # body lines per np.loadtxt call while finding a rejected file's first bad line
 
 
 def _rows(path, fh):
@@ -48,8 +50,8 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
     Every body row must have as many cells as the header, and every cell
     must parse as a finite float; the header's meaning is the caller's to
     check. Each rejection raises DataError naming the file. The body streams
-    into one np.loadtxt call; a rejected file is read again line by line
-    to name the first bad line.
+    into one np.loadtxt call; a rejected file is read again block by block,
+    then line by line in its first failing block, to name the first bad line.
     """
     with open(path, newline="") as fh:
         rows = _rows(path, fh)
@@ -73,17 +75,22 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
                 raise DataError(f"{path}: NaN or Inf in column {header[j]}, data row {i + 1}")
             return header, values
     with open(path, newline="") as fh:
-        for lineno, line in itertools.islice(_rows(path, fh), 1, None):
-            n_cells = len(next(csv.reader([line])))
-            if n_cells != len(header):
-                raise DataError(
-                    f"{path}: ragged rows (line {lineno} has {n_cells} cells, the header {len(header)})"
-                )
-            try:
-                np.loadtxt([line], **_CELLS)
-            except ValueError as exc:
-                detail = str(exc).partition(" at row ")[0]  # numpy's position counts within this line
-                raise DataError(f"{path}: non-numeric cell on line {lineno} ({detail})") from None
+        rows = itertools.islice(_rows(path, fh), 1, None)
+        while block := list(itertools.islice(rows, _REJECT_BLOCK)):
+            with contextlib.suppress(ValueError):
+                if np.loadtxt([line for _, line in block], **_CELLS).shape[1] == len(header):
+                    continue
+            for lineno, line in block:
+                n_cells = len(next(csv.reader([line])))
+                if n_cells != len(header):
+                    raise DataError(
+                        f"{path}: ragged rows (line {lineno} has {n_cells} cells, the header {len(header)})"
+                    )
+                try:
+                    np.loadtxt([line], **_CELLS)
+                except ValueError as exc:
+                    detail = str(exc).partition(" at row ")[0]  # numpy's position counts within this line
+                    raise DataError(f"{path}: non-numeric cell on line {lineno} ({detail})") from None
     raise DataError(f"{path}: {reason}")
 
 
@@ -136,7 +143,6 @@ class NormalPrior:
 
     mu0: float | np.ndarray = 0.0
     sigma0_sq: float = 1.0
-    sigma_j: np.ndarray | None = None  # unused by this prior, kept for the shared surface
 
     def __post_init__(self):
         if not (self.sigma0_sq > 0):
@@ -193,8 +199,8 @@ def feature_scales(features: np.ndarray) -> np.ndarray:
 
 
 def resolve_prior(prior: PriorSpec, features: np.ndarray) -> PriorSpec:
-    """Fill in sigma_j from the training features if not already set."""
-    if prior.sigma_j is not None:
+    """Fill in a shrinkage prior's sigma_j from the training features if not already set."""
+    if isinstance(prior, NormalPrior) or prior.sigma_j is not None:
         return prior
     return replace(prior, sigma_j=feature_scales(features))
 

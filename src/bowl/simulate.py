@@ -20,7 +20,8 @@ from .pseudo_model import (
 )
 from .rng import substream
 
-METHODS = ("owl", "bowl-normal", "bowl-ep", "bowl-ss")
+_BOWL_PRIORS = {"bowl-normal": NormalPrior, "bowl-ep": ExponentialPowerPrior, "bowl-ss": SpikeSlabPrior}
+METHODS = ("owl", *_BOWL_PRIORS)
 
 
 @dataclass(frozen=True)
@@ -124,64 +125,24 @@ def misclassification_rate(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(predicted != truth))
 
 
-DEFAULT_METHOD_CONFIG = {
-    "intercept": True,
-    "n_draws": 500,
-    "burn_in": 150,
-    "n_chains": 1,
-    "nu": 0.8,
-    "sigma0_sq": 1.0,
-    "mu0": 0.0,
-    "pi_incl": 0.5,
-    "owl_epochs": 80,
-    "owl_reg": 1e-3,
-}
+def fit_bowl(data: Dataset, method: str, seed: int) -> PosteriorDraws:
+    """Fit one Bayesian variant at the library defaults, with an intercept."""
+    design = Dataset(add_intercept(data.features), data.actions, data.rewards, data.rho)
+    return run_chain(design, _BOWL_PRIORS[method](), GibbsConfig(seed=seed), meta={"intercept": True})
 
 
-def _prior_for(method: str, cfg: dict):
-    if method == "bowl-normal":
-        return NormalPrior(mu0=cfg["mu0"], sigma0_sq=cfg["sigma0_sq"])
-    if method == "bowl-ep":
-        return ExponentialPowerPrior(nu=cfg["nu"])
-    if method == "bowl-ss":
-        return SpikeSlabPrior(nu=cfg["nu"], pi_incl=cfg["pi_incl"])
-    raise ValueError(f"unknown method {method!r}")
+def classify_with_method(method: str, train: Dataset, test_features: np.ndarray, seed: int) -> np.ndarray:
+    """Fit on train with an intercept, return recommended actions for the test features.
 
-
-def fit_bowl(
-    data: Dataset, method: str, cfg: dict, seed: int, meta: dict | None = None
-) -> PosteriorDraws:
-    """Fit one Bayesian variant on the design matrix implied by cfg."""
-    features = add_intercept(data.features) if cfg["intercept"] else data.features
-    design = Dataset(features, data.actions, data.rewards, data.rho)
-    config = GibbsConfig(
-        n_draws=cfg["n_draws"], burn_in=cfg["burn_in"], n_chains=cfg["n_chains"], seed=seed
-    )
-    meta = dict(meta or {})
-    meta.setdefault("intercept", cfg["intercept"])
-    return run_chain(design, _prior_for(method, cfg), config, meta=meta)
-
-
-def classify_with_method(
-    method: str, train: Dataset, test_features: np.ndarray, cfg: dict, seed: int
-) -> np.ndarray:
-    """Fit on train, return recommended actions for the test features.
-
-    Bayesian fits classify with the sign of the posterior-mean rule,
-    matching how the point estimate is defined for the tables.
+    OWL runs at its defaults. Bayesian fits classify with the sign of the
+    posterior-mean rule, matching how the point estimate is defined for
+    the tables.
     """
-    design_test = add_intercept(test_features) if cfg["intercept"] else test_features
+    design_test = add_intercept(test_features)
     if method == "owl":
-        design_train = add_intercept(train.features) if cfg["intercept"] else train.features
-        fit = fit_owl_linear(
-            Dataset(design_train, train.actions, train.rewards, train.rho),
-            reg_strength=cfg["owl_reg"],
-            epochs=cfg["owl_epochs"],
-            seed=seed,
-        )
-        return predict_owl_batch(fit, design_test)
-    draws = fit_bowl(train, method, cfg, seed)
-    beta_bar = draws.posterior_mean()
+        design_train = Dataset(add_intercept(train.features), train.actions, train.rewards, train.rho)
+        return predict_owl_batch(fit_owl_linear(design_train, seed=seed), design_test)
+    beta_bar = fit_bowl(train, method, seed).posterior_mean()
     return np.where(design_test @ beta_bar >= 0.0, 1, -1)
 
 
@@ -220,7 +181,7 @@ class ExperimentResult:
 
 
 def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]]:
-    spec, rep, methods, cfg = args
+    spec, rep, methods = args
     x_tr, a_tr, r_tr, _ = generate_scenario_raw(
         spec, rep, substream(spec.seed, rep, 0), n_obs=spec.n_train
     )
@@ -238,9 +199,7 @@ def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]
         # keeps raw-scale weights via the label-flip representation.
         train = _owl_train_from_raw(x_tr, a_tr, r_tr, spec.rho) if method == "owl" else bowl_train
         try:
-            predicted = classify_with_method(
-                method, train, x_te, cfg, seed=_fit_seed(spec.seed, rep, m_idx)
-            )
+            predicted = classify_with_method(method, train, x_te, seed=_fit_seed(spec.seed, rep, m_idx))
             rates[method] = misclassification_rate(predicted, truth)
         except GibbsNumericalError as exc:
             rates[method] = float("nan")
@@ -256,7 +215,6 @@ def _fit_seed(seed: int, rep: int, method_index: int) -> int:
 def run_experiment(
     spec: ScenarioSpec,
     methods: tuple[str, ...] | list[str],
-    configs: dict | None = None,
     jobs: int = 1,
 ) -> ExperimentResult:
     """Replicate the paired train/fit/test cycle and aggregate rates.
@@ -271,10 +229,8 @@ def run_experiment(
     for m in methods:
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
-    cfg = dict(DEFAULT_METHOD_CONFIG)
-    cfg.update(configs or {})
 
-    tasks = [(spec, rep, methods, cfg) for rep in range(spec.n_reps)]
+    tasks = [(spec, rep, methods) for rep in range(spec.n_reps)]
     if jobs > 1 and spec.n_reps > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             outcomes = list(pool.map(_one_replication, tasks, chunksize=1))
@@ -305,12 +261,10 @@ def uncertainty_study(
     scenario_id: int = 1,
     n_train: int = 1000,
     seed: int = 0,
-    nu: float = 0.8,
     resolution: int = 33,
-    configs: dict | None = None,
     signal_scale: float = 1.0,
 ):
-    """Fit the shrinkage-prior variant once and map grid certainties.
+    """Fit the exponential-power variant once at the library defaults and map grid certainties.
 
     Returns (draws, coords, prob_plus, action, certainty, magnitudes): the
     deterministic lattice on the first two features with all others at
@@ -320,10 +274,7 @@ def uncertainty_study(
     """
     from .prediction import certainty_grid, coefficient_magnitudes
 
-    cfg = dict(DEFAULT_METHOD_CONFIG)
-    cfg.update(configs or {})
-    cfg["nu"] = nu
     spec = ScenarioSpec(scenario_id=scenario_id, n_train=n_train, seed=seed, signal_scale=signal_scale)
     train, _ = generate_scenario(spec, 0, substream(seed, 0, 0))
-    draws = fit_bowl(train, "bowl-ep", cfg, seed=_fit_seed(seed, 0, 1))
+    draws = fit_bowl(train, "bowl-ep", _fit_seed(seed, 0, 1))
     return (draws, *certainty_grid(draws, (0, 1), resolution), coefficient_magnitudes(draws))

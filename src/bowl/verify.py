@@ -35,6 +35,7 @@ from .pseudo_model import Dataset, ExponentialPowerPrior, NormalPrior, owl_weigh
 from .rng import substream
 
 IDENTITY_U_GRID = (-3.0, -1.0, -0.25, 0.0, 0.25, 1.0, 3.0)
+MOMENT_DRAWS = 100_000  # per moment-checked distribution
 
 
 @dataclass
@@ -72,24 +73,24 @@ def check_scale_mixture_identity(tol: float = 1e-6) -> CheckResult:
     )
 
 
-def check_gig_moments(seed: int = 0, n_draws: int = 100_000) -> CheckResult:
+def check_gig_moments(seed: int = 0) -> CheckResult:
     """E[1/lam] for the half-order GIG against its reciprocal-IG mean."""
     rng = substream(seed, 401)
     failures = []
     details = []
     for chi in (0.25, 1.0, 4.0):
-        draws = _gig_half_draw_vec(1.0, np.full(n_draws, chi), rng)
+        draws = _gig_half_draw_vec(1.0, np.full(MOMENT_DRAWS, chi), rng)
         recip_mean = float(np.mean(1.0 / draws))
         target = chi**-0.5
-        se = math.sqrt(chi**-1.5 / n_draws)  # Var of the reciprocal is mu^3 here
+        se = math.sqrt(chi**-1.5 / MOMENT_DRAWS)  # Var of the reciprocal is mu^3 here
         ok = abs(recip_mean - target) < 3.0 * se
         details.append(f"chi={chi:g}: |{recip_mean:.4f}-{target:.4f}|/SE={abs(recip_mean - target) / se:.2f}")
         if not ok:
             failures.append(chi)
     # chi = 0 degenerates to a chi-square(1) draw with mean 1, variance 2.
-    zero_draws = _gig_half_draw_vec(1.0, np.zeros(n_draws), rng)
+    zero_draws = _gig_half_draw_vec(1.0, np.zeros(MOMENT_DRAWS), rng)
     zero_mean = float(zero_draws.mean())
-    zero_se = math.sqrt(2.0 / n_draws)
+    zero_se = math.sqrt(2.0 / MOMENT_DRAWS)
     ok_zero = abs(zero_mean - 1.0) < 3.0 * zero_se
     details.append(f"chi=0: mean={zero_mean:.4f}")
     if not ok_zero:
@@ -114,7 +115,7 @@ def _moment_instance(seed: int, n: int = 6, p: int = 3):
     return data, lam
 
 
-def check_beta_conditional_moments(seed: int = 0, n_draws: int = 100_000) -> CheckResult:
+def check_beta_conditional_moments(seed: int = 0) -> CheckResult:
     """Empirical mean/covariance of the Gaussian conditionals vs direct solves."""
     data, lam = _moment_instance(seed)
     suff = build_suffstats(lam, data)
@@ -127,8 +128,8 @@ def check_beta_conditional_moments(seed: int = 0, n_draws: int = 100_000) -> Che
     b_vec = suff.linear_data + prior_n.mu0_vector(data.p) / prior_n.sigma0_sq
     cov = np.linalg.inv(b_inv)
     mean = cov @ b_vec
-    draws = np.array([draw_beta_normal(suff, prior_n, rng) for _ in range(n_draws)])
-    mean_err = np.abs(draws.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / n_draws)
+    draws = np.array([draw_beta_normal(suff, prior_n, rng) for _ in range(MOMENT_DRAWS)])
+    mean_err = np.abs(draws.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / MOMENT_DRAWS)
     cov_err = np.linalg.norm(np.cov(draws.T) - cov) / np.linalg.norm(cov)
     ok &= bool(mean_err.max() < 3.0 and cov_err < 0.10)
     details.append(f"normal: max|mean err|/SE={mean_err.max():.2f}, cov rel err={cov_err:.3f}")
@@ -139,8 +140,8 @@ def check_beta_conditional_moments(seed: int = 0, n_draws: int = 100_000) -> Che
     b_inv = suff.precision_data + np.diag(1.0 / (prior_ep.nu**2 * prior_ep.sigma_j**2 * omega))
     cov = np.linalg.inv(b_inv)
     mean = cov @ suff.linear_data
-    draws = np.array([draw_beta_ep(suff, omega, prior_ep, rng_ep) for _ in range(n_draws)])
-    mean_err = np.abs(draws.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / n_draws)
+    draws = np.array([draw_beta_ep(suff, omega, prior_ep, rng_ep) for _ in range(MOMENT_DRAWS)])
+    mean_err = np.abs(draws.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / MOMENT_DRAWS)
     cov_err = np.linalg.norm(np.cov(draws.T) - cov) / np.linalg.norm(cov)
     ok &= bool(mean_err.max() < 3.0 and cov_err < 0.10)
     details.append(f"shrinkage: max|mean err|/SE={mean_err.max():.2f}, cov rel err={cov_err:.3f}")
@@ -251,16 +252,16 @@ def exact_beta_cdf(data: Dataset, prior: NormalPrior):
     return cdf
 
 
-def check_gibbs_vs_exact(seed: int = 0, gibbs_draws: int = 50_000, ks_threshold: float = 0.03) -> CheckResult:
-    """One-sample KS of a long Gibbs chain against the exact 1-D pseudo-posterior CDF."""
+def check_gibbs_vs_exact(seed: int = 0) -> CheckResult:
+    """One-sample KS of 45,000 Gibbs draws against the exact 1-D pseudo-posterior CDF."""
     data, prior = oracle_instance()
-    config = GibbsConfig(n_draws=gibbs_draws, burn_in=gibbs_draws // 10, seed=seed + 17)
+    config = GibbsConfig(n_draws=50_000, burn_in=5_000, seed=seed + 17)
     gibbs = run_chain(data, prior, config).stacked_beta[:, 0]
     stat = float(kstest(gibbs, exact_beta_cdf(data, prior)).statistic)
     return CheckResult(
         "Gibbs vs exact pseudo-posterior",
-        stat < ks_threshold,
-        f"one-sample KS = {stat:.4f} (threshold {ks_threshold:g}, {gibbs.size} Gibbs samples)",
+        stat < 0.03,
+        f"one-sample KS = {stat:.4f} (threshold 0.03, {gibbs.size} Gibbs samples)",
     )
 
 

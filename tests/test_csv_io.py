@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bowl.cli import _atomic_write, _csv_lines
-from bowl.pseudo_model import DataError, read_numeric_csv
+from bowl.pseudo_model import _REJECT_BLOCK, DataError, read_numeric_csv
 
 
 def oracle_read_numeric_csv(path):
@@ -222,3 +222,16 @@ class TestReader:
         path.write_text("x1,x2\n1,2,3\n")
         with pytest.raises(DataError, match=re.escape(f"{path}: ragged rows (line 2 has 3 cells, the header 2)")):
             read_numeric_csv(path)
+
+    @pytest.mark.parametrize("bad, message", [("3,x", "non-numeric cell on line {} ("),
+                                              ("3,4,5", "ragged rows (line {} has 3 cells, the header 2)")])
+    def test_names_the_first_bad_line_past_the_first_block(self, tmp_path, bad, message):
+        # Blocks are counted in body lines; the comment and blank lines shift the physical numbers.
+        lines = ["# c", "x1,x2"] + ["1,2", "", "# c"] * _REJECT_BLOCK + ["1,2"] * (_REJECT_BLOCK + 7)
+        lines[-3] = lines[-1] = bad
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        expected = message.format(len(lines) - 2)
+        with pytest.raises(DataError, match=re.escape(f"{path}: {expected}")):
+            read_numeric_csv(path)
+        assert read_either(oracle_read_numeric_csv, path)[1].startswith(f"{path}: {expected}")

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +15,9 @@ from scipy.optimize import minimize_scalar
 from scipy.stats import kstest, norm
 
 import bowl
+import bowl.gibbs
 from bowl.diagnostics import effective_sample_size, split_rhat
+from bowl.distributions import log_density_gig_half
 from bowl.gibbs import (
     CanonicalRows,
     ChainState,
@@ -36,11 +39,13 @@ from bowl.pseudo_model import (
     ExponentialPowerPrior,
     NormalPrior,
     SpikeSlabPrior,
+    feature_scales,
     log_pseudo_likelihood,
     owl_weights,
 )
 from bowl.rng import substream
 from bowl.verify import check_ss_log_odds, exact_beta_cdf, oracle_instance, subset_log_marginal
+from tests.test_pseudo_model import log_pseudo_posterior
 
 N = 100_000
 
@@ -711,6 +716,90 @@ class TestRunChain:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0 and result.stdout.strip() == "ok", result.stderr + result.stdout
+
+
+class TestConditionalsMatchJoint:
+    """Each kernel's conditional, captured where it is sampled, against the augmented joint.
+
+    The joint is `log_pseudo_posterior`: the prior times
+    prod_i (2 pi lam_i)^-1/2 exp{-(w_i + lam_i - w_i a_i x_i'beta)^2 / (2 lam_i)},
+    plus omega's Exponential(mean 2) mixing under ep. At a random state of
+    a p=3 dataset, the log-density difference between two values of one
+    block must equal the joint's with the other blocks held fixed.
+    """
+
+    @staticmethod
+    def capture(monkeypatch, name):
+        """Record the arguments of every call of `bowl.gibbs.<name>`, passing each through."""
+        calls, original = [], getattr(bowl.gibbs, name)
+
+        def spy(*args):
+            calls.append(args)
+            return original(*args)
+
+        monkeypatch.setattr(bowl.gibbs, name, spy)
+        return calls
+
+    @staticmethod
+    def random_state(seed):
+        data = random_dataset(seed, n=9)
+        rng = substream(seed, 3)
+        state = SimpleNamespace(
+            beta=rng.normal(size=data.p), lam=rng.uniform(0.2, 3.0, size=data.n),
+            omega=rng.uniform(0.3, 3.0, size=data.p), gamma=None,
+        )
+        return data, feature_scales(data.features), state, rng
+
+    @staticmethod
+    def joint_diff(state, data, prior, block, values):
+        """The joint's log-density difference between two values of one block, the rest held at `state`."""
+        v1, v2 = (log_pseudo_posterior(SimpleNamespace(**{**vars(state), block: v}), data, prior)
+                  for v in values)
+        return v1 - v2
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_beta_blocks(self, monkeypatch, seed):
+        data, sigma, state, rng = self.random_state(seed)
+        betas = rng.normal(size=(2, data.p))
+        calls = self.capture(monkeypatch, "_gaussian_from_natural")
+        suff = build_suffstats(state.lam, data)
+        normal, ep = NormalPrior(mu0=0.3, sigma0_sq=1.5), ExponentialPowerPrior(nu=0.8, sigma_j=sigma)
+        ss = SpikeSlabPrior(nu=0.8, pi_incl=0.9, sigma_j=sigma)
+        draw_beta_normal(suff, normal, rng)
+        draw_beta_ep(suff, state.omega, ep, rng)
+        ss_state = ChainState(state.beta, state.lam, gamma=np.ones(data.p, dtype=np.int8))
+        gamma, _ = draw_gamma_and_beta_ss(ss_state, data, ss, rng)
+        active = gamma.astype(bool)
+        assert active.any() and len(calls) == 3
+        ss_betas = np.where(active, betas, 0.0)
+        cases = [(normal, state, betas, slice(None)), (ep, state, betas, slice(None)),
+                 (ss, SimpleNamespace(**{**vars(state), "gamma": gamma}), ss_betas, active)]
+        for (b_inv, b_vec, _), (prior, at, values, block) in zip(calls, cases):
+            v1, v2 = values[0][block], values[1][block]
+            conditional = (-0.5 * v1 @ b_inv @ v1 + b_vec @ v1) - (-0.5 * v2 @ b_inv @ v2 + b_vec @ v2)
+            assert conditional == pytest.approx(self.joint_diff(at, data, prior, "beta", values), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_lambda_block(self, monkeypatch, seed):
+        data, _, state, rng = self.random_state(seed)
+        calls = self.capture(monkeypatch, "_gig_half_draw_vec")
+        draw_lambda(state.beta, data, rng)
+        ((psi, chi, _),) = calls
+        values = rng.uniform(0.2, 3.0, size=(2, data.n))
+        v1, v2 = (sum(map(log_density_gig_half, v, np.full(data.n, psi), chi)) for v in values)
+        assert v1 - v2 == pytest.approx(self.joint_diff(state, data, NormalPrior(), "lam", values), rel=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_omega_block(self, monkeypatch, seed):
+        # 1/omega ~ IG(mu, shape) makes omega ~ GIG(1/2, shape, shape / mu^2).
+        data, sigma, state, rng = self.random_state(seed)
+        prior = ExponentialPowerPrior(nu=0.8, sigma_j=sigma)
+        calls = self.capture(monkeypatch, "_invgauss_draw")
+        draw_omega(state.beta, prior, rng)
+        ((mu, shape, _),) = calls
+        values = rng.uniform(0.3, 3.0, size=(2, data.p))
+        v1, v2 = (sum(log_density_gig_half(o, shape, shape / m**2) for o, m in zip(v, mu)) for v in values)
+        assert v1 - v2 == pytest.approx(self.joint_diff(state, data, prior, "omega", values), rel=1e-9)
 
 
 class TestDiagnostics:

@@ -352,6 +352,8 @@ class TestDatasetAndCsv:
         data = random_dataset(25)
         prior = resolve_prior(ExponentialPowerPrior(nu=0.8), data.features)
         np.testing.assert_allclose(prior.sigma_j, feature_scales(data.features))
+        normal = NormalPrior()
+        assert resolve_prior(normal, data.features) is normal
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "data.csv"

@@ -1,15 +1,23 @@
+import inspect
+
 import numpy as np
 import pytest
 
+import bowl.simulate
+from bowl.gibbs import GibbsConfig
+from bowl.pseudo_model import ExponentialPowerPrior, NormalPrior, SpikeSlabPrior
 from bowl.simulate import (
+    METHODS,
     ExperimentResult,
     ScenarioSpec,
+    _fit_seed,
     generate_scenario,
     generate_scenario_raw,
     interaction_term,
     misclassification_rate,
     run_experiment,
     true_optimal_rule,
+    uncertainty_study,
 )
 
 
@@ -148,3 +156,31 @@ class TestRunExperiment:
         result = ExperimentResult()
         with pytest.raises(KeyError):
             result.cell("owl")
+
+
+class TestStudySettings:
+    def test_every_fit_runs_at_the_library_defaults_with_an_intercept(self, monkeypatch):
+        calls = {"run_chain": [], "fit_owl_linear": []}
+        for name, record in calls.items():
+            original = getattr(bowl.simulate, name)
+
+            def spy(*args, original=original, record=record, **kwargs):
+                record.append(inspect.signature(original).bind(*args, **kwargs).arguments)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(bowl.simulate, name, spy)
+        spec = ScenarioSpec(scenario_id=1, n_train=40, n_test=20, n_reps=2, seed=3)
+        run_experiment(spec, METHODS)
+        uncertainty_study(n_train=40, seed=3, resolution=3)
+
+        chains, owls = calls["run_chain"], calls["fit_owl_linear"]
+        bayes = [(rep, m) for rep in range(2) for m in (1, 2, 3)] + [(0, 1)]
+        assert [c["config"] for c in chains] == [GibbsConfig(seed=_fit_seed(3, rep, m)) for rep, m in bayes]
+        defaults = [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior()] * 2 + [ExponentialPowerPrior()]
+        assert [c["prior"] for c in chains] == defaults
+        assert all(c.keys() == {"data", "prior", "config", "meta"} for c in chains)
+        assert all(c["meta"] == {"intercept": True} for c in chains)
+        assert all(o.keys() == {"data", "seed"} for o in owls)
+        assert [o["seed"] for o in owls] == [_fit_seed(3, rep, 0) for rep in range(2)]
+        for fit in chains + owls:
+            assert np.all(fit["data"].features[:, 0] == 1.0) and fit["data"].p == spec.p + 1
