@@ -1,14 +1,12 @@
 """Bayesian outcome-weighted learning for individualized treatment rules."""
 
-from .distributions import MvnParams, log_density_gig_half, sample_mvn
+from .distributions import MvnParams, sample_mvn
 from .pseudo_model import (
     Dataset,
     ExponentialPowerPrior,
     NormalPrior,
     SpikeSlabPrior,
     load_dataset_csv,
-    log_pseudo_likelihood,
-    owl_objective,
     owl_weights,
     reward_transform,
 )

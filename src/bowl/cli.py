@@ -24,11 +24,9 @@ from .gibbs import GibbsConfig, GibbsNumericalError, PosteriorDraws, run_chain
 from .prediction import certainty_grid, coefficient_magnitudes, recommend
 from .pseudo_model import (
     DataError,
-    Dataset,
     ExponentialPowerPrior,
     NormalPrior,
     SpikeSlabPrior,
-    add_intercept,
     load_dataset_csv,
     read_numeric_csv,
 )
@@ -107,9 +105,7 @@ def _parse_draws_csv(path: Path) -> tuple[PosteriorDraws, dict]:
         raise DataError(f"{path}: chain and draw columns are not in the order bowl fit writes them")
     draws = PosteriorDraws(
         beta=body[:, beta_cols].reshape(n_chains, kept, len(beta_cols)),
-        config=gibbs_config,
-        chain_seeds=[(gibbs_config.seed, c) for c in range(n_chains)],
-        meta={"intercept": bool(config.get("intercept", False))},
+        intercept=bool(config.get("intercept", False)),
     )
     return draws, config
 
@@ -125,15 +121,12 @@ def _prior_from_args(args) -> NormalPrior | ExponentialPowerPrior | SpikeSlabPri
 def cmd_fit(args) -> int:
     out_dir = Path(args.out_dir)
     data, shift = load_dataset_csv(args.data, rho=args.rho)
-    features = add_intercept(data.features) if args.intercept else data.features
-    design = Dataset(features, data.actions, data.rewards, data.rho)
     config = GibbsConfig(
         n_draws=args.draws, burn_in=args.burn_in, n_chains=args.chains, seed=args.seed
     )
     feature_names = [f"x{j}" for j in range(1, data.p + 1)]
     coef_names = (["intercept"] if args.intercept else []) + feature_names
-    meta = {"intercept": args.intercept}
-    draws = run_chain(design, _prior_from_args(args), config, jobs=args.jobs, meta=meta)
+    draws = run_chain(data, _prior_from_args(args), config, jobs=args.jobs, intercept=args.intercept)
 
     echo = {
         "command": "fit",
@@ -148,7 +141,7 @@ def cmd_fit(args) -> int:
         "n_chains": args.chains,
         "seed": args.seed,
         "intercept": args.intercept,
-        "reward_shift": shift.shift,
+        "reward_shift": shift,
         "columns": feature_names,
     }
 
@@ -180,7 +173,7 @@ def cmd_fit(args) -> int:
         "seed": args.seed,
         "retained_per_chain": kept,
         "n_chains": config.n_chains,
-        "reward_shift": shift.shift,
+        "reward_shift": shift,
         "posterior_mean": {name: float(v) for name, v in zip(coef_names, stacked.mean(axis=0))},
         "coefficient_magnitudes": {name: float(v) for name, v in zip(feature_names, mags)},
         "ess": ess,
@@ -207,7 +200,7 @@ def _prediction_rows(x: np.ndarray, prob: np.ndarray, action: np.ndarray, certai
 def cmd_predict(args) -> int:
     out_dir = Path(args.out_dir)
     draws, config = _parse_draws_csv(Path(args.draws))
-    n_raw = draws.beta.shape[-1] - int(draws.meta.get("intercept", False))
+    n_raw = draws.beta.shape[-1] - draws.intercept
     echo = {"command": "predict", "draws": str(args.draws), "source_config": config}
 
     if args.grid:
@@ -366,10 +359,7 @@ def main(argv: list[str] | None = None) -> int:
         if args.jobs < 1:
             raise DataError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
-    except DataError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT_ERROR
-    except (FileNotFoundError, json.JSONDecodeError, ValueError) as exc:
+    except (FileNotFoundError, ValueError) as exc:  # DataError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except GibbsNumericalError as exc:

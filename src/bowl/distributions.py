@@ -1,4 +1,4 @@
-"""Exact samplers and log-densities for the latent-variable updates.
+"""Exact samplers for the latent-variable and coefficient updates.
 
 Everything here is a deterministic function of (parameters, rng state):
 identical seeds reproduce identical draws bit-for-bit. Samplers are
@@ -7,8 +7,6 @@ own Generator.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 from scipy.linalg import LinAlgError, lapack
@@ -98,22 +96,3 @@ def sample_mvn(params: MvnParams, rng: np.random.Generator) -> np.ndarray:
         raise LinAlgError(f"triangular solve failed: LAPACK dtrtrs info={info}")
     return params.mean + x
 
-
-def log_density_gig_half(x: float, psi: float, chi: float) -> float:
-    """Log density of GIG(1/2, psi, chi) at x, including normalization.
-
-    The density is proportional to x^{-1/2} exp{-(chi/x + psi*x)/2} on x > 0,
-    with C(1/2, psi, chi) = (psi/chi)^{1/4} / (2 K_{1/2}(sqrt(psi*chi))) and
-    the half-order Bessel function in closed form,
-    K_{1/2}(z) = sqrt(pi/(2z)) exp(-z).
-    """
-    if not (x > 0):
-        raise ValueError(f"x must be positive, got {x}")
-    if not (psi > 0):
-        raise ValueError(f"psi must be positive, got {psi}")
-    if not (chi > 0):
-        raise ValueError("log density requires chi > 0")
-    z = math.sqrt(psi * chi)
-    log_k_half = 0.5 * (math.log(math.pi) - math.log(2.0) - math.log(z)) - z
-    log_c = 0.25 * math.log(psi / chi) - math.log(2.0) - log_k_half
-    return log_c - 0.5 * math.log(x) - 0.5 * (chi / x + psi * x)

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 from scipy.linalg import lapack
@@ -28,6 +29,7 @@ from .pseudo_model import (
     NormalPrior,
     PriorSpec,
     SpikeSlabPrior,
+    add_intercept,
     owl_weights,
     resolve_prior,
 )
@@ -84,13 +86,15 @@ class GibbsConfig:
 
 @dataclass
 class PosteriorDraws:
-    """Retained draws: beta has shape (n_chains, n_draws - burn_in, p)."""
+    """Retained draws: beta has shape (n_chains, n_draws - burn_in, p).
+
+    With intercept set, coordinate 0 is the rule's affine term and the raw
+    features are coordinates 1..p-1.
+    """
 
     beta: np.ndarray
-    config: GibbsConfig
-    chain_seeds: list[tuple[int, int]]
     gamma: np.ndarray | None = None
-    meta: dict = field(default_factory=dict)
+    intercept: bool = False
 
     @property
     def stacked_beta(self) -> np.ndarray:
@@ -359,42 +363,27 @@ def _run_single_chain(
     return beta_out, gamma_out
 
 
-def _chain_worker(args) -> tuple[int, np.ndarray, np.ndarray | None]:
-    data, rows, prior, config, chain_index = args
-    beta, gamma = _run_single_chain(data, rows, prior, config, chain_index)
-    return chain_index, beta, gamma
-
-
 def run_chain(
-    data: Dataset, prior: PriorSpec, config: GibbsConfig, jobs: int = 1, meta: dict | None = None
+    data: Dataset, prior: PriorSpec, config: GibbsConfig, jobs: int = 1, intercept: bool = False
 ) -> PosteriorDraws:
     """Run n_chains independent Gibbs chains and collect retained draws.
 
-    Each chain derives its own substream from (seed, chain_index), so the
-    result is identical whether chains run sequentially or in parallel;
-    assembly is always ordered by chain index.
+    With intercept set, the constant column is prepended to the features
+    before the prior is resolved. Each chain derives its own substream from
+    (seed, chain_index), so the result is identical whether chains run
+    sequentially or in parallel; assembly is always ordered by chain index.
     """
+    if intercept:
+        data = Dataset(add_intercept(data.features), data.actions, data.rewards, data.rho)
     prior = resolve_prior(prior, data.features)
     rows = CanonicalRows.of(data)
-    results: list[tuple[np.ndarray, np.ndarray | None]] = [None] * config.n_chains
+    one_chain = partial(_run_single_chain, data, rows, prior, config)
     if jobs > 1 and config.n_chains > 1:
         with ProcessPoolExecutor(max_workers=min(jobs, config.n_chains)) as pool:
-            for idx, beta, gamma in pool.map(
-                _chain_worker, [(data, rows, prior, config, c) for c in range(config.n_chains)]
-            ):
-                results[idx] = (beta, gamma)
+            results = list(pool.map(one_chain, range(config.n_chains)))
     else:
-        for c in range(config.n_chains):
-            results[c] = _run_single_chain(data, rows, prior, config, c)
+        results = [one_chain(c) for c in range(config.n_chains)]
 
-    beta = np.stack([r[0] for r in results])
-    gamma = None
-    if isinstance(prior, SpikeSlabPrior):
-        gamma = np.stack([r[1] for r in results])
-    return PosteriorDraws(
-        beta=beta,
-        config=config,
-        chain_seeds=[(config.seed, c) for c in range(config.n_chains)],
-        gamma=gamma,
-        meta=dict(meta or {}),
-    )
+    betas, gammas = zip(*results)
+    gamma = np.stack(gammas) if gammas[0] is not None else None
+    return PosteriorDraws(np.stack(betas), gamma, intercept)

@@ -5,7 +5,7 @@ probit average over retained coefficient draws, (1/G) sum_g Phi(x'b_g).
 The scale augmentation never enters: Phi(x'beta) is free of it, so the
 integral over the full augmented posterior collapses to the beta-marginal
 average. Features are passed in raw form; the intercept column is applied
-here exactly as during training (draws.meta["intercept"]).
+here exactly as during training (draws.intercept).
 """
 
 from __future__ import annotations
@@ -31,17 +31,16 @@ def recommend(draws: PosteriorDraws, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     """
     x = np.atleast_2d(np.asarray(x, dtype=float))
     beta = draws.stacked_beta
-    intercept = bool(draws.meta.get("intercept", False))
     if beta.shape[0] == 0:
         raise ValueError("no retained draws")
-    p_raw = beta.shape[1] - intercept
+    p_raw = beta.shape[1] - draws.intercept
     if x.ndim != 2 or x.shape[1] != p_raw:
         raise ValueError(f"features have shape {x.shape}, expected {p_raw} columns")
     prob = np.empty(x.shape[0])
     step = max(1, _BLOCK_CELLS // beta.shape[0])
     for lo in range(0, x.shape[0], step):
         block = x[lo : lo + step]
-        design = add_intercept(block) if intercept else block
+        design = add_intercept(block) if draws.intercept else block
         z = design @ beta.T
         prob[lo : lo + step] = ndtr(z, out=z).mean(axis=1)
     return prob, np.where(prob >= 0.5, 1, -1), np.maximum(prob, 1.0 - prob)
@@ -60,7 +59,7 @@ def certainty_grid(
     if k < 2:
         raise ValueError("grid resolution must be at least 2")
     j1, j2 = dims
-    n_raw = draws.beta.shape[-1] - int(draws.meta.get("intercept", False))
+    n_raw = draws.beta.shape[-1] - draws.intercept
     if not (0 <= j1 < n_raw and 0 <= j2 < n_raw and j1 != j2):
         raise ValueError(f"grid dims {tuple(dims)} invalid for {n_raw} features")
     ticks = np.linspace(-1.0, 1.0, k)
@@ -75,4 +74,4 @@ def coefficient_magnitudes(draws: PosteriorDraws) -> np.ndarray:
     if draws.stacked_beta.shape[0] == 0:
         raise ValueError("no retained draws")
     mags = np.abs(draws.posterior_mean())
-    return mags[1:] if draws.meta.get("intercept", False) else mags
+    return mags[1:] if draws.intercept else mags

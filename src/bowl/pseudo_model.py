@@ -1,9 +1,9 @@
-"""Dataset representation, priors, the weighted-hinge objective, and its pseudo-likelihood.
+"""Dataset representation, CSV input, priors, and the outcome weights.
 
-The "likelihood" here is not generative: exp of minus twice the weighted
-hinge loss, so that maximizing it is the same problem as minimizing the
-outcome-weighted classification objective. All functions are pure and
-safe to evaluate concurrently.
+The pseudo-likelihood is not generative: exp of minus twice the weighted
+hinge loss sum_i w_i max(1 - a_i x_i'beta, 0), w = `owl_weights`, so that
+maximizing it is the same problem as minimizing the outcome-weighted
+classification objective. All functions are pure and safe to evaluate concurrently.
 """
 
 from __future__ import annotations
@@ -216,41 +216,8 @@ def owl_weights(data: Dataset) -> np.ndarray:
     return data.rewards / np.where(data.actions == 1.0, data.rho, 1.0 - data.rho)
 
 
-def _check_dims(beta: np.ndarray, data: Dataset) -> None:
-    if beta.shape != (data.p,):
-        raise ValueError(f"beta has length {beta.size}, expected {data.p}")
-
-
-def hinge_losses(beta, data: Dataset) -> np.ndarray:
-    """Per-observation hinge terms max(1 - a_i x_i'beta, 0)."""
-    b = np.asarray(beta, dtype=float).ravel()
-    _check_dims(b, data)
-    return np.maximum(1.0 - data.actions * (data.features @ b), 0.0)
-
-
-def owl_objective(beta, data: Dataset) -> float:
-    """(1/n) sum_i w_i max(1 - a_i x_i'beta, 0)."""
-    if data.n == 0:
-        return 0.0
-    return float(np.mean(owl_weights(data) * hinge_losses(beta, data)))
-
-
-def log_pseudo_likelihood(beta, data: Dataset) -> float:
-    """-2 sum_i w_i max(1 - a_i x_i'beta, 0); equals -2n * owl_objective."""
-    if data.n == 0:
-        return 0.0
-    return float(-2.0 * np.sum(owl_weights(data) * hinge_losses(beta, data)))
-
-
-@dataclass(frozen=True)
-class RewardShift:
-    """Record of the distance-preserving shift applied to make rewards positive."""
-
-    shift: float
-
-
-def reward_transform(raw_rewards: np.ndarray) -> tuple[np.ndarray, RewardShift]:
-    """Shift rewards into the positive half-line if needed.
+def reward_transform(raw_rewards: np.ndarray) -> tuple[np.ndarray, float]:
+    """Shift rewards into the positive half-line if needed; return them and the shift.
 
     Rewards already strictly positive pass through unchanged. Otherwise
     every reward is shifted by -min + eps with eps = 1e-3 * (max - min),
@@ -264,14 +231,14 @@ def reward_transform(raw_rewards: np.ndarray) -> tuple[np.ndarray, RewardShift]:
         raise DataError("rewards contain NaN or Inf")
     lo = float(raw.min())
     if lo > 0:
-        return raw.copy(), RewardShift(0.0)
+        return raw.copy(), 0.0
     spread = float(raw.max()) - lo
     eps = 1e-3 * spread if spread > 0 else 1e-3
     shift = -lo + eps
-    return raw + shift, RewardShift(shift)
+    return raw + shift, shift
 
 
-def load_dataset_csv(path, rho: float) -> tuple[Dataset, RewardShift]:
+def load_dataset_csv(path, rho: float) -> tuple[Dataset, float]:
     """Read a dataset from CSV with header x1..xp,a,r (in that order).
 
     Actions must be -1 or +1; all values must be finite. Raw rewards may be
@@ -291,5 +258,5 @@ def load_dataset_csv(path, rho: float) -> tuple[Dataset, RewardShift]:
     actions = values[:, -2]
     if not np.all(np.isin(actions, (-1.0, 1.0))):
         raise DataError(f"{path}: column a must contain only -1 or 1")
-    rewards, record = reward_transform(values[:, -1])
-    return Dataset(features=features, actions=actions, rewards=rewards, rho=rho), record
+    rewards, shift = reward_transform(values[:, -1])
+    return Dataset(features=features, actions=actions, rewards=rewards, rho=rho), shift

@@ -127,8 +127,7 @@ def misclassification_rate(predicted: np.ndarray, truth: np.ndarray) -> float:
 
 def fit_bowl(data: Dataset, method: str, seed: int) -> PosteriorDraws:
     """Fit one Bayesian variant at the library defaults, with an intercept."""
-    design = Dataset(add_intercept(data.features), data.actions, data.rewards, data.rho)
-    return run_chain(design, _BOWL_PRIORS[method](), GibbsConfig(seed=seed), meta={"intercept": True})
+    return run_chain(data, _BOWL_PRIORS[method](), GibbsConfig(seed=seed), intercept=True)
 
 
 def classify_with_method(method: str, train: Dataset, test_features: np.ndarray, seed: int) -> np.ndarray:
@@ -146,21 +145,9 @@ def classify_with_method(method: str, train: Dataset, test_features: np.ndarray,
     return np.where(design_test @ beta_bar >= 0.0, 1, -1)
 
 
-def _owl_train_from_raw(
-    features: np.ndarray, actions: np.ndarray, raw_rewards: np.ndarray, rho: float
-) -> Dataset:
-    flipped = flipped_owl_dataset(features, actions, raw_rewards, rho)
-    if flipped.n == 0:  # all rewards exactly zero; fall back to the shifted form
-        rewards, _ = reward_transform(raw_rewards)
-        return Dataset(features, actions, rewards, rho)
-    return flipped
-
-
 @dataclass
 class MethodCell:
     method: str
-    scenario_id: int
-    n_train: int
     mean_rate: float
     mc_se: float
     n_reps_ok: int
@@ -173,11 +160,11 @@ class ExperimentResult:
     # (method, rep, GibbsNumericalError message) for every NaN rate.
     failures: list[tuple[str, int, str]] = field(default_factory=list)
 
-    def cell(self, method: str, n_train: int | None = None) -> MethodCell:
+    def cell(self, method: str) -> MethodCell:
         for c in self.cells:
-            if c.method == method and (n_train is None or c.n_train == n_train):
+            if c.method == method:
                 return c
-        raise KeyError(f"no cell for {method!r}, n_train={n_train}")
+        raise KeyError(f"no cell for {method!r}")
 
 
 def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]]:
@@ -197,7 +184,7 @@ def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]
         # The Bayesian variants need the positivity shift (the pseudo-
         # likelihood weights must be positive); the frequentist baseline
         # keeps raw-scale weights via the label-flip representation.
-        train = _owl_train_from_raw(x_tr, a_tr, r_tr, spec.rho) if method == "owl" else bowl_train
+        train = flipped_owl_dataset(x_tr, a_tr, r_tr, spec.rho) if method == "owl" else bowl_train
         try:
             predicted = classify_with_method(method, train, x_te, seed=_fit_seed(spec.seed, rep, m_idx))
             rates[method] = misclassification_rate(predicted, truth)
@@ -243,17 +230,7 @@ def run_experiment(
         ok = rates[~np.isnan(rates)]
         mean = float(ok.mean()) if ok.size else float("nan")
         se = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else float("nan")
-        result.cells.append(
-            MethodCell(
-                method=method,
-                scenario_id=spec.scenario_id,
-                n_train=spec.n_train,
-                mean_rate=mean,
-                mc_se=se,
-                n_reps_ok=int(ok.size),
-                rates=rates,
-            )
-        )
+        result.cells.append(MethodCell(method, mean, se, int(ok.size), rates))
     return result
 
 

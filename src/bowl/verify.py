@@ -119,32 +119,28 @@ def check_beta_conditional_moments(seed: int = 0) -> CheckResult:
     """Empirical mean/covariance of the Gaussian conditionals vs direct solves."""
     data, lam = _moment_instance(seed)
     suff = build_suffstats(lam, data)
-    rng = substream(seed, 403)
+    p = data.p
+    prior_n = NormalPrior(mu0=0.25, sigma0_sq=1.5)
+    prior_ep = ExponentialPowerPrior(nu=0.8, sigma_j=np.full(p, 0.6))
+    omega = substream(seed, 405).uniform(0.5, 2.0, size=p)
+    # (label, substream key, prior precision, prior linear term, one kernel draw)
+    cases = (
+        ("normal", 403, np.eye(p) / prior_n.sigma0_sq, prior_n.mu0_vector(p) / prior_n.sigma0_sq,
+         lambda rng: draw_beta_normal(suff, prior_n, rng)),
+        ("shrinkage", 404, np.diag(1.0 / (prior_ep.nu**2 * prior_ep.sigma_j**2 * omega)), 0.0,
+         lambda rng: draw_beta_ep(suff, omega, prior_ep, rng)),
+    )
     details = []
     ok = True
-
-    prior_n = NormalPrior(mu0=0.25, sigma0_sq=1.5)
-    b_inv = suff.precision_data + np.eye(data.p) / prior_n.sigma0_sq
-    b_vec = suff.linear_data + prior_n.mu0_vector(data.p) / prior_n.sigma0_sq
-    cov = np.linalg.inv(b_inv)
-    mean = cov @ b_vec
-    draws = np.array([draw_beta_normal(suff, prior_n, rng) for _ in range(MOMENT_DRAWS)])
-    mean_err = np.abs(draws.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / MOMENT_DRAWS)
-    cov_err = np.linalg.norm(np.cov(draws.T) - cov) / np.linalg.norm(cov)
-    ok &= bool(mean_err.max() < 3.0 and cov_err < 0.10)
-    details.append(f"normal: max|mean err|/SE={mean_err.max():.2f}, cov rel err={cov_err:.3f}")
-
-    rng_ep = substream(seed, 404)
-    omega = substream(seed, 405).uniform(0.5, 2.0, size=data.p)
-    prior_ep = ExponentialPowerPrior(nu=0.8, sigma_j=np.full(data.p, 0.6))
-    b_inv = suff.precision_data + np.diag(1.0 / (prior_ep.nu**2 * prior_ep.sigma_j**2 * omega))
-    cov = np.linalg.inv(b_inv)
-    mean = cov @ suff.linear_data
-    draws = np.array([draw_beta_ep(suff, omega, prior_ep, rng_ep) for _ in range(MOMENT_DRAWS)])
-    mean_err = np.abs(draws.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / MOMENT_DRAWS)
-    cov_err = np.linalg.norm(np.cov(draws.T) - cov) / np.linalg.norm(cov)
-    ok &= bool(mean_err.max() < 3.0 and cov_err < 0.10)
-    details.append(f"shrinkage: max|mean err|/SE={mean_err.max():.2f}, cov rel err={cov_err:.3f}")
+    for label, key, prior_prec, prior_linear, draw in cases:
+        rng = substream(seed, key)
+        cov = np.linalg.inv(suff.precision_data + prior_prec)
+        mean = cov @ (suff.linear_data + prior_linear)
+        draws = np.array([draw(rng) for _ in range(MOMENT_DRAWS)])
+        mean_err = np.abs(draws.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / MOMENT_DRAWS)
+        cov_err = np.linalg.norm(np.cov(draws.T) - cov) / np.linalg.norm(cov)
+        ok &= bool(mean_err.max() < 3.0 and cov_err < 0.10)
+        details.append(f"{label}: max|mean err|/SE={mean_err.max():.2f}, cov rel err={cov_err:.3f}")
     return CheckResult("beta conditional moments", ok, "; ".join(details))
 
 

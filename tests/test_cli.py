@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from scipy.special import ndtr
 
 import bowl.simulate
 from bowl import verify
@@ -76,6 +77,37 @@ class TestFit:
         assert rc == 0
         summary = json.loads((out / "summary.json").read_text())
         assert "gamma_inclusion" in summary
+
+    def test_no_intercept_round_trips_through_predict(self, tmp_path):
+        csv = tmp_path / "train.csv"
+        write_scenario_csv(csv, n=40, p=4)
+        fit = tmp_path / "fit"
+        assert main(["fit", "--data", str(csv), "--prior", "ep", "--no-intercept", "--draws", "60",
+                     "--burn-in", "20", "--jobs", "1", "--out-dir", str(fit)]) == 0
+        names = [f"x{j}" for j in range(1, 5)]
+        assert (fit / "draws.csv").read_text().splitlines()[1] == ",".join(
+            ["chain", "draw"] + [f"beta_{name}" for name in names]
+        )
+        summary = json.loads((fit / "summary.json").read_text())
+        assert list(summary["posterior_mean"]) == list(summary["coefficient_magnitudes"]) == names
+        draws, config = _parse_draws_csv(fit / "draws.csv")
+        assert draws.intercept is False and config["intercept"] is False
+        assert draws.beta.shape == (1, 40, 4)
+
+        x = query_features(25, p=4)
+        query = tmp_path / "query.csv"
+        query.write_text("\n".join([",".join(names)] + [",".join(map(repr, row)) for row in x.tolist()]) + "\n")
+        assert main(["predict", "--draws", str(fit / "draws.csv"), "--query", str(query),
+                     "--out-dir", str(tmp_path / "pred")]) == 0
+        body = np.loadtxt(tmp_path / "pred" / "recommendations.csv", delimiter=",", skiprows=2, comments=None)
+        assert body.shape == (25, 4 + 3)
+        np.testing.assert_allclose(body[:, 4], ndtr(x @ draws.stacked_beta.T).mean(axis=1), rtol=1e-13)
+
+        assert main(["predict", "--draws", str(fit / "draws.csv"), "--grid", "--grid-res", "3",
+                     "--out-dir", str(tmp_path / "pred")]) == 0
+        grid = np.loadtxt(tmp_path / "pred" / "certainty_grid.csv", delimiter=",", skiprows=2, comments=None)
+        # Without an affine term the rule is exactly undecided at the origin, node 4 of the 3 x 3 lattice.
+        assert grid.shape == (9, 5) and tuple(grid[4, :3]) == (0.0, 0.0, 0.5)
 
 
 class TestPredict:
@@ -291,10 +323,22 @@ class TestJobs:
 
 
 class TestVerify:
-    def test_full_run_passes(self, capsys):
-        assert main(["verify"]) == 0
+    def test_full_run_passes(self, monkeypatch, capsys):
+        # Criteria 2 and 3 run these two sampling checks at full size and seed 0; here
+        # they are stubbed, and the three cheap checks run for real.
+        seeds = {}
+        for name in ("check_beta_conditional_moments", "check_gibbs_vs_exact"):
+            def stub(seed, name=name):
+                seeds.setdefault(name, []).append(seed)
+                return verify.CheckResult(name, True, "stubbed")
+
+            monkeypatch.setattr(verify, name, stub)
+        assert main(["verify", "--seed", "0"]) == 0
+        assert seeds == {"check_beta_conditional_moments": [0], "check_gibbs_vs_exact": [0]}
         out = capsys.readouterr().out
-        assert out.count("[PASS]") == 5
+        assert out.count("[PASS]") == 5 and out.count("stubbed") == 2
+        for name in ("scale-mixture identity", "half-order GIG moments", "spike-and-slab Schur log odds"):
+            assert f"[PASS] {name}: " in out
 
     def test_absurd_tolerance_fails(self, monkeypatch, capsys):
         # The two sampling checks ignore --tol and run at full size in criteria 2 and 3.

@@ -17,7 +17,6 @@ from scipy.stats import kstest, norm
 import bowl
 import bowl.gibbs
 from bowl.diagnostics import effective_sample_size, split_rhat
-from bowl.distributions import log_density_gig_half
 from bowl.gibbs import (
     CanonicalRows,
     ChainState,
@@ -39,13 +38,14 @@ from bowl.pseudo_model import (
     ExponentialPowerPrior,
     NormalPrior,
     SpikeSlabPrior,
+    add_intercept,
     feature_scales,
-    log_pseudo_likelihood,
     owl_weights,
 )
 from bowl.rng import substream
 from bowl.verify import check_ss_log_odds, exact_beta_cdf, oracle_instance, subset_log_marginal
-from tests.test_pseudo_model import log_pseudo_posterior
+from tests.test_distributions import log_density_gig_half
+from tests.test_pseudo_model import log_pseudo_likelihood, log_pseudo_posterior
 
 N = 100_000
 
@@ -528,7 +528,8 @@ class TestRunChain:
         draws = run_chain(data, NormalPrior(), config)
         assert not np.array_equal(draws.beta[0], draws.beta[1])
         assert draws.beta.shape == (2, 40, data.p)
-        assert draws.chain_seeds == [(5, 0), (5, 1)]
+        one = run_chain(data, NormalPrior(), GibbsConfig(n_draws=50, burn_in=10, n_chains=1, seed=5))
+        np.testing.assert_array_equal(draws.beta[0], one.beta[0])
 
     def test_parallel_chains_match_sequential(self):
         data = random_dataset(64)
@@ -536,6 +537,20 @@ class TestRunChain:
         seq = run_chain(data, NormalPrior(), config, jobs=1)
         par = run_chain(data, NormalPrior(), config, jobs=2)
         np.testing.assert_array_equal(seq.beta, par.beta)
+
+    @pytest.mark.parametrize("prior", [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior()])
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_intercept_flag_matches_explicit_design(self, prior, jobs):
+        data = random_dataset(65, n=30)
+        design = Dataset(add_intercept(data.features), data.actions, data.rewards, data.rho)
+        config = GibbsConfig(n_draws=40, burn_in=10, n_chains=2, seed=8)
+        flagged = run_chain(data, prior, config, jobs=jobs, intercept=True)
+        explicit = run_chain(design, prior, config, jobs=jobs)
+        assert flagged.intercept is True and explicit.intercept is False
+        np.testing.assert_array_equal(flagged.beta, explicit.beta)
+        assert (flagged.gamma is None) == (explicit.gamma is None) == (not isinstance(prior, SpikeSlabPrior))
+        if flagged.gamma is not None:
+            np.testing.assert_array_equal(flagged.gamma, explicit.gamma)
 
     def test_empty_dataset_recovers_prior(self):
         empty = Dataset(np.empty((0, 2)), np.empty(0), np.empty(0), 0.5)

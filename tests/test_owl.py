@@ -2,8 +2,9 @@ import numpy as np
 import pytest
 
 from bowl.owl import OwlFit, fit_owl_linear, flipped_owl_dataset, predict_owl_batch
-from bowl.pseudo_model import Dataset, owl_objective, owl_weights
+from bowl.pseudo_model import Dataset, owl_weights
 from bowl.rng import substream
+from tests.test_pseudo_model import owl_objective
 
 
 def regularized_objective(fit, data):

@@ -4,18 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-from bowl.gibbs import GibbsConfig, PosteriorDraws
+from bowl.gibbs import PosteriorDraws
 from bowl.prediction import _BLOCK_CELLS, certainty_grid, coefficient_magnitudes, recommend
 from bowl.rng import substream
 
 
 def make_draws(beta_matrix, intercept=False):
-    beta = np.asarray(beta_matrix, dtype=float)[None, :, :]
-    kept = beta.shape[1]
-    config = GibbsConfig(n_draws=kept, burn_in=0, n_chains=1, seed=0)
-    return PosteriorDraws(
-        beta=beta, config=config, chain_seeds=[(0, 0)], meta={"intercept": intercept}
-    )
+    return PosteriorDraws(np.asarray(beta_matrix, dtype=float)[None, :, :], intercept=intercept)
 
 
 def row_oracle(betas, x, intercept=False):
@@ -53,9 +48,7 @@ class TestPredictiveProb:
         # The intercept column is added here, so raw features have one column fewer.
         with pytest.raises(ValueError):
             recommend(make_draws(np.zeros((4, 3)), intercept=True), np.zeros((2, 3)))
-        empty = PosteriorDraws(
-            beta=np.zeros((1, 0, 3)), config=GibbsConfig(n_draws=1, burn_in=0), chain_seeds=[(0, 0)]
-        )
+        empty = PosteriorDraws(np.zeros((1, 0, 3)))
         with pytest.raises(ValueError, match="no retained draws"):
             recommend(empty, np.zeros((2, 3)))
 
@@ -210,10 +203,6 @@ class TestCoefficientMagnitudes:
         np.testing.assert_allclose(coefficient_magnitudes(no_intercept), [3.0, 1.0, 2.0])
 
     def test_empty_draws_rejected(self):
-        draws = PosteriorDraws(
-            beta=np.zeros((1, 0, 2)),
-            config=GibbsConfig(n_draws=1, burn_in=0, seed=0),
-            chain_seeds=[(0, 0)],
-        )
+        draws = PosteriorDraws(np.zeros((1, 0, 2)))
         with pytest.raises(ValueError):
             coefficient_magnitudes(draws)

@@ -14,8 +14,6 @@ from bowl.pseudo_model import (
     add_intercept,
     feature_scales,
     load_dataset_csv,
-    log_pseudo_likelihood,
-    owl_objective,
     owl_weights,
     resolve_prior,
     reward_transform,
@@ -31,6 +29,36 @@ def random_dataset(seed, n=5, p=3, rho=0.4):
         rewards=rng.uniform(0.2, 4.0, size=n),
         rho=rho,
     )
+
+
+# The weighted-hinge objective and its pseudo-likelihood: test oracles, which
+# the sampler never evaluates (it works with the lam-augmented form).
+
+
+def _check_dims(beta: np.ndarray, data: Dataset) -> None:
+    if beta.shape != (data.p,):
+        raise ValueError(f"beta has length {beta.size}, expected {data.p}")
+
+
+def hinge_losses(beta, data: Dataset) -> np.ndarray:
+    """Per-observation hinge terms max(1 - a_i x_i'beta, 0)."""
+    b = np.asarray(beta, dtype=float).ravel()
+    _check_dims(b, data)
+    return np.maximum(1.0 - data.actions * (data.features @ b), 0.0)
+
+
+def owl_objective(beta, data: Dataset) -> float:
+    """(1/n) sum_i w_i max(1 - a_i x_i'beta, 0)."""
+    if data.n == 0:
+        return 0.0
+    return float(np.mean(owl_weights(data) * hinge_losses(beta, data)))
+
+
+def log_pseudo_likelihood(beta, data: Dataset) -> float:
+    """-2 sum_i w_i max(1 - a_i x_i'beta, 0); equals -2n * owl_objective."""
+    if data.n == 0:
+        return 0.0
+    return float(-2.0 * np.sum(owl_weights(data) * hinge_losses(beta, data)))
 
 
 def one_row_weight(a, r, rho):
@@ -303,19 +331,19 @@ class TestLogPseudoPosterior:
 
 class TestRewardTransform:
     def test_already_positive_is_identity(self):
-        out, rec = reward_transform(np.array([1.0, 2.0, 3.0]))
+        out, shift = reward_transform(np.array([1.0, 2.0, 3.0]))
         np.testing.assert_array_equal(out, [1.0, 2.0, 3.0])
-        assert rec.shift == 0.0
+        assert shift == 0.0
 
     def test_shift_rule(self):
-        out, rec = reward_transform(np.array([-1.0, 0.0, 1.0]))
-        assert rec.shift == pytest.approx(1.002)
+        out, shift = reward_transform(np.array([-1.0, 0.0, 1.0]))
+        assert shift == pytest.approx(1.002)
         np.testing.assert_allclose(out, [0.002, 1.002, 2.002])
 
     def test_degenerate_constant_vector(self):
-        out, rec = reward_transform(np.zeros(3))
+        out, shift = reward_transform(np.zeros(3))
         np.testing.assert_allclose(out, [0.001, 0.001, 0.001])
-        assert rec.shift == pytest.approx(0.001)
+        assert shift == pytest.approx(0.001)
 
     def test_distance_preserving(self):
         raw = substream(23).normal(size=50)
@@ -358,16 +386,16 @@ class TestDatasetAndCsv:
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x1,x2,a,r\n0.5,-0.25,1,2.0\n-0.125,0.75,-1,1.5\n")
-        data, rec = load_dataset_csv(path, rho=0.5)
+        data, shift = load_dataset_csv(path, rho=0.5)
         assert data.n == 2 and data.p == 2
-        assert rec.shift == 0.0
+        assert shift == 0.0
         np.testing.assert_allclose(data.features, [[0.5, -0.25], [-0.125, 0.75]])
 
     def test_csv_applies_reward_shift(self, tmp_path):
         path = tmp_path / "data.csv"
         path.write_text("x1,a,r\n0.5,1,-1.0\n0.25,-1,1.0\n")
-        data, rec = load_dataset_csv(path, rho=0.5)
-        assert rec.shift == pytest.approx(1.002)
+        data, shift = load_dataset_csv(path, rho=0.5)
+        assert shift == pytest.approx(1.002)
         assert np.all(data.rewards > 0)
 
     def test_csv_missing_reward_column(self, tmp_path):

@@ -143,7 +143,6 @@ class TestRunExperiment:
         cell = result.cell("bowl-normal")
         assert np.all((cell.rates >= 0) & (cell.rates <= 1))
         assert cell.mc_se >= 0
-        assert cell.scenario_id == 1 and cell.n_train == 50
 
     def test_unknown_method_rejected(self):
         spec = ScenarioSpec(scenario_id=1, n_train=50, n_reps=2, seed=15)
@@ -178,9 +177,11 @@ class TestStudySettings:
         assert [c["config"] for c in chains] == [GibbsConfig(seed=_fit_seed(3, rep, m)) for rep, m in bayes]
         defaults = [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior()] * 2 + [ExponentialPowerPrior()]
         assert [c["prior"] for c in chains] == defaults
-        assert all(c.keys() == {"data", "prior", "config", "meta"} for c in chains)
-        assert all(c["meta"] == {"intercept": True} for c in chains)
+        assert all(c.keys() == {"data", "prior", "config", "intercept"} for c in chains)
+        assert all(c["intercept"] is True for c in chains)
+        # run_chain prepends the constant column itself; OWL is handed its design.
+        assert all(c["data"].p == spec.p for c in chains)
         assert all(o.keys() == {"data", "seed"} for o in owls)
         assert [o["seed"] for o in owls] == [_fit_seed(3, rep, 0) for rep in range(2)]
-        for fit in chains + owls:
+        for fit in owls:
             assert np.all(fit["data"].features[:, 0] == 1.0) and fit["data"].p == spec.p + 1
