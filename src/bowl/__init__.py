@@ -25,7 +25,7 @@ from .gibbs import (
     run_chain,
 )
 from .prediction import certainty_grid, coefficient_magnitudes, recommend
-from .owl import OwlFit, fit_owl_linear, predict_owl_batch
+from .owl import fit_owl_linear
 from .simulate import (
     ExperimentResult,
     ScenarioSpec,

@@ -36,7 +36,6 @@ class MvnParams:
         if not ((precision == t).all() or (np.abs(precision - t) <= 1e-8 + 1e-5 * np.abs(t)).all()):
             raise ValueError("precision matrix must be symmetric")
         self.mean = mean
-        self.precision = precision
         self.chol_lower = np.linalg.cholesky(precision)
 
 

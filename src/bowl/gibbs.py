@@ -15,7 +15,6 @@ matrices are needed.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
 
@@ -33,7 +32,7 @@ from .pseudo_model import (
     owl_weights,
     resolve_prior,
 )
-from .rng import substream
+from .rng import ordered_map, substream
 
 BETA_ZERO_TOL = 1e-12
 
@@ -378,12 +377,6 @@ def run_chain(
     prior = resolve_prior(prior, data.features)
     rows = CanonicalRows.of(data)
     one_chain = partial(_run_single_chain, data, rows, prior, config)
-    if jobs > 1 and config.n_chains > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, config.n_chains)) as pool:
-            results = list(pool.map(one_chain, range(config.n_chains)))
-    else:
-        results = [one_chain(c) for c in range(config.n_chains)]
-
-    betas, gammas = zip(*results)
+    betas, gammas = zip(*ordered_map(one_chain, range(config.n_chains), jobs))
     gamma = np.stack(gammas) if gammas[0] is not None else None
     return PosteriorDraws(np.stack(betas), gamma, intercept)

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -11,18 +10,12 @@ from .pseudo_model import Dataset, owl_weights
 from .rng import substream
 
 
-@dataclass
-class OwlFit:
-    beta: np.ndarray
-    reg_strength: float
-
-
 def fit_owl_linear(
     data: Dataset,
     reg_strength: float = 1e-3,
     epochs: int = 80,
     seed: int = 0,
-) -> OwlFit:
+) -> np.ndarray:
     """Minimize (1/n) sum_i w_i (1 - a_i x_i'beta)_+ + (reg/2)||beta||^2.
 
     Deterministic-shuffle stochastic subgradient descent with step size
@@ -36,7 +29,7 @@ def fit_owl_linear(
     rng = substream(seed)
     n, p = data.features.shape
     if n == 0:
-        return OwlFit(np.zeros(p), reg_strength)
+        return np.zeros(p)
     w = owl_weights(data)
     x = data.features
     a = data.actions
@@ -60,15 +53,7 @@ def fit_owl_linear(
                 beta = (1.0 - eta * reg_strength) * beta
             if t > suffix_start:
                 suffix_sum += beta
-    return OwlFit(suffix_sum / (total_steps - suffix_start), reg_strength)
-
-
-def predict_owl_batch(fit: OwlFit, features: np.ndarray) -> np.ndarray:
-    """sign(x'beta) per row, with ties sent to +1."""
-    features = np.atleast_2d(np.asarray(features, dtype=float))
-    if features.shape[1] != fit.beta.size:
-        raise ValueError("feature matrix width does not match the fit")
-    return np.where(features @ fit.beta >= 0.0, 1, -1)
+    return suffix_sum / (total_steps - suffix_start)
 
 
 def flipped_owl_dataset(

@@ -8,11 +8,9 @@ classification objective. All functions are pure and safe to evaluate concurrent
 
 from __future__ import annotations
 
-import contextlib
 import csv
 import itertools
 from dataclasses import dataclass, replace
-from operator import itemgetter
 
 import numpy as np
 
@@ -23,7 +21,7 @@ class DataError(ValueError):
 
 # How np.loadtxt reads a body line: comma-separated cells, optionally double-quoted.
 _CELLS = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
-_REJECT_BLOCK = 256  # body lines per np.loadtxt call while finding a rejected file's first bad line
+_BLOCK = 256  # body lines per np.loadtxt call
 
 
 def _rows(path, fh):
@@ -49,9 +47,9 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
 
     Every body row must have as many cells as the header, and every cell
     must parse as a finite float; the header's meaning is the caller's to
-    check. Each rejection raises DataError naming the file. The body streams
-    into one np.loadtxt call; a rejected file is read again block by block,
-    then line by line in its first failing block, to name the first bad line.
+    check. Each rejection raises DataError naming the file. The body is read
+    once, in blocks of _BLOCK lines with one np.loadtxt call each; a block
+    that fails is parsed again line by line to name its first bad line.
     """
     with open(path, newline="") as fh:
         rows = _rows(path, fh)
@@ -59,39 +57,33 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
         if line is None:
             raise DataError(f"{path}: empty file")
         header = [c.strip() for c in next(csv.reader([line]))]
-        lines = map(itemgetter(1), rows)
-        line = next(lines, None)
-        if line is None:
-            raise DataError(f"{path}: no data rows")
-        try:
-            values = np.loadtxt(itertools.chain([line], lines), **_CELLS)
-            if values.shape[1] != len(header):
-                raise ValueError(f"{values.shape[1]} cells per row, the header {len(header)}")
-        except ValueError as exc:
-            reason = str(exc)
-        else:
-            if not np.isfinite(values).all():
-                i, j = np.argwhere(~np.isfinite(values))[0]
-                raise DataError(f"{path}: NaN or Inf in column {header[j]}, data row {i + 1}")
-            return header, values
-    with open(path, newline="") as fh:
-        rows = itertools.islice(_rows(path, fh), 1, None)
-        while block := list(itertools.islice(rows, _REJECT_BLOCK)):
-            with contextlib.suppress(ValueError):
-                if np.loadtxt([line for _, line in block], **_CELLS).shape[1] == len(header):
-                    continue
-            for lineno, line in block:
-                n_cells = len(next(csv.reader([line])))
-                if n_cells != len(header):
-                    raise DataError(
-                        f"{path}: ragged rows (line {lineno} has {n_cells} cells, the header {len(header)})"
-                    )
-                try:
-                    np.loadtxt([line], **_CELLS)
-                except ValueError as exc:
-                    detail = str(exc).partition(" at row ")[0]  # numpy's position counts within this line
-                    raise DataError(f"{path}: non-numeric cell on line {lineno} ({detail})") from None
-    raise DataError(f"{path}: {reason}")
+        blocks = []
+        while block := list(itertools.islice(rows, _BLOCK)):
+            try:
+                values = np.loadtxt([line for _, line in block], **_CELLS)
+                if values.shape[1] != len(header):
+                    raise ValueError(f"{values.shape[1]} cells per row, the header {len(header)}")
+            except ValueError as exc:
+                for lineno, line in block:
+                    n_cells = len(next(csv.reader([line])))
+                    if n_cells != len(header):
+                        raise DataError(f"{path}: ragged rows (line {lineno} has {n_cells} cells, "
+                                        f"the header {len(header)})") from None
+                    try:
+                        np.loadtxt([line], **_CELLS)
+                    except ValueError as line_exc:
+                        detail = str(line_exc).partition(" at row ")[0]  # numpy's row is within the line
+                        raise DataError(f"{path}: non-numeric cell on line {lineno} ({detail})") from None
+                raise DataError(f"{path}: {exc}") from None
+            blocks.append(values)
+    if not blocks:
+        raise DataError(f"{path}: no data rows")
+    # Checked once every block has parsed, so a bad cell anywhere wins over an earlier NaN.
+    values = np.concatenate(blocks)
+    if not np.isfinite(values).all():
+        i, j = np.argwhere(~np.isfinite(values))[0]
+        raise DataError(f"{path}: NaN or Inf in column {header[j]}, data row {i + 1}")
+    return header, values
 
 
 @dataclass

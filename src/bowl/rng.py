@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from concurrent.futures import ProcessPoolExecutor
+
 import numpy as np
 
 
@@ -17,3 +19,11 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     else:
         ss = np.random.SeedSequence(entropy=int(seed))
     return np.random.default_rng(ss)
+
+
+def ordered_map(fn, items, jobs: int) -> list:
+    """[fn(x) for x in items], in order; run in a pool of min(jobs, len(items)) processes if above 1."""
+    if jobs > 1 and len(items) > 1:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+            return list(pool.map(fn, items))
+    return [fn(x) for x in items]

@@ -3,13 +3,12 @@
 from __future__ import annotations
 
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .gibbs import GibbsConfig, GibbsNumericalError, PosteriorDraws, run_chain
-from .owl import fit_owl_linear, flipped_owl_dataset, predict_owl_batch
+from .owl import fit_owl_linear, flipped_owl_dataset
 from .pseudo_model import (
     Dataset,
     ExponentialPowerPrior,
@@ -18,7 +17,7 @@ from .pseudo_model import (
     add_intercept,
     reward_transform,
 )
-from .rng import substream
+from .rng import ordered_map, substream
 
 _BOWL_PRIORS = {"bowl-normal": NormalPrior, "bowl-ep": ExponentialPowerPrior, "bowl-ss": SpikeSlabPrior}
 METHODS = ("owl", *_BOWL_PRIORS)
@@ -133,16 +132,16 @@ def fit_bowl(data: Dataset, method: str, seed: int) -> PosteriorDraws:
 def classify_with_method(method: str, train: Dataset, test_features: np.ndarray, seed: int) -> np.ndarray:
     """Fit on train with an intercept, return recommended actions for the test features.
 
-    OWL runs at its defaults. Bayesian fits classify with the sign of the
-    posterior-mean rule, matching how the point estimate is defined for
-    the tables.
+    Every method gives a linear rule, classified by one sign rule with ties
+    sent to +1: OWL's coefficients at its defaults, or a Bayesian fit's
+    posterior mean, matching how the point estimate is defined for the tables.
     """
-    design_test = add_intercept(test_features)
     if method == "owl":
-        design_train = Dataset(add_intercept(train.features), train.actions, train.rewards, train.rho)
-        return predict_owl_batch(fit_owl_linear(design_train, seed=seed), design_test)
-    beta_bar = fit_bowl(train, method, seed).posterior_mean()
-    return np.where(design_test @ beta_bar >= 0.0, 1, -1)
+        design = Dataset(add_intercept(train.features), train.actions, train.rewards, train.rho)
+        beta = fit_owl_linear(design, seed=seed)
+    else:
+        beta = fit_bowl(train, method, seed).posterior_mean()
+    return np.where(add_intercept(test_features) @ beta >= 0.0, 1, -1)
 
 
 @dataclass
@@ -159,12 +158,6 @@ class ExperimentResult:
     cells: list[MethodCell] = field(default_factory=list)
     # (method, rep, GibbsNumericalError message) for every NaN rate.
     failures: list[tuple[str, int, str]] = field(default_factory=list)
-
-    def cell(self, method: str) -> MethodCell:
-        for c in self.cells:
-            if c.method == method:
-                return c
-        raise KeyError(f"no cell for {method!r}")
 
 
 def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]]:
@@ -215,15 +208,9 @@ def run_experiment(
         raise ValueError("need at least one method")
     for m in methods:
         if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {METHODS}")
+            raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
 
-    tasks = [(spec, rep, methods) for rep in range(spec.n_reps)]
-    if jobs > 1 and spec.n_reps > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(pool.map(_one_replication, tasks, chunksize=1))
-    else:
-        outcomes = [_one_replication(task) for task in tasks]
-
+    outcomes = ordered_map(_one_replication, [(spec, rep, methods) for rep in range(spec.n_reps)], jobs)
     result = ExperimentResult(failures=[f for _, failures in outcomes for f in failures])
     for method in methods:
         rates = np.array([rep_rates[method] for rep_rates, _ in outcomes])

@@ -305,9 +305,12 @@ class TestReproduce:
         assert main(["reproduce", "--scenario", "1", "--reps", "0",
                      "--out-dir", str(tmp_path)]) == 2
 
-    def test_unknown_method_exit_2(self, tmp_path):
+    def test_unknown_method_exit_2(self, tmp_path, capsys):
         assert main(["reproduce", "--scenario", "1", "--reps", "1",
                      "--methods", "qlearning", "--out-dir", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown method 'qlearning'; choose from owl, bowl-normal, bowl-ep, bowl-ss" in err
+        assert not any(tmp_path.iterdir())
 
 
 class TestJobs:
@@ -317,9 +320,23 @@ class TestJobs:
         ["predict", "--draws", "unused.csv", "--grid", "--jobs", "0"],
     ])
     def test_jobs_below_one_exit_2(self, argv, tmp_path, capsys):
-        assert main(argv + ["--out-dir", str(tmp_path)]) == 2
-        assert "--jobs must be at least 1" in capsys.readouterr().err
+        argv = argv + ["--out-dir", str(tmp_path)]
+        if argv[0] == "predict":  # predict runs in one process and has no --jobs flag
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+            assert "unrecognized arguments: --jobs 0" in capsys.readouterr().err
+        else:
+            assert main(argv) == 2
+            assert "--jobs must be at least 1" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [["verify", "--jobs", "1"], ["verify", "--out-dir", "."]])
+    def test_verify_takes_no_jobs_or_out_dir(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
 
 
 class TestVerify:

@@ -18,7 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from bowl.cli import _atomic_write, _csv_lines
-from bowl.pseudo_model import _REJECT_BLOCK, DataError, read_numeric_csv
+from bowl.pseudo_model import _BLOCK, DataError, read_numeric_csv
 
 
 def oracle_read_numeric_csv(path):
@@ -77,6 +77,24 @@ def read_either(reader, path):
     except DataError as exc:
         return ("error", str(exc))
     return ("ok", header, bits(values).tolist())
+
+
+def assert_agrees_with_the_oracle(path):
+    """Both readers accept `path` with the same bits, or reject it naming the same line; the new result."""
+    new = read_either(read_numeric_csv, path)
+    old = read_either(oracle_read_numeric_csv, path)
+    assert new[0] == old[0], (new, old)
+    if new[0] == "ok":
+        assert new == old
+        return new
+    message, expected = new[1], old[1]
+    assert message.startswith(f"{path}: ")
+    if "non-numeric cell" in expected:
+        # The parenthesis holds the parser's own message, which differs.
+        assert message.split(" (")[0] == expected.split(" (")[0]
+    else:
+        assert message == expected
+    return new
 
 
 SPECIAL = [0.0, -0.0, math.nan, 1e16, 1e-05, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308,
@@ -176,19 +194,25 @@ class TestReader:
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "in.csv"
             path.write_bytes(text.encode())
-            new = read_either(read_numeric_csv, path)
-            old = read_either(oracle_read_numeric_csv, path)
-        assert new[0] == old[0], (new, old)
-        if new[0] == "ok":
-            assert new == old
-            return
-        message, expected = new[1], old[1]
-        assert message.startswith(f"{path}: ")
-        if "non-numeric cell" in expected:
-            # The parenthesis holds the parser's own message, which differs.
-            assert message.split(" (")[0] == expected.split(" (")[0]
-        else:
-            assert message == expected
+            assert_agrees_with_the_oracle(path)
+
+    @pytest.mark.parametrize("bad, expected", [
+        ({}, None),
+        ({40: "1,nan", 560: "3,x"}, "non-numeric cell on line 643 ("),
+        ({597: "1,inf"}, "NaN or Inf in column x2, data row 598"),
+    ])
+    def test_agrees_with_the_oracle_across_blocks(self, tmp_path, bad, expected):
+        # 2 * _BLOCK + 90 body rows, with a comment or blank line after every seventh.
+        rng = np.random.default_rng(7)
+        lines = ["# lead", "x1,x2"]
+        for k, row in enumerate(rng.normal(size=(2 * _BLOCK + 90, 2)).tolist()):
+            lines.append(bad.get(k, ",".join(map(repr, row))))
+            if k % 7 == 6:
+                lines.append(["", "  # c"][k % 2])
+        path = tmp_path / "data.csv"
+        path.write_text("\n".join(lines) + "\n")
+        new = assert_agrees_with_the_oracle(path)
+        assert new[0] == "ok" if expected is None else new[1].startswith(f"{path}: {expected}")
 
     def test_crlf_quotes_comments_and_whitespace(self, tmp_path):
         path = tmp_path / "data.csv"
@@ -227,7 +251,7 @@ class TestReader:
                                               ("3,4,5", "ragged rows (line {} has 3 cells, the header 2)")])
     def test_names_the_first_bad_line_past_the_first_block(self, tmp_path, bad, message):
         # Blocks are counted in body lines; the comment and blank lines shift the physical numbers.
-        lines = ["# c", "x1,x2"] + ["1,2", "", "# c"] * _REJECT_BLOCK + ["1,2"] * (_REJECT_BLOCK + 7)
+        lines = ["# c", "x1,x2"] + ["1,2", "", "# c"] * _BLOCK + ["1,2"] * (_BLOCK + 7)
         lines[-3] = lines[-1] = bad
         path = tmp_path / "data.csv"
         path.write_text("\n".join(lines) + "\n")

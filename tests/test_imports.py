@@ -1,4 +1,5 @@
-"""Every name a module under src/bowl/ imports is used in that module.
+"""Every name a module under src/bowl/ imports is used in that module, and
+only `bowl.rng.ordered_map` starts processes.
 
 pyflakes-style, from the syntax tree alone: an imported name counts as used
 when it appears as a Name anywhere in the module (annotations included).
@@ -40,3 +41,22 @@ def test_no_unused_imports(module):
 def test_detects_an_unused_import():
     source = "import os\nimport numpy as np\nfrom math import inf, pi\nx = np.zeros(1) + pi\n"
     assert unused_imports(source) == ["line 1: os", "line 3: inf"]
+
+
+def names(source: str) -> set[str]:
+    """Every identifier the module names: imported, bare, or as an attribute."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            found.update(alias.name.rpartition(".")[2] for alias in node.names)
+        elif isinstance(node, ast.Name):
+            found.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            found.add(node.attr)
+    return found
+
+
+def test_process_pool_only_in_rng():
+    pools = [p.name for p in sorted(SRC.glob("*.py")) if "ProcessPoolExecutor" in names(p.read_text())]
+    assert pools == ["rng.py"]
+    assert names("import concurrent.futures\nconcurrent.futures.ProcessPoolExecutor()\n") >= {"ProcessPoolExecutor"}

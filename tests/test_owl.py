@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from bowl.owl import OwlFit, fit_owl_linear, flipped_owl_dataset, predict_owl_batch
+from bowl.owl import fit_owl_linear, flipped_owl_dataset
 from bowl.pseudo_model import Dataset, owl_weights
 from bowl.rng import substream
 from tests.test_pseudo_model import owl_objective
 
 
-def regularized_objective(fit, data):
+def regularized_objective(beta, data, reg):
     """The fit's own objective: mean weighted hinge plus (reg/2)||beta||^2."""
-    return owl_objective(fit.beta, data) + 0.5 * fit.reg_strength * float(fit.beta @ fit.beta)
+    return owl_objective(beta, data) + 0.5 * reg * float(beta @ beta)
 
 
 def random_dataset(seed, n=12, p=2, rho=0.5):
@@ -44,31 +44,31 @@ class TestFitOwlLinear:
             rewards=np.array([2.0, 2.0]),
             rho=0.5,
         )
-        fit = fit_owl_linear(data, reg_strength=1e-3, epochs=200, seed=0)
-        assert fit.beta[0] > 0
-        assert regularized_objective(fit, data) < 0.1
+        beta = fit_owl_linear(data, reg_strength=1e-3, epochs=200, seed=0)
+        assert beta[0] > 0
+        assert regularized_objective(beta, data, 1e-3) < 0.1
 
     def test_within_two_percent_of_grid_search(self):
         for seed in range(10):
             data = random_dataset(seed)
-            fit = fit_owl_linear(data, reg_strength=1e-3, epochs=400, seed=seed)
-            achieved = regularized_objective(fit, data)
+            beta = fit_owl_linear(data, reg_strength=1e-3, epochs=400, seed=seed)
+            achieved = regularized_objective(beta, data, 1e-3)
             best = grid_min_objective(data, 1e-3)
             assert achieved <= 1.02 * best + 1e-9, f"seed {seed}: {achieved} vs grid {best}"
 
     def test_objective_no_worse_than_zero_vector(self):
         for seed in range(5):
             data = random_dataset(100 + seed, n=30, p=4)
-            fit = fit_owl_linear(data, reg_strength=1e-3, epochs=100, seed=seed)
+            beta = fit_owl_linear(data, reg_strength=1e-3, epochs=100, seed=seed)
             w = owl_weights(data)
             at_zero = float(np.mean(w * np.ones(data.n)))
-            assert regularized_objective(fit, data) <= at_zero
+            assert regularized_objective(beta, data, 1e-3) <= at_zero
 
     def test_deterministic(self):
         data = random_dataset(8)
         a = fit_owl_linear(data, epochs=20, seed=3)
         b = fit_owl_linear(data, epochs=20, seed=3)
-        np.testing.assert_array_equal(a.beta, b.beta)
+        np.testing.assert_array_equal(a, b)
 
     def test_input_validation(self):
         data = random_dataset(9)
@@ -76,40 +76,6 @@ class TestFitOwlLinear:
             fit_owl_linear(data, epochs=0)
         with pytest.raises(ValueError):
             fit_owl_linear(data, reg_strength=-1.0)
-
-
-class TestPredictOwl:
-    def test_sign_rule(self):
-        fit = OwlFit(np.array([1.0, 0.0]), 1e-3)
-        xs = np.array([[0.3, -0.9], [-0.3, 0.9]])
-        np.testing.assert_array_equal(predict_owl_batch(fit, xs), [1, -1])
-
-    def test_tie_goes_to_plus_one(self):
-        fit = OwlFit(np.array([1.0, 1.0]), 1e-3)
-        xs = np.array([[0.5, -0.5], [0.0, 0.0]])
-        np.testing.assert_array_equal(predict_owl_batch(fit, xs), [1, 1])
-
-    def test_matches_loop_oracle(self):
-        rng = substream(10)
-        fit = OwlFit(rng.normal(size=3), 1e-3)
-        xs = rng.uniform(-1, 1, size=(100, 3))
-        batch = predict_owl_batch(fit, xs)
-        for i in range(100):
-            assert batch[i] == (1 if float(xs[i] @ fit.beta) >= 0.0 else -1)
-
-    def test_scale_invariance_of_decision(self):
-        rng = substream(11)
-        beta = rng.normal(size=3)
-        xs = rng.uniform(-1, 1, size=(50, 3))
-        base = predict_owl_batch(OwlFit(beta, 0.0), xs)
-        for c in (0.01, 3.0, 250.0):
-            scaled = predict_owl_batch(OwlFit(c * beta, 0.0), xs)
-            np.testing.assert_array_equal(base, scaled)
-
-    def test_dimension_mismatch(self):
-        fit = OwlFit(np.array([1.0, 0.0]), 1e-3)
-        with pytest.raises(ValueError):
-            predict_owl_batch(fit, np.array([[1.0, 2.0, 3.0]]))
 
 
 class TestFlippedOwlDataset:

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 import bowl.simulate
-from bowl.gibbs import GibbsConfig
-from bowl.pseudo_model import ExponentialPowerPrior, NormalPrior, SpikeSlabPrior
+from bowl.gibbs import GibbsConfig, PosteriorDraws
+from bowl.pseudo_model import Dataset, ExponentialPowerPrior, NormalPrior, SpikeSlabPrior
+from bowl.rng import substream
 from bowl.simulate import (
     METHODS,
-    ExperimentResult,
     ScenarioSpec,
     _fit_seed,
+    classify_with_method,
     generate_scenario,
     generate_scenario_raw,
     interaction_term,
@@ -19,6 +20,12 @@ from bowl.simulate import (
     true_optimal_rule,
     uncertainty_study,
 )
+
+
+def cell(result, method):
+    """The result's cell for `method`."""
+    (found,) = [c for c in result.cells if c.method == method]
+    return found
 
 
 class TestGenerateScenario:
@@ -135,26 +142,68 @@ class TestRunExperiment:
         spec = ScenarioSpec(scenario_id=2, n_train=60, n_test=100, n_reps=4, seed=13)
         alone = run_experiment(spec, ["owl"])
         paired = run_experiment(spec, ["owl", "bowl-ep"])
-        np.testing.assert_array_equal(alone.cell("owl").rates, paired.cell("owl").rates)
+        np.testing.assert_array_equal(cell(alone, "owl").rates, cell(paired, "owl").rates)
 
     def test_rates_within_unit_interval_and_se_nonnegative(self):
         spec = ScenarioSpec(scenario_id=1, n_train=50, n_test=80, n_reps=5, seed=14)
         result = run_experiment(spec, ["bowl-normal"])
-        cell = result.cell("bowl-normal")
-        assert np.all((cell.rates >= 0) & (cell.rates <= 1))
-        assert cell.mc_se >= 0
+        normal = cell(result, "bowl-normal")
+        assert np.all((normal.rates >= 0) & (normal.rates <= 1))
+        assert normal.mc_se >= 0
 
     def test_unknown_method_rejected(self):
         spec = ScenarioSpec(scenario_id=1, n_train=50, n_reps=2, seed=15)
-        with pytest.raises(ValueError):
+        message = "unknown method 'qlearning'; choose from owl, bowl-normal, bowl-ep, bowl-ss"
+        with pytest.raises(ValueError, match=message):
             run_experiment(spec, ["qlearning"])
         with pytest.raises(ValueError):
             run_experiment(spec, [])
 
-    def test_cell_lookup(self):
-        result = ExperimentResult()
-        with pytest.raises(KeyError):
-            result.cell("owl")
+
+@pytest.fixture(params=["owl", "bowl-ep"])
+def classify_with(request, monkeypatch):
+    """classify_with_method(method, ..., x) with the method's fit stubbed to return `beta`."""
+    method = request.param
+
+    def classify(beta, x):
+        monkeypatch.setattr(bowl.simulate, "fit_owl_linear", lambda data, seed: beta)
+        monkeypatch.setattr(bowl.simulate, "fit_bowl", lambda *args: PosteriorDraws(beta[None, None]))
+        train = Dataset(np.zeros((2, len(beta) - 1)), [1.0, -1.0], [1.0, 1.0], 0.5)
+        return classify_with_method(method, train, x, seed=0)
+
+    return classify
+
+
+class TestClassifyWithMethod:
+    # The test features get the intercept column first, so beta[0] is the intercept.
+    def test_sign_rule(self, classify_with):
+        xs = np.array([[0.3, -0.9], [-0.3, 0.9]])
+        np.testing.assert_array_equal(classify_with(np.array([0.0, 1.0, 0.0]), xs), [1, -1])
+        np.testing.assert_array_equal(classify_with(np.array([-0.5, 1.0, 0.0]), xs), [-1, -1])
+
+    def test_tie_goes_to_plus_one(self, classify_with):
+        xs = np.array([[0.5, -0.5], [0.0, 0.0]])
+        np.testing.assert_array_equal(classify_with(np.array([0.0, 1.0, 1.0]), xs), [1, 1])
+
+    def test_matches_loop_oracle(self, classify_with):
+        rng = substream(10)
+        beta = rng.normal(size=4)
+        xs = rng.uniform(-1, 1, size=(100, 3))
+        batch = classify_with(beta, xs)
+        for i in range(100):
+            assert batch[i] == (1 if float(np.concatenate([[1.0], xs[i]]) @ beta) >= 0.0 else -1)
+
+    def test_scale_invariance_of_decision(self, classify_with):
+        rng = substream(11)
+        beta = rng.normal(size=4)
+        xs = rng.uniform(-1, 1, size=(50, 3))
+        base = classify_with(beta, xs)
+        for c in (0.01, 3.0, 250.0):
+            np.testing.assert_array_equal(base, classify_with(c * beta, xs))
+
+    def test_dimension_mismatch(self, classify_with):
+        with pytest.raises(ValueError):
+            classify_with(np.array([0.0, 1.0, 0.0]), np.array([[1.0, 2.0, 3.0]]))
 
 
 class TestStudySettings:
