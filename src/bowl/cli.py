@@ -226,8 +226,6 @@ def cmd_predict(args) -> int:
 
 def cmd_reproduce(args) -> int:
     out_dir = Path(args.out_dir)
-    if args.reps < 1:
-        raise DataError("--reps must be at least 1")
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
 
     echo = {

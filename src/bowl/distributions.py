@@ -51,7 +51,7 @@ def _invgauss_draw(mu, lambda_shape, rng: np.random.Generator):
     y = rng.standard_normal(size=mu.shape) ** 2
     t = mu * y / (2.0 * lambda_shape)
     x_small = mu / (1.0 + t + np.sqrt(t * t + 2.0 * t))
-    u = rng.uniform(size=mu.shape)
+    u = rng.random(mu.shape)  # the same bits and stream position as rng.uniform(size=mu.shape)
     return np.where(u <= mu / (mu + x_small), x_small, mu * mu / x_small)
 
 
@@ -65,11 +65,11 @@ def _gig_half_draw_vec(psi: float, chi: np.ndarray, rng: np.random.Generator) ->
     chi = np.asarray(chi, dtype=float)
     if not (psi > 0):
         raise ValueError(f"psi must be positive, got {psi}")
-    if (chi < 0).any():
-        raise ValueError("chi must be nonnegative")
     degenerate = chi < CHI_DEGENERATE
     if not degenerate.any():
         return 1.0 / _invgauss_draw(np.sqrt(psi / chi), psi, rng)
+    if (chi < 0).any():  # a negative chi is below the cutoff, so it is caught before any draw
+        raise ValueError("chi must be nonnegative")
     out = np.empty_like(chi)
     out[degenerate] = rng.gamma(0.5, 2.0 / psi, size=int(degenerate.sum()))
     proper = ~degenerate

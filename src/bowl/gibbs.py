@@ -14,6 +14,7 @@ matrices are needed.
 
 from __future__ import annotations
 
+import copy
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -200,81 +201,75 @@ def _gaussian_from_natural(b_inv: np.ndarray, b_vec: np.ndarray, rng: np.random.
     return sample_mvn(params, rng)
 
 
-def draw_beta_normal(suff: SuffStats, prior: NormalPrior, rng: np.random.Generator) -> np.ndarray:
-    """beta ~ N(B1 b1, B1), B1^{-1} = precision_data + I/sigma0_sq."""
-    p = suff.linear_data.size
-    b_inv = suff.precision_data + np.eye(p) / prior.sigma0_sq
-    b_vec = suff.linear_data + prior.mu0_vector(p) / prior.sigma0_sq
-    return _gaussian_from_natural(b_inv, b_vec, rng)
+def draw_beta_normal(
+    suff: SuffStats, prior_precision: np.ndarray, prior_linear: np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """beta ~ N(B1 b1, B1), B1^{-1} = precision_data + prior_precision, b1 = linear_data + prior_linear."""
+    return _gaussian_from_natural(suff.precision_data + prior_precision, suff.linear_data + prior_linear, rng)
 
 
 def draw_beta_ep(
-    suff: SuffStats, omega: np.ndarray, prior: ExponentialPowerPrior, rng: np.random.Generator
+    suff: SuffStats, omega: np.ndarray, slab_variance: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """beta ~ N(B2 b2, B2), B2^{-1} = precision_data + diag(1/(nu^2 sigma_j^2 omega_j))."""
+    """beta ~ N(B2 b2, B2), B2^{-1} = precision_data + diag(1/(slab_variance_j omega_j))."""
     omega = np.asarray(omega, dtype=float).ravel()
     if not (omega > 0).all():
         raise ValueError("omega must be strictly positive")
-    sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
-    b_inv = suff.precision_data + np.diag(1.0 / (prior.nu**2 * sigma_sq * omega))
+    b_inv = suff.precision_data + np.diag(1.0 / (slab_variance * omega))
     return _gaussian_from_natural(b_inv, suff.linear_data, rng)
 
 
-def draw_omega(beta: np.ndarray, prior: ExponentialPowerPrior, rng: np.random.Generator) -> np.ndarray:
-    """omega_j = 1 / u_j with u_j ~ IG(nu sigma_j / |beta_j|, 1).
+def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """omega_j = 1 / u_j with u_j ~ IG(nu_sigma_j / |beta_j|, 1), where nu_sigma = nu sigma_j.
 
     Coordinates with beta_j numerically zero fall back to the prior,
     an Exponential with mean 2.
     """
     beta = np.asarray(beta, dtype=float).ravel()
-    sigma = np.asarray(prior.sigma_j, dtype=float)
     abs_beta = np.abs(beta)
-    out = np.empty_like(beta)
     degenerate = abs_beta < BETA_ZERO_TOL
-    if degenerate.any():
-        out[degenerate] = rng.exponential(2.0, size=int(degenerate.sum()))
+    if not degenerate.any():
+        return 1.0 / _invgauss_draw(nu_sigma / abs_beta, 1.0, rng)
+    out = np.empty_like(beta)
+    out[degenerate] = rng.exponential(2.0, size=int(degenerate.sum()))
     proper = ~degenerate
     if proper.any():
-        mu = prior.nu * sigma[proper] / abs_beta[proper]
+        mu = nu_sigma[proper] / abs_beta[proper]
         out[proper] = 1.0 / _invgauss_draw(mu, 1.0, rng)
     return out
 
 
 def _active_inverse(a_mat: np.ndarray, active: np.ndarray) -> np.ndarray:
     """A_SS^{-1} embedded in a p x p array of zeros, from one Cholesky factorization of A_SS."""
-    m_inv = np.zeros_like(a_mat)
-    idx = np.flatnonzero(active)
+    m_inv = np.zeros(a_mat.shape)
+    idx = active.nonzero()[0]
     if idx.size > 0:
-        block = np.ix_(idx, idx)
-        chol_inv = lapack.dtrtri(np.linalg.cholesky(a_mat[block]), lower=1)[0]
-        m_inv[block] = chol_inv.T @ chol_inv
+        rows = idx[:, None]
+        chol_inv = lapack.dtrtri(np.linalg.cholesky(a_mat[rows, idx]), lower=1)[0]
+        m_inv[rows, idx] = chol_inv.T @ chol_inv
     return m_inv
 
 
-def _inclusion_log_bf(a_mat, b_vec, m_inv, active, prior_prec_j, j) -> float:
+def _inclusion_log_bf(a_mat, b_vec, m_inv, is_active: bool, prior_prec_j: float, j: int) -> float:
     """Log Bayes factor of gamma_j = 1 over 0, read off m_inv = A_SS^{-1} (`_active_inverse`).
 
     With R = S - {j}: s = A_jj - A_jR A_RR^{-1} A_Rj and t = b_j - A_jR A_RR^{-1} b_R,
     and the log Bayes factor is (1/2)(log prior_prec_j - log s + t^2 / s).
     """
-    if active[j]:
-        s = 1.0 / m_inv[j, j]
+    if is_active:
+        s = float(1.0 / m_inv[j, j])
         t = float(m_inv[j] @ b_vec) * s
     else:
-        v = m_inv @ a_mat[:, j]
-        s = a_mat[j, j] - float(a_mat[j] @ v)
-        t = b_vec[j] - float(v @ b_vec)
+        v = m_inv @ a_mat[j]  # A is exactly symmetric, so row j is column j
+        s = float(a_mat[j, j]) - float(a_mat[j] @ v)
+        t = float(b_vec[j]) - float(v @ b_vec)
     if not (0.0 < s < math.inf and math.isfinite(t)):
         raise ValueError(f"non-positive or non-finite Schur complement {s!r} at coordinate {j}")
     return 0.5 * (math.log(prior_prec_j) - math.log(s) + t * t / s)
 
 
 def draw_gamma_and_beta_ss(
-    state: ChainState,
-    data: Dataset,
-    prior: SpikeSlabPrior,
-    rng: np.random.Generator,
-    rows: CanonicalRows | None = None,
+    state: ChainState, kernel: SpikeSlabKernel, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
     """Nested single-site sweep over inclusion indicators, then the slab draw.
 
@@ -286,65 +281,97 @@ def draw_gamma_and_beta_ss(
     is drawn from its conditional Gaussian and the inactive coordinates are
     exactly zero.
     """
-    suff = build_suffstats(state.lam, data, rows)
-    sigma_sq = np.asarray(prior.sigma_j, dtype=float) ** 2
-    prior_prec = 1.0 / (prior.nu**2 * sigma_sq)
-    log_prior_odds_out = math.log1p(-prior.pi_incl) - math.log(prior.pi_incl)
-    a_mat = suff.precision_data + np.diag(prior_prec)
+    suff = build_suffstats(state.lam, kernel.data, kernel.rows)
+    a_mat = suff.precision_data + kernel.prior_precision
     b_vec = suff.linear_data
 
-    active = np.asarray(state.gamma, dtype=bool).copy()
+    active = np.array(state.gamma, dtype=bool)
     m_inv = _active_inverse(a_mat, active)
-    uniforms = rng.uniform(size=data.p)  # the same stream as one scalar draw per coordinate
-    for j in range(data.p):
-        log_bf = _inclusion_log_bf(a_mat, b_vec, m_inv, active, prior_prec[j], j)
-        prob_include = 1.0 / (1.0 + math.exp(min(log_prior_odds_out - log_bf, 700.0)))
+    uniforms = rng.random(kernel.data.p).tolist()  # the same stream as one scalar draw per coordinate
+    for j in range(kernel.data.p):
+        log_bf = _inclusion_log_bf(a_mat, b_vec, m_inv, active[j], kernel.prior_prec[j], j)
+        prob_include = 1.0 / (1.0 + math.exp(min(kernel.log_prior_odds_out - log_bf, 700.0)))
         include = uniforms[j] < prob_include
         if include != active[j]:
             active[j] = include
             m_inv = _active_inverse(a_mat, active)
 
-    beta = np.zeros(data.p)
-    idx = np.flatnonzero(active)
+    beta = np.zeros(kernel.data.p)
+    idx = active.nonzero()[0]
     if idx.size > 0:
-        beta[idx] = _gaussian_from_natural(a_mat[np.ix_(idx, idx)], b_vec[idx], rng)
+        beta[idx] = _gaussian_from_natural(a_mat[idx[:, None], idx], b_vec[idx], rng)
     return active.astype(np.int8), beta
 
 
-def _init_state(data: Dataset, prior: PriorSpec) -> ChainState:
-    beta = np.zeros(data.p)
-    lam = np.ones(data.n)
-    omega = np.ones(data.p) if isinstance(prior, ExponentialPowerPrior) else None
-    gamma = np.ones(data.p, dtype=np.int8) if isinstance(prior, SpikeSlabPrior) else None
-    return ChainState(beta=beta, lam=lam, omega=omega, gamma=gamma)
+class NormalKernel:
+    """The Gibbs sweep under the normal prior, with every constant of a chain built once.
+
+    Each prior's kernel advances a copy of its `start` state in place (`sweep`)
+    through the module-level draw functions, looked up on every call; the
+    kernel itself never changes.
+    """
+
+    def __init__(self, data: Dataset, rows: CanonicalRows, prior: NormalPrior):
+        self.data, self.rows, self.weights = data, rows, owl_weights(data)
+        self.prior_precision = np.eye(data.p) / prior.sigma0_sq
+        self.prior_linear = prior.mu0_vector(data.p) / prior.sigma0_sq
+        self.start = ChainState(np.zeros(data.p), np.ones(data.n))
+
+    def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
+        suff = build_suffstats(state.lam, self.data, self.rows)
+        state.beta = draw_beta_normal(suff, self.prior_precision, self.prior_linear, rng)
+        state.lam = draw_lambda(state.beta, self.data, rng, self.weights)
+
+
+class ExponentialPowerKernel:
+    """The Gibbs sweep under the exponential-power prior (see `NormalKernel`)."""
+
+    def __init__(self, data: Dataset, rows: CanonicalRows, prior: ExponentialPowerPrior):
+        self.data, self.rows, self.weights = data, rows, owl_weights(data)
+        sigma = np.asarray(prior.sigma_j, dtype=float)
+        self.slab_variance = prior.nu**2 * sigma**2
+        self.nu_sigma = prior.nu * sigma
+        self.start = ChainState(np.zeros(data.p), np.ones(data.n), omega=np.ones(data.p))
+
+    def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
+        suff = build_suffstats(state.lam, self.data, self.rows)
+        state.beta = draw_beta_ep(suff, state.omega, self.slab_variance, rng)
+        state.lam = draw_lambda(state.beta, self.data, rng, self.weights)
+        state.omega = draw_omega(state.beta, self.nu_sigma, rng)
+
+
+class SpikeSlabKernel:
+    """The Gibbs sweep under the spike-and-slab prior (see `NormalKernel`)."""
+
+    def __init__(self, data: Dataset, rows: CanonicalRows, prior: SpikeSlabPrior):
+        self.data, self.rows, self.weights = data, rows, owl_weights(data)
+        prior_prec = 1.0 / (prior.nu**2 * np.asarray(prior.sigma_j, dtype=float) ** 2)
+        self.prior_prec = prior_prec.tolist()  # Python floats for the coordinate loop
+        self.prior_precision = np.diag(prior_prec)
+        self.log_prior_odds_out = math.log1p(-prior.pi_incl) - math.log(prior.pi_incl)
+        self.start = ChainState(np.zeros(data.p), np.ones(data.n), gamma=np.ones(data.p, dtype=np.int8))
+
+    def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
+        state.lam = draw_lambda(state.beta, self.data, rng, self.weights)
+        state.gamma, state.beta = draw_gamma_and_beta_ss(state, self, rng)
+
+
+_KERNELS = ((NormalPrior, NormalKernel), (ExponentialPowerPrior, ExponentialPowerKernel),
+            (SpikeSlabPrior, SpikeSlabKernel))
 
 
 def _run_single_chain(
-    data: Dataset, rows: CanonicalRows, prior: PriorSpec, config: GibbsConfig, chain_index: int
+    kernel: NormalKernel | ExponentialPowerKernel | SpikeSlabKernel, config: GibbsConfig, chain_index: int
 ) -> tuple[np.ndarray, np.ndarray | None]:
     rng = substream(config.seed, chain_index)
-    state = _init_state(data, prior)
+    state = copy.deepcopy(kernel.start)
     kept = config.n_draws - config.burn_in
-    beta_out = np.empty((kept, data.p))
-    gamma_out = np.empty((kept, data.p), dtype=np.int8) if state.gamma is not None else None
-    weights = owl_weights(data)
+    beta_out = np.empty((kept, kernel.data.p))
+    gamma_out = np.empty((kept, kernel.data.p), dtype=np.int8) if state.gamma is not None else None
 
     for g in range(config.n_draws):
         try:
-            if isinstance(prior, NormalPrior):
-                suff = build_suffstats(state.lam, data, rows)
-                state.beta = draw_beta_normal(suff, prior, rng)
-                state.lam = draw_lambda(state.beta, data, rng, weights)
-            elif isinstance(prior, ExponentialPowerPrior):
-                suff = build_suffstats(state.lam, data, rows)
-                state.beta = draw_beta_ep(suff, state.omega, prior, rng)
-                state.lam = draw_lambda(state.beta, data, rng, weights)
-                state.omega = draw_omega(state.beta, prior, rng)
-            elif isinstance(prior, SpikeSlabPrior):
-                state.lam = draw_lambda(state.beta, data, rng, weights)
-                state.gamma, state.beta = draw_gamma_and_beta_ss(state, data, prior, rng, rows)
-            else:
-                raise TypeError(f"unknown prior type {type(prior)!r}")
+            kernel.sweep(state, rng)
         except (ValueError, FloatingPointError, OverflowError) as exc:  # LinAlgError is a ValueError
             raise GibbsNumericalError(str(exc), chain_index, g) from exc
 
@@ -375,8 +402,10 @@ def run_chain(
     if intercept:
         data = Dataset(add_intercept(data.features), data.actions, data.rewards, data.rho)
     prior = resolve_prior(prior, data.features)
-    rows = CanonicalRows.of(data)
-    one_chain = partial(_run_single_chain, data, rows, prior, config)
+    kernel = next((k for prior_type, k in _KERNELS if isinstance(prior, prior_type)), None)
+    if kernel is None:
+        raise TypeError(f"unknown prior type {type(prior)!r}")
+    one_chain = partial(_run_single_chain, kernel(data, CanonicalRows.of(data), prior), config)
     betas, gammas = zip(*ordered_map(one_chain, range(config.n_chains), jobs))
     gamma = np.stack(gammas) if gammas[0] is not None else None
     return PosteriorDraws(np.stack(betas), gamma, intercept)

@@ -124,11 +124,13 @@ def check_beta_conditional_moments(seed: int = 0) -> CheckResult:
     prior_ep = ExponentialPowerPrior(nu=0.8, sigma_j=np.full(p, 0.6))
     omega = substream(seed, 405).uniform(0.5, 2.0, size=p)
     # (label, substream key, prior precision, prior linear term, one kernel draw)
+    normal_prec, normal_linear = np.eye(p) / prior_n.sigma0_sq, prior_n.mu0_vector(p) / prior_n.sigma0_sq
+    slab_variance = prior_ep.nu**2 * prior_ep.sigma_j**2
     cases = (
-        ("normal", 403, np.eye(p) / prior_n.sigma0_sq, prior_n.mu0_vector(p) / prior_n.sigma0_sq,
-         lambda rng: draw_beta_normal(suff, prior_n, rng)),
-        ("shrinkage", 404, np.diag(1.0 / (prior_ep.nu**2 * prior_ep.sigma_j**2 * omega)), 0.0,
-         lambda rng: draw_beta_ep(suff, omega, prior_ep, rng)),
+        ("normal", 403, normal_prec, normal_linear,
+         lambda rng: draw_beta_normal(suff, normal_prec, normal_linear, rng)),
+        ("shrinkage", 404, np.diag(1.0 / (slab_variance * omega)), 0.0,
+         lambda rng: draw_beta_ep(suff, omega, slab_variance, rng)),
     )
     details = []
     ok = True
@@ -175,7 +177,7 @@ def check_ss_log_odds(tol: float = 1e-6, seed: int = 0) -> CheckResult:
     for active in map(np.array, itertools.product((False, True), repeat=p)):
         m_inv = _active_inverse(a_mat, active)
         for j in range(p):
-            log_bf = _inclusion_log_bf(a_mat, suff.linear_data, m_inv, active, prior_prec[j], j)
+            log_bf = _inclusion_log_bf(a_mat, suff.linear_data, m_inv, active[j], prior_prec[j], j)
             with_j, without_j = active.copy(), active.copy()
             with_j[j], without_j[j] = True, False
             direct = subset_log_marginal(suff.precision_data, suff.linear_data, prior_prec, with_j)

@@ -301,9 +301,11 @@ class TestReproduce:
         table = (tmp_path / "failed" / "tables.csv").read_text().splitlines()
         assert [row.split(",")[-1] for row in table[2:]] == ["3", "2"]  # n_reps_ok: owl, bowl-normal
 
-    def test_zero_reps_exit_2(self, tmp_path):
+    def test_zero_reps_exit_2(self, tmp_path, capsys):
         assert main(["reproduce", "--scenario", "1", "--reps", "0",
                      "--out-dir", str(tmp_path)]) == 2
+        assert "n_reps" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
 
     def test_unknown_method_exit_2(self, tmp_path, capsys):
         assert main(["reproduce", "--scenario", "1", "--reps", "1",

@@ -17,11 +17,14 @@ from scipy.stats import kstest, norm
 import bowl
 import bowl.gibbs
 from bowl.diagnostics import effective_sample_size, split_rhat
+from bowl.distributions import CHI_DEGENERATE
 from bowl.gibbs import (
+    BETA_ZERO_TOL,
     CanonicalRows,
     ChainState,
     GibbsConfig,
     GibbsNumericalError,
+    SpikeSlabKernel,
     SuffStats,
     _canonical_rank,
     _gaussian_from_natural,
@@ -41,6 +44,7 @@ from bowl.pseudo_model import (
     add_intercept,
     feature_scales,
     owl_weights,
+    resolve_prior,
 )
 from bowl.rng import substream
 from bowl.verify import check_ss_log_odds, exact_beta_cdf, oracle_instance, subset_log_marginal
@@ -78,6 +82,15 @@ def correlated_dataset(seed, n=7, p=3, rho=0.4):
     return Dataset(features, base.actions, base.rewards, rho)
 
 
+def normal_terms(prior, p):
+    """The normal prior's precision and linear term, the constants draw_beta_normal takes."""
+    return np.eye(p) / prior.sigma0_sq, prior.mu0_vector(p) / prior.sigma0_sq
+
+
+def ss_kernel(data, prior):
+    return SpikeSlabKernel(data, CanonicalRows.of(data), prior)
+
+
 def lexsort_suffstats(lam, data, rows=None):
     """Reference build_suffstats: the 13-key lexsort (lam, r, a, x_p..x_1) on every call.
 
@@ -98,12 +111,12 @@ def lexsort_suffstats(lam, data, rows=None):
     return SuffStats(precision, linear)
 
 
-def cholesky_ss_reference(state, data, prior, rng, rows=None):
+def cholesky_ss_reference(state, data, prior, rng):
     """Reference draw_gamma_and_beta_ss: a fresh Cholesky of the active block for every flip.
 
-    The sweep as it was before the Schur-complement updates, so it can stand in for the real one.
+    The sweep as it was before the Schur-complement updates, for a resolved prior.
     """
-    suff = build_suffstats(state.lam, data, rows)
+    suff = lexsort_suffstats(state.lam, data)
     prior_prec = 1.0 / (prior.nu**2 * np.asarray(prior.sigma_j, dtype=float) ** 2)
     log_pi, log_one_minus_pi = math.log(prior.pi_incl), math.log1p(-prior.pi_incl)
     active = np.asarray(state.gamma, dtype=bool).copy()
@@ -127,6 +140,60 @@ def cholesky_ss_reference(state, data, prior, rng, rows=None):
         b_inv = suff.precision_data[np.ix_(idx, idx)] + np.diag(prior_prec[idx])
         beta[idx] = _gaussian_from_natural(b_inv, suff.linear_data[idx], rng)
     return active.astype(np.int8), beta
+
+
+def reference_reciprocal_ig(mu, rng):
+    """1 / IG(mu, 1) by the textbook Michael-Schucany-Haas steps, one expression each."""
+    y = rng.standard_normal(size=mu.shape) ** 2
+    t = mu * y / 2.0
+    x_small = mu / (1.0 + t + np.sqrt(t * t + 2.0 * t))
+    u = rng.uniform(size=mu.shape)
+    return 1.0 / np.where(u <= mu / (mu + x_small), x_small, mu * mu / x_small)
+
+
+def reference_chain(data, prior, config):
+    """Reference run_chain (no intercept): every sweep's arithmetic written out, one chain after another.
+
+    The lambda, omega and beta updates are the formulas the sampler had before
+    its per-prior kernels; build_suffstats is `lexsort_suffstats` and the ss
+    sweep is `cholesky_ss_reference`. Returns the retained beta and gamma draws
+    (gamma all ones outside ss).
+    """
+    prior = resolve_prior(prior, data.features)
+    p, w, kept = data.p, owl_weights(data), config.n_draws - config.burn_in
+    betas, gammas = np.empty((config.n_chains, kept, p)), np.empty((config.n_chains, kept, p), dtype=np.int8)
+    for chain in range(config.n_chains):
+        rng = substream(config.seed, chain)
+        beta, lam, omega, gamma = np.zeros(p), np.ones(data.n), np.ones(p), np.ones(p, dtype=np.int8)
+        for g in range(config.n_draws):
+            if not isinstance(prior, SpikeSlabPrior):
+                suff = lexsort_suffstats(lam, data)
+                if isinstance(prior, NormalPrior):
+                    b_inv = suff.precision_data + np.eye(p) / prior.sigma0_sq
+                    b_vec = suff.linear_data + prior.mu0_vector(p) / prior.sigma0_sq
+                else:
+                    b_inv = suff.precision_data + np.diag(1.0 / (prior.nu**2 * prior.sigma_j**2 * omega))
+                    b_vec = suff.linear_data
+                beta = _gaussian_from_natural(b_inv, b_vec, rng)
+            chi = (w * (1.0 - data.actions * (data.features @ beta))) ** 2
+            small = chi < CHI_DEGENERATE
+            lam = np.empty(data.n)
+            if small.any():
+                lam[small] = rng.gamma(0.5, 2.0, size=int(small.sum()))
+            if (~small).any():
+                lam[~small] = reference_reciprocal_ig(np.sqrt(1.0 / chi[~small]), rng)
+            if isinstance(prior, ExponentialPowerPrior):
+                zero = np.abs(beta) < BETA_ZERO_TOL
+                omega = np.empty(p)
+                if zero.any():
+                    omega[zero] = rng.exponential(2.0, size=int(zero.sum()))
+                if (~zero).any():
+                    omega[~zero] = reference_reciprocal_ig(prior.nu * prior.sigma_j[~zero] / np.abs(beta[~zero]), rng)
+            if isinstance(prior, SpikeSlabPrior):
+                gamma, beta = cholesky_ss_reference(SimpleNamespace(lam=lam, gamma=gamma), data, prior, rng)
+            if g >= config.burn_in:
+                betas[chain, g - config.burn_in], gammas[chain, g - config.burn_in] = beta, gamma
+    return betas, gammas
 
 
 class TestDrawLambda:
@@ -229,7 +296,7 @@ class TestDrawBetaNormal:
         suff = build_suffstats(np.empty(0), empty)
         prior = NormalPrior(mu0=np.array([0.5, -1.0]), sigma0_sq=2.0)
         rng = substream(40)
-        draws = np.array([draw_beta_normal(suff, prior, rng) for _ in range(N // 4)])
+        draws = np.array([draw_beta_normal(suff, *normal_terms(prior, empty.p), rng) for _ in range(N // 4)])
         se = math.sqrt(2.0 / (N // 4))
         assert np.all(np.abs(draws.mean(axis=0) - [0.5, -1.0]) < 3 * se)
         assert np.all(np.abs(draws.var(axis=0) - 2.0) < 0.1 * 2.0)
@@ -240,7 +307,7 @@ class TestDrawBetaNormal:
         suff = build_suffstats(np.ones(1), data)
         prior = NormalPrior(mu0=0.0, sigma0_sq=1.0)
         rng = substream(41)
-        draws = np.array([draw_beta_normal(suff, prior, rng)[0] for _ in range(N // 2)])
+        draws = np.array([draw_beta_normal(suff, *normal_terms(prior, data.p), rng)[0] for _ in range(N // 2)])
         se = math.sqrt(0.5 / (N // 2))
         assert abs(draws.mean() - 1.0) < 3 * se
         assert abs(draws.var() - 0.5) < 0.05 * 0.5
@@ -254,7 +321,7 @@ class TestDrawBetaNormal:
         target = np.linalg.solve(b_inv, suff.linear_data + 0.25 / 1.5)
         cov = np.linalg.inv(b_inv)
         rng = substream(44)
-        draws = np.array([draw_beta_normal(suff, prior, rng) for _ in range(N // 2)])
+        draws = np.array([draw_beta_normal(suff, *normal_terms(prior, data.p), rng) for _ in range(N // 2)])
         se = np.sqrt(np.diag(cov) / (N // 2))
         assert np.all(np.abs(draws.mean(axis=0) - target) < 3 * se)
 
@@ -268,7 +335,7 @@ class TestDrawBetaEp:
         omega = np.full(data.p, 1e12)
         target = np.linalg.solve(suff.precision_data, suff.linear_data)
         rng = substream(47)
-        draws = np.array([draw_beta_ep(suff, omega, prior, rng) for _ in range(N // 2)])
+        draws = np.array([draw_beta_ep(suff, omega, prior.nu**2 * prior.sigma_j**2, rng) for _ in range(N // 2)])
         cov = np.linalg.inv(suff.precision_data)
         se = np.sqrt(np.diag(cov) / (N // 2))
         assert np.all(np.abs(draws.mean(axis=0) - target) < 4 * se)
@@ -280,7 +347,7 @@ class TestDrawBetaEp:
         prior = ExponentialPowerPrior(nu=1.0, sigma_j=np.ones(1))
         rng = substream(48)
         draws = np.array(
-            [draw_beta_ep(suff, np.ones(1), prior, rng)[0] for _ in range(N // 2)]
+            [draw_beta_ep(suff, np.ones(1), prior.nu**2 * prior.sigma_j**2, rng)[0] for _ in range(N // 2)]
         )
         se = math.sqrt(0.5 / (N // 2))
         assert abs(draws.mean() - 1.0) < 3 * se
@@ -305,7 +372,7 @@ class TestDrawBetaEp:
         suff = build_suffstats(np.ones(data.n), data)
         prior = ExponentialPowerPrior(nu=1.0, sigma_j=np.ones(data.p))
         with pytest.raises(ValueError):
-            draw_beta_ep(suff, np.zeros(data.p), prior, substream(51))
+            draw_beta_ep(suff, np.zeros(data.p), prior.nu**2 * prior.sigma_j**2, substream(51))
 
 
 class TestDrawOmega:
@@ -314,7 +381,7 @@ class TestDrawOmega:
         prior = ExponentialPowerPrior(nu=0.8, sigma_j=np.array([0.5]))
         beta = np.array([0.4])
         rng = substream(52)
-        draws = np.array([draw_omega(beta, prior, rng)[0] for _ in range(N // 2)])
+        draws = np.array([draw_omega(beta, prior.nu * prior.sigma_j, rng)[0] for _ in range(N // 2)])
         recip = 1.0 / draws
         se = recip.std(ddof=1) / math.sqrt(recip.size)
         assert abs(recip.mean() - 1.0) < 3 * se
@@ -322,7 +389,7 @@ class TestDrawOmega:
     def test_zero_beta_falls_back_to_prior(self):
         prior = ExponentialPowerPrior(nu=0.8, sigma_j=np.ones(1))
         rng = substream(53)
-        draws = np.array([draw_omega(np.zeros(1), prior, rng)[0] for _ in range(N // 2)])
+        draws = np.array([draw_omega(np.zeros(1), prior.nu * prior.sigma_j, rng)[0] for _ in range(N // 2)])
         # Exponential with mean 2 (variance 4).
         se = math.sqrt(4.0 / (N // 2))
         assert abs(draws.mean() - 2.0) < 3 * se
@@ -331,7 +398,7 @@ class TestDrawOmega:
         prior = ExponentialPowerPrior(nu=1.0, sigma_j=np.ones(1))
         beta = np.array([2.0])  # nu sigma / |beta| = 0.5
         rng = substream(54)
-        draws = np.array([draw_omega(beta, prior, rng)[0] for _ in range(N // 2)])
+        draws = np.array([draw_omega(beta, prior.nu * prior.sigma_j, rng)[0] for _ in range(N // 2)])
         recip = 1.0 / draws
         se = recip.std(ddof=1) / math.sqrt(recip.size)
         assert abs(recip.mean() - 0.5) < 3 * se
@@ -364,10 +431,11 @@ class TestDrawGammaAndBetaSs:
         cov = np.linalg.inv(b_inv)
         target = cov @ suff.linear_data
         rng = substream(57)
+        kernel = ss_kernel(data, prior)
         draws = []
         for _ in range(N // 5):
             state = ChainState(beta=np.zeros(data.p), lam=lam, gamma=np.ones(data.p, dtype=np.int8))
-            gamma, beta = draw_gamma_and_beta_ss(state, data, prior, rng)
+            gamma, beta = draw_gamma_and_beta_ss(state, kernel, rng)
             assert gamma.all()
             draws.append(beta)
         draws = np.array(draws)
@@ -380,11 +448,12 @@ class TestDrawGammaAndBetaSs:
         prior = SpikeSlabPrior(nu=0.8, pi_incl=0.4, sigma_j=np.array([0.75]))
         target = enumeration_inclusion_prob(data, prior, lam)
         rng = substream(58)
+        kernel = ss_kernel(data, prior)
         hits = 0
         n_sweeps = 20_000
         for _ in range(n_sweeps):
             state = ChainState(beta=np.zeros(1), lam=lam, gamma=np.ones(1, dtype=np.int8))
-            gamma, _ = draw_gamma_and_beta_ss(state, data, prior, rng)
+            gamma, _ = draw_gamma_and_beta_ss(state, kernel, rng)
             hits += int(gamma[0])
         assert abs(hits / n_sweeps - target) < 0.02
 
@@ -430,11 +499,12 @@ class TestDrawGammaAndBetaSs:
         assert exact.min() > 0.005  # every configuration is visited
 
         rng = substream(81, 2)
+        kernel = ss_kernel(data, prior)
         state = ChainState(beta=np.zeros(3), lam=lam, gamma=np.ones(3, dtype=np.int8))
         counts = np.zeros(8)
         n_sweeps = 20_000
         for _ in range(n_sweeps):
-            state.gamma, state.beta = draw_gamma_and_beta_ss(state, data, prior, rng)
+            state.gamma, state.beta = draw_gamma_and_beta_ss(state, kernel, rng)
             counts[int(state.gamma @ (1 << np.arange(3)))] += 1
         assert np.abs(counts / n_sweeps - exact).max() < 0.02
 
@@ -446,15 +516,16 @@ class TestDrawGammaAndBetaSs:
         indefinite = SuffStats(np.array([[0.0, 3.0], [3.0, 0.0]]), np.ones(2))
         monkeypatch.setattr("bowl.gibbs.build_suffstats", lambda *args: indefinite)
         state = ChainState(beta=np.zeros(2), lam=np.ones(data.n), gamma=np.array([1, 0], dtype=np.int8))
-        with pytest.raises(ValueError, match="Schur complement"):
-            draw_gamma_and_beta_ss(state, data, prior, substream(83))
+        with pytest.raises(ValueError, match=r"Schur complement -8\.0 at coordinate 1$") as exc:
+            draw_gamma_and_beta_ss(state, ss_kernel(data, prior), substream(83))
+        assert "np.float64" not in str(exc.value)
 
     def test_empty_active_set_returns_zero_beta(self):
         data = random_dataset(60, n=4, p=2)
         prior = SpikeSlabPrior(nu=0.8, pi_incl=1e-12, sigma_j=np.full(2, 0.7))
         rng = substream(61)
         state = ChainState(beta=np.zeros(2), lam=np.ones(data.n), gamma=np.zeros(2, dtype=np.int8))
-        gamma, beta = draw_gamma_and_beta_ss(state, data, prior, rng)
+        gamma, beta = draw_gamma_and_beta_ss(state, ss_kernel(data, prior), rng)
         assert not gamma.any()
         np.testing.assert_array_equal(beta, np.zeros(2))
 
@@ -581,7 +652,7 @@ class TestRunChain:
         for i, beta_star in enumerate(batch):
             lam = draw_lambda(np.array([beta_star]), data, rng)
             suff = build_suffstats(lam, data)
-            beta_new = draw_beta_normal(suff, prior, rng)
+            beta_new = draw_beta_normal(suff, *normal_terms(prior, data.p), rng)
             cycled[i] = beta_new[0]
         for f in (lambda x: x, lambda x: x * x, np.abs):
             target, got = f(batch), f(cycled)
@@ -628,6 +699,25 @@ class TestRunChain:
                 np.testing.assert_array_equal(real.gamma, ref.gamma)
 
     @pytest.mark.parametrize(
+        "prior",
+        [NormalPrior(mu0=0.3, sigma0_sq=1.5), ExponentialPowerPrior(nu=0.6), SpikeSlabPrior(nu=0.9, pi_incl=0.4)],
+        ids=["normal", "ep", "ss"],
+    )
+    @pytest.mark.parametrize(
+        "make_data", [random_dataset, duplicated_dataset, correlated_dataset], ids=["random", "duplicated", "correlated"]
+    )
+    def test_draws_match_reference_chain(self, prior, make_data):
+        # Every byte of the draws, against the sweep arithmetic written out in `reference_chain`.
+        data = make_data(86, n=36)
+        config = GibbsConfig(n_draws=40, burn_in=10, n_chains=2, seed=9)
+        real = run_chain(data, prior, config)
+        beta, gamma = reference_chain(data, prior, config)
+        np.testing.assert_array_equal(real.beta, beta)
+        if real.gamma is not None:
+            assert 0 < real.gamma.mean() < 1
+            np.testing.assert_array_equal(real.gamma, gamma)
+
+    @pytest.mark.parametrize(
         "make_data", [random_dataset, duplicated_dataset, correlated_dataset], ids=["random", "duplicated", "correlated"]
     )
     def test_ss_draws_match_cholesky_reference(self, monkeypatch, make_data):
@@ -636,7 +726,11 @@ class TestRunChain:
         data = make_data(84, n=40, p=4)
         config = GibbsConfig(n_draws=60, burn_in=10, n_chains=2, seed=7)
         real = run_chain(data, SpikeSlabPrior(), config)
-        monkeypatch.setattr("bowl.gibbs.draw_gamma_and_beta_ss", cholesky_ss_reference)
+        prior = resolve_prior(SpikeSlabPrior(), data.features)
+        monkeypatch.setattr(
+            "bowl.gibbs.draw_gamma_and_beta_ss",
+            lambda state, kernel, rng: cholesky_ss_reference(state, kernel.data, prior, rng),
+        )
         ref = run_chain(data, SpikeSlabPrior(), config)
         assert 0 < real.gamma.mean() < 1  # the sweeps both add and drop coordinates
         np.testing.assert_array_equal(real.beta, ref.beta)
@@ -667,6 +761,7 @@ class TestRunChain:
         with pytest.raises(GibbsNumericalError, match="chain 0, iteration 1: non-positive") as exc:
             run_chain(data, prior, config)
         assert (exc.value.chain, exc.value.iteration) == (0, 1)
+        assert "np.float64" not in str(exc.value)
 
     def test_nonfinite_beta_raises(self, monkeypatch):
         data = random_dataset(70)
@@ -780,10 +875,10 @@ class TestConditionalsMatchJoint:
         suff = build_suffstats(state.lam, data)
         normal, ep = NormalPrior(mu0=0.3, sigma0_sq=1.5), ExponentialPowerPrior(nu=0.8, sigma_j=sigma)
         ss = SpikeSlabPrior(nu=0.8, pi_incl=0.9, sigma_j=sigma)
-        draw_beta_normal(suff, normal, rng)
-        draw_beta_ep(suff, state.omega, ep, rng)
+        draw_beta_normal(suff, *normal_terms(normal, data.p), rng)
+        draw_beta_ep(suff, state.omega, ep.nu**2 * ep.sigma_j**2, rng)
         ss_state = ChainState(state.beta, state.lam, gamma=np.ones(data.p, dtype=np.int8))
-        gamma, _ = draw_gamma_and_beta_ss(ss_state, data, ss, rng)
+        gamma, _ = draw_gamma_and_beta_ss(ss_state, ss_kernel(data, ss), rng)
         active = gamma.astype(bool)
         assert active.any() and len(calls) == 3
         ss_betas = np.where(active, betas, 0.0)
@@ -810,7 +905,7 @@ class TestConditionalsMatchJoint:
         data, sigma, state, rng = self.random_state(seed)
         prior = ExponentialPowerPrior(nu=0.8, sigma_j=sigma)
         calls = self.capture(monkeypatch, "_invgauss_draw")
-        draw_omega(state.beta, prior, rng)
+        draw_omega(state.beta, prior.nu * prior.sigma_j, rng)
         ((mu, shape, _),) = calls
         values = rng.uniform(0.3, 3.0, size=(2, data.p))
         v1, v2 = (sum(log_density_gig_half(o, shape, shape / m**2) for o, m in zip(v, mu)) for v in values)
