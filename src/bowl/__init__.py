@@ -25,7 +25,7 @@ from .gibbs import (
     run_chain,
 )
 from .prediction import certainty_grid, coefficient_magnitudes, recommend
-from .owl import fit_owl_linear
+from .owl import fit_owl_linear, owl_problem
 from .simulate import (
     ExperimentResult,
     ScenarioSpec,

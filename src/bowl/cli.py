@@ -30,7 +30,7 @@ from .pseudo_model import (
     load_dataset_csv,
     read_numeric_csv,
 )
-from .simulate import ScenarioSpec, run_experiment, uncertainty_study
+from .simulate import METHODS, ScenarioSpec, run_experiment, uncertainty_study
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -341,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_rep.add_argument("--n", type=int, nargs="+", default=[100, 200, 400, 800],
                        help="training sizes")
     p_rep.add_argument("--reps", type=int, default=200)
-    p_rep.add_argument("--methods", default="owl,bowl-normal,bowl-ep,bowl-ss")
+    p_rep.add_argument("--methods", default=",".join(METHODS))
     p_rep.add_argument("--heatmap-n", dest="heatmap_n", type=int, default=1000)
     p_rep.add_argument("--grid-res", dest="grid_res", type=int, default=33)
     p_rep.set_defaults(func=cmd_reproduce)

@@ -18,7 +18,7 @@ def _ess_one_chain(x: np.ndarray) -> float:
     rho = acov / acov[0]
     tail = 0.0
     for m in range(1, n // 2):
-        pair = rho[2 * m - 1] + rho[2 * m] if 2 * m < n else rho[2 * m - 1]
+        pair = rho[2 * m - 1] + rho[2 * m]  # 2m <= n - 2, as m < n // 2
         if pair < 0:
             break
         tail += pair

@@ -127,8 +127,8 @@ def draw_lambda(
     return _gig_half_draw_vec(1.0, chi, rng)
 
 
-def _canonical_rank(data: Dataset) -> np.ndarray:
-    """Dense rank of each row in lexicographic (x_1..x_p, a, r) order.
+def _canonical_order(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
+    """Rows in lexicographic (x_1..x_p, a, r) order, stable, and their dense ranks in that order.
 
     Exact duplicates share a rank; -0.0 equals 0.0, as in np.lexsort.
     """
@@ -136,14 +136,12 @@ def _canonical_rank(data: Dataset) -> np.ndarray:
     rows = np.column_stack((data.features, data.actions, data.rewards))[order]
     starts_group = np.ones(data.n, dtype=bool)
     starts_group[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    rank = np.empty(data.n, dtype=np.int64)
-    rank[order] = np.cumsum(starts_group)
-    return rank
+    return order, np.cumsum(starts_group)
 
 
 @dataclass(frozen=True)
 class CanonicalRows:
-    """A dataset's rows gathered once in canonical order (`_canonical_rank`).
+    """A dataset's rows gathered once in canonical order (`_canonical_order`).
 
     Without exact-duplicate rows the order is the same for every `lam`, so
     a sweep only gathers `lam`. `tied_rank` (the canonical ranks in that
@@ -160,9 +158,7 @@ class CanonicalRows:
 
     @classmethod
     def of(cls, data: Dataset) -> CanonicalRows:
-        rank = _canonical_rank(data)
-        order = np.argsort(rank, kind="stable")
-        rank = rank[order]
+        order, rank = _canonical_order(data)
         tied = data.n > 0 and rank[-1] < data.n
         w = owl_weights(data)[order]
         return cls(order, rank if tied else None, data.features[order], data.actions[order], w, w**2)
@@ -222,8 +218,9 @@ def draw_beta_ep(
 def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
     """omega_j = 1 / u_j with u_j ~ IG(nu_sigma_j / |beta_j|, 1), where nu_sigma = nu sigma_j.
 
-    Coordinates with beta_j numerically zero fall back to the prior,
-    an Exponential with mean 2.
+    That is the exact conditional GIG(1/2, 1, beta_j^2 / nu_sigma_j^2).
+    Coordinates with beta_j numerically zero take its beta_j = 0 limit,
+    Gamma(1/2, rate 1/2) with mean 1.
     """
     beta = np.asarray(beta, dtype=float).ravel()
     abs_beta = np.abs(beta)
@@ -231,7 +228,7 @@ def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rng: np.random.Generator)
     if not degenerate.any():
         return 1.0 / _invgauss_draw(nu_sigma / abs_beta, 1.0, rng)
     out = np.empty_like(beta)
-    out[degenerate] = rng.exponential(2.0, size=int(degenerate.sum()))
+    out[degenerate] = rng.gamma(0.5, 2.0, size=int(degenerate.sum()))
     proper = ~degenerate
     if proper.any():
         mu = nu_sigma[proper] / abs_beta[proper]

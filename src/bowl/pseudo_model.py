@@ -141,8 +141,7 @@ class NormalPrior:
             raise ValueError("sigma0_sq must be positive")
 
     def mu0_vector(self, p: int) -> np.ndarray:
-        mu0 = np.asarray(self.mu0, dtype=float)
-        return np.full(p, float(mu0)) if mu0.ndim == 0 else mu0
+        return _prior_vector(self, "mu0", p)
 
 
 @dataclass(frozen=True)
@@ -190,11 +189,30 @@ def feature_scales(features: np.ndarray) -> np.ndarray:
     return np.where(sd > 0, sd, 1.0)
 
 
+def _prior_vector(prior: PriorSpec, name: str, p: int) -> np.ndarray:
+    """The prior's field `name` as a length-p vector: a scalar broadcasts, any other shape raises."""
+    value = np.asarray(getattr(prior, name), dtype=float)
+    if value.ndim == 0:
+        return np.full(p, float(value))
+    if value.shape != (p,):
+        raise ValueError(f"{type(prior).__name__}.{name} has shape {value.shape}, "
+                         f"need a scalar or length p = {p}")
+    return value
+
+
 def resolve_prior(prior: PriorSpec, features: np.ndarray) -> PriorSpec:
-    """Fill in a shrinkage prior's sigma_j from the training features if not already set."""
-    if isinstance(prior, NormalPrior) or prior.sigma_j is not None:
+    """Check the prior against the p feature columns, before any chain starts.
+
+    A shrinkage prior's sigma_j is filled in from the training features if
+    not set, or else broadcast to length p; the normal prior's mu0 is only
+    checked. A prior vector of any other shape raises ValueError.
+    """
+    p = features.shape[1]
+    if isinstance(prior, NormalPrior):
+        prior.mu0_vector(p)
         return prior
-    return replace(prior, sigma_j=feature_scales(features))
+    sigma_j = feature_scales(features) if prior.sigma_j is None else _prior_vector(prior, "sigma_j", p)
+    return replace(prior, sigma_j=sigma_j)
 
 
 def add_intercept(features: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .gibbs import GibbsConfig, GibbsNumericalError, PosteriorDraws, run_chain
-from .owl import fit_owl_linear, flipped_owl_dataset
+from .owl import fit_owl_linear, owl_problem
 from .pseudo_model import (
     Dataset,
     ExponentialPowerPrior,
@@ -129,17 +129,21 @@ def fit_bowl(data: Dataset, method: str, seed: int) -> PosteriorDraws:
     return run_chain(data, _BOWL_PRIORS[method](), GibbsConfig(seed=seed), intercept=True)
 
 
-def classify_with_method(method: str, train: Dataset, test_features: np.ndarray, seed: int) -> np.ndarray:
-    """Fit on train with an intercept, return recommended actions for the test features.
+def classify_with_method(method: str, features: np.ndarray, actions: np.ndarray, raw_rewards: np.ndarray,
+                         rho: float, test_features: np.ndarray, seed: int) -> np.ndarray:
+    """Fit on the raw training data with an intercept, return recommended actions for the test features.
 
-    Every method gives a linear rule, classified by one sign rule with ties
-    sent to +1: OWL's coefficients at its defaults, or a Bayesian fit's
-    posterior mean, matching how the point estimate is defined for the tables.
+    OWL fits the label-flip form of the raw rewards (`owl_problem`); the
+    Bayesian variants fit the positivity-shifted rewards, since their
+    pseudo-likelihood weights must be positive. Every method gives a linear
+    rule, classified by one sign rule with ties sent to +1: OWL's
+    coefficients, or a Bayesian fit's posterior mean, matching how the point
+    estimate is defined for the tables.
     """
     if method == "owl":
-        design = Dataset(add_intercept(train.features), train.actions, train.rewards, train.rho)
-        beta = fit_owl_linear(design, seed=seed)
+        beta = fit_owl_linear(*owl_problem(add_intercept(features), actions, raw_rewards, rho), seed)
     else:
+        train = Dataset(features, actions, reward_transform(raw_rewards)[0], rho)
         beta = fit_bowl(train, method, seed).posterior_mean()
     return np.where(add_intercept(test_features) @ beta >= 0.0, 1, -1)
 
@@ -162,24 +166,15 @@ class ExperimentResult:
 
 def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]]:
     spec, rep, methods = args
-    x_tr, a_tr, r_tr, _ = generate_scenario_raw(
-        spec, rep, substream(spec.seed, rep, 0), n_obs=spec.n_train
-    )
-    x_te, _, _, truth = generate_scenario_raw(
-        spec, rep, substream(spec.seed, rep, 1), n_obs=spec.n_test
-    )
-    shifted_rewards, _ = reward_transform(r_tr)
-    bowl_train = Dataset(x_tr, a_tr, shifted_rewards, spec.rho)
+    x_tr, a_tr, r_tr, _ = generate_scenario_raw(spec, rep, substream(spec.seed, rep, 0), n_obs=spec.n_train)
+    x_te, _, _, truth = generate_scenario_raw(spec, rep, substream(spec.seed, rep, 1), n_obs=spec.n_test)
 
     rates: dict[str, float] = {}
     failures: list[tuple[str, int, str]] = []
     for m_idx, method in enumerate(methods):
-        # The Bayesian variants need the positivity shift (the pseudo-
-        # likelihood weights must be positive); the frequentist baseline
-        # keeps raw-scale weights via the label-flip representation.
-        train = flipped_owl_dataset(x_tr, a_tr, r_tr, spec.rho) if method == "owl" else bowl_train
+        seed = _fit_seed(spec.seed, rep, m_idx)
         try:
-            predicted = classify_with_method(method, train, x_te, seed=_fit_seed(spec.seed, rep, m_idx))
+            predicted = classify_with_method(method, x_tr, a_tr, r_tr, spec.rho, x_te, seed)
             rates[method] = misclassification_rate(predicted, truth)
         except GibbsNumericalError as exc:
             rates[method] = float("nan")

@@ -26,7 +26,7 @@ from bowl.gibbs import (
     GibbsNumericalError,
     SpikeSlabKernel,
     SuffStats,
-    _canonical_rank,
+    _canonical_order,
     _gaussian_from_natural,
     build_suffstats,
     draw_beta_ep,
@@ -186,7 +186,7 @@ def reference_chain(data, prior, config):
                 zero = np.abs(beta) < BETA_ZERO_TOL
                 omega = np.empty(p)
                 if zero.any():
-                    omega[zero] = rng.exponential(2.0, size=int(zero.sum()))
+                    omega[zero] = rng.gamma(0.5, 2.0, size=int(zero.sum()))
                 if (~zero).any():
                     omega[~zero] = reference_reciprocal_ig(prior.nu * prior.sigma_j[~zero] / np.abs(beta[~zero]), rng)
             if isinstance(prior, SpikeSlabPrior):
@@ -282,7 +282,9 @@ class TestBuildSuffstats:
             np.array([1.0, 1.0, 1.0, 1.0, 1.0]),
             0.5,
         )
-        np.testing.assert_array_equal(_canonical_rank(data), [3, 3, 2, 4, 1])
+        order, rank = _canonical_order(data)
+        np.testing.assert_array_equal(order, [4, 2, 0, 1, 3])
+        np.testing.assert_array_equal(rank, [1, 2, 3, 3, 4])
 
     def test_rejects_nonpositive_lambda(self):
         data = random_dataset(39)
@@ -386,13 +388,13 @@ class TestDrawOmega:
         se = recip.std(ddof=1) / math.sqrt(recip.size)
         assert abs(recip.mean() - 1.0) < 3 * se
 
-    def test_zero_beta_falls_back_to_prior(self):
+    def test_zero_beta_takes_the_conditional_limit(self):
         prior = ExponentialPowerPrior(nu=0.8, sigma_j=np.ones(1))
         rng = substream(53)
         draws = np.array([draw_omega(np.zeros(1), prior.nu * prior.sigma_j, rng)[0] for _ in range(N // 2)])
-        # Exponential with mean 2 (variance 4).
-        se = math.sqrt(4.0 / (N // 2))
-        assert abs(draws.mean() - 2.0) < 3 * se
+        # GIG(1/2, 1, 0) = Gamma(1/2, rate 1/2): mean 1, variance 2.
+        se = math.sqrt(2.0 / (N // 2))
+        assert abs(draws.mean() - 1.0) < 3 * se
 
     def test_reciprocal_mean_half(self):
         prior = ExponentialPowerPrior(nu=1.0, sigma_j=np.ones(1))
@@ -826,6 +828,26 @@ class TestRunChain:
             [sys.executable, "-O", "-c", script], env=env, capture_output=True, text=True, timeout=120
         )
         assert result.returncode == 0 and result.stdout.strip() == "ok", result.stderr + result.stdout
+
+    @pytest.mark.parametrize(
+        "prior, name",
+        [(NormalPrior(mu0=np.zeros(2)), "mu0"), (ExponentialPowerPrior(sigma_j=np.ones(4)), "sigma_j"),
+         (SpikeSlabPrior(sigma_j=np.ones((3, 1))), "sigma_j")],
+        ids=["normal", "ep", "ss"],
+    )
+    def test_wrong_prior_shape_rejected_before_any_chain(self, monkeypatch, prior, name):
+        data = random_dataset(66)  # p = 3
+        monkeypatch.setattr(bowl.gibbs, "_run_single_chain", lambda *args: pytest.fail("a chain started"))
+        with pytest.raises(ValueError, match=rf"\.{name} has shape .*length p = 3"):
+            run_chain(data, prior, GibbsConfig(n_draws=5, burn_in=0))
+
+    def test_scalar_ss_sigma_broadcasts(self):
+        data = random_dataset(67)
+        config = GibbsConfig(n_draws=30, burn_in=5, seed=4)
+        scalar = run_chain(data, SpikeSlabPrior(sigma_j=np.float64(0.7)), config)
+        vector = run_chain(data, SpikeSlabPrior(sigma_j=np.full(data.p, 0.7)), config)
+        np.testing.assert_array_equal(scalar.beta, vector.beta)
+        np.testing.assert_array_equal(scalar.gamma, vector.gamma)
 
 
 class TestConditionalsMatchJoint:

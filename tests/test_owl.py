@@ -1,15 +1,20 @@
 import numpy as np
 import pytest
 
-from bowl.owl import fit_owl_linear, flipped_owl_dataset
+from bowl.owl import REG_STRENGTH, fit_owl_linear, owl_problem
 from bowl.pseudo_model import Dataset, owl_weights
 from bowl.rng import substream
 from tests.test_pseudo_model import owl_objective
 
 
-def regularized_objective(beta, data, reg):
-    """The fit's own objective: mean weighted hinge plus (reg/2)||beta||^2."""
-    return owl_objective(beta, data) + 0.5 * reg * float(beta @ beta)
+def regularized_objective(beta, data):
+    """The fit's own objective: mean weighted hinge plus (REG_STRENGTH/2)||beta||^2."""
+    return owl_objective(beta, data) + 0.5 * REG_STRENGTH * float(beta @ beta)
+
+
+def fit(data, seed):
+    """fit_owl_linear on a Dataset's positive-reward problem: labels a, weights owl_weights."""
+    return fit_owl_linear(data.features, data.actions, owl_weights(data), seed)
 
 
 def random_dataset(seed, n=12, p=2, rho=0.5):
@@ -22,7 +27,7 @@ def random_dataset(seed, n=12, p=2, rho=0.5):
     )
 
 
-def grid_min_objective(data, reg, lo=-2.0, hi=2.0, step=0.05):
+def grid_min_objective(data, lo=-2.0, hi=2.0, step=0.05):
     """Exhaustive search over the 2-d coefficient grid."""
     grid = np.arange(lo, hi + step / 2, step)
     w = owl_weights(data)
@@ -31,7 +36,7 @@ def grid_min_objective(data, reg, lo=-2.0, hi=2.0, step=0.05):
         for b2 in grid:
             beta = np.array([b1, b2])
             hinge = np.maximum(1.0 - data.actions * (data.features @ beta), 0.0)
-            val = float(np.mean(w * hinge) + 0.5 * reg * (beta @ beta))
+            val = float(np.mean(w * hinge) + 0.5 * REG_STRENGTH * (beta @ beta))
             best = min(best, val)
     return best
 
@@ -44,69 +49,62 @@ class TestFitOwlLinear:
             rewards=np.array([2.0, 2.0]),
             rho=0.5,
         )
-        beta = fit_owl_linear(data, reg_strength=1e-3, epochs=200, seed=0)
+        beta = fit(data, seed=0)
         assert beta[0] > 0
-        assert regularized_objective(beta, data, 1e-3) < 0.1
+        assert regularized_objective(beta, data) < 0.1
 
     def test_within_two_percent_of_grid_search(self):
         for seed in range(10):
             data = random_dataset(seed)
-            beta = fit_owl_linear(data, reg_strength=1e-3, epochs=400, seed=seed)
-            achieved = regularized_objective(beta, data, 1e-3)
-            best = grid_min_objective(data, 1e-3)
+            achieved = regularized_objective(fit(data, seed), data)
+            best = grid_min_objective(data)
             assert achieved <= 1.02 * best + 1e-9, f"seed {seed}: {achieved} vs grid {best}"
 
     def test_objective_no_worse_than_zero_vector(self):
         for seed in range(5):
             data = random_dataset(100 + seed, n=30, p=4)
-            beta = fit_owl_linear(data, reg_strength=1e-3, epochs=100, seed=seed)
-            w = owl_weights(data)
-            at_zero = float(np.mean(w * np.ones(data.n)))
-            assert regularized_objective(beta, data, 1e-3) <= at_zero
+            beta = fit(data, seed)
+            at_zero = float(np.mean(owl_weights(data) * np.ones(data.n)))
+            assert regularized_objective(beta, data) <= at_zero
 
     def test_deterministic(self):
         data = random_dataset(8)
-        a = fit_owl_linear(data, epochs=20, seed=3)
-        b = fit_owl_linear(data, epochs=20, seed=3)
-        np.testing.assert_array_equal(a, b)
-
-    def test_input_validation(self):
-        data = random_dataset(9)
-        with pytest.raises(ValueError):
-            fit_owl_linear(data, epochs=0)
-        with pytest.raises(ValueError):
-            fit_owl_linear(data, reg_strength=-1.0)
+        np.testing.assert_array_equal(fit(data, seed=3), fit(data, seed=3))
 
 
 class TestFlippedOwlDataset:
+    """owl_problem: the label-flip form of raw rewards."""
+
     def test_negative_rewards_flip_labels(self):
-        data = flipped_owl_dataset(
+        x, labels, weights = owl_problem(
             np.array([[1.0], [2.0], [3.0]]),
             np.array([1.0, -1.0, 1.0]),
             np.array([2.0, -1.5, 0.0]),
             0.5,
         )
         # zero-reward row dropped, negative reward flips the action
-        assert data.n == 2
-        np.testing.assert_allclose(data.actions, [1.0, 1.0])
-        np.testing.assert_allclose(data.rewards, [2.0, 1.5])
+        np.testing.assert_array_equal(x, [[1.0], [2.0]])
+        np.testing.assert_allclose(labels, [1.0, 1.0])
+        np.testing.assert_allclose(weights, [2.0 / 0.5, 1.5 / 0.5])
 
     def test_zero_one_loss_equivalence(self):
-        # The flipped representation preserves the weighted zero-one loss
-        # up to a beta-free constant: differences between rules match.
-        rng = substream(12)
-        x = rng.uniform(-1, 1, size=(60, 2))
-        a = np.where(rng.uniform(size=60) < 0.5, 1.0, -1.0)
-        r = rng.normal(size=60)
-        flipped = flipped_owl_dataset(x, a, r, 0.5)
+        # The flipped problem preserves the weighted zero-one loss up to a
+        # beta-free constant: differences between rules match. Off rho = 0.5
+        # this needs the received action's propensity in the flipped weights.
+        for rho in (0.5, 0.3):
+            rng = substream(12)
+            x = rng.uniform(-1, 1, size=(60, 2))
+            a = np.where(rng.uniform(size=60) < rho, 1.0, -1.0)
+            r = rng.normal(size=60)
+            flip_x, labels, weights = owl_problem(x, a, r, rho)
 
-        def raw_loss(beta):
-            pred = np.where(x @ beta >= 0, 1.0, -1.0)
-            return float(np.sum((r / 0.5) * (a != pred)))
+            def raw_loss(beta):
+                pred = np.where(x @ beta >= 0, 1.0, -1.0)
+                return float(np.sum((r / np.where(a == 1.0, rho, 1.0 - rho)) * (a != pred)))
 
-        def flip_loss(beta):
-            pred = np.where(flipped.features @ beta >= 0, 1.0, -1.0)
-            return float(np.sum(owl_weights(flipped) * (flipped.actions != pred)))
+            def flip_loss(beta):
+                pred = np.where(flip_x @ beta >= 0, 1.0, -1.0)
+                return float(np.sum(weights * (labels != pred)))
 
-        b1, b2 = rng.normal(size=2), rng.normal(size=2)
-        assert raw_loss(b1) - raw_loss(b2) == pytest.approx(flip_loss(b1) - flip_loss(b2), abs=1e-9)
+            b1, b2 = rng.normal(size=2), rng.normal(size=2)
+            assert raw_loss(b1) - raw_loss(b2) == pytest.approx(flip_loss(b1) - flip_loss(b2), abs=1e-9)

@@ -5,7 +5,7 @@ import pytest
 
 import bowl.simulate
 from bowl.gibbs import GibbsConfig, PosteriorDraws
-from bowl.pseudo_model import Dataset, ExponentialPowerPrior, NormalPrior, SpikeSlabPrior
+from bowl.pseudo_model import ExponentialPowerPrior, NormalPrior, SpikeSlabPrior
 from bowl.rng import substream
 from bowl.simulate import (
     METHODS,
@@ -166,10 +166,9 @@ def classify_with(request, monkeypatch):
     method = request.param
 
     def classify(beta, x):
-        monkeypatch.setattr(bowl.simulate, "fit_owl_linear", lambda data, seed: beta)
+        monkeypatch.setattr(bowl.simulate, "fit_owl_linear", lambda x, labels, weights, seed: beta)
         monkeypatch.setattr(bowl.simulate, "fit_bowl", lambda *args: PosteriorDraws(beta[None, None]))
-        train = Dataset(np.zeros((2, len(beta) - 1)), [1.0, -1.0], [1.0, 1.0], 0.5)
-        return classify_with_method(method, train, x, seed=0)
+        return classify_with_method(method, np.zeros((2, len(beta) - 1)), [1.0, -1.0], [1.0, -1.0], 0.5, x, 0)
 
     return classify
 
@@ -230,7 +229,7 @@ class TestStudySettings:
         assert all(c["intercept"] is True for c in chains)
         # run_chain prepends the constant column itself; OWL is handed its design.
         assert all(c["data"].p == spec.p for c in chains)
-        assert all(o.keys() == {"data", "seed"} for o in owls)
+        assert all(o.keys() == {"x", "labels", "weights", "seed"} for o in owls)
         assert [o["seed"] for o in owls] == [_fit_seed(3, rep, 0) for rep in range(2)]
         for fit in owls:
-            assert np.all(fit["data"].features[:, 0] == 1.0) and fit["data"].p == spec.p + 1
+            assert np.all(fit["x"][:, 0] == 1.0) and fit["x"].shape == (spec.n_train, spec.p + 1)
