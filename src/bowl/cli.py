@@ -21,7 +21,7 @@ import numpy as np
 from . import verify as verify_checks
 from .diagnostics import effective_sample_size, split_rhat
 from .gibbs import GibbsConfig, GibbsNumericalError, PosteriorDraws, run_chain
-from .prediction import certainty_grid, coefficient_magnitudes, recommend
+from .prediction import certainty_grid, check_grid_resolution, coefficient_magnitudes, recommend
 from .pseudo_model import (
     DataError,
     ExponentialPowerPrior,
@@ -239,20 +239,20 @@ def cmd_reproduce(args) -> int:
         "grid_res": args.grid_res,
     }
 
+    # Every input is checked before the first fit, the heatmap fit's included.
+    specs = [ScenarioSpec(args.scenario, n_train, n_reps=args.reps, seed=args.seed) for n_train in args.n]
+    ScenarioSpec(args.scenario, args.heatmap_n, seed=args.seed)
+    check_grid_resolution(args.grid_res)
+
     table_rows = []
     raw_rows = []
-    for n_train in args.n:
-        spec = ScenarioSpec(
-            scenario_id=args.scenario, n_train=n_train, n_reps=args.reps, seed=args.seed
-        )
+    for n_train, spec in zip(args.n, specs):
         result = run_experiment(spec, methods, jobs=args.jobs)
         for method, rep, message in result.failures:
             print(f"warning: {method} (n={n_train}) rep {rep} failed and is left out of its rate: "
                   f"{message}", file=sys.stderr)
         for cell in result.cells:
-            table_rows.append(
-                [cell.method, args.scenario, n_train, cell.mean_rate, cell.mc_se, cell.n_reps_ok]
-            )
+            table_rows.append([cell.method, args.scenario, n_train, cell.mean_rate, cell.mc_se, cell.n_reps_ok])
             for rep, rate in enumerate(cell.rates.tolist()):
                 raw_rows.append([cell.method, args.scenario, n_train, rep, rate])
     _atomic_write(

@@ -41,7 +41,7 @@ def split_rhat(chains: np.ndarray) -> float:
     seg_means = segments.mean(axis=1)
     within = float(np.mean(segments.var(axis=1, ddof=1)))
     between = half * float(np.var(seg_means, ddof=1))
-    if within == 0.0:
-        return 1.0
+    if within == 0.0:  # constant segments: converged only if they all agree
+        return float("inf") if between > 0.0 else 1.0
     var_plus = (half - 1) / half * within + between / half
     return float(np.sqrt(var_plus / within))

@@ -8,12 +8,34 @@ own Generator.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
-from scipy.linalg import LinAlgError, lapack
+from numpy.linalg import LinAlgError, _umath_linalg
+from scipy.linalg import lapack
 
 # Below this, the inverse-Gaussian mean 1/sqrt(chi) is so large that the
 # half-order GIG is indistinguishable from its chi=0 Gamma limit.
 CHI_DEGENERATE = 1e-12
+
+
+def _all_true(mask: np.ndarray) -> bool:
+    """mask.all(), without numpy's Python-level reduction wrapper."""
+    return np.count_nonzero(mask) == mask.size
+
+
+@np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
+def _lapack(gufunc, message: str, *operands) -> np.ndarray:
+    """An np.linalg LAPACK gufunc minus np.linalg's wrapper; its failure flag raises numpy's LinAlgError."""
+    try:
+        return gufunc(*operands)
+    except FloatingPointError:
+        raise LinAlgError(message) from None
+
+
+# np.linalg.cholesky(a) and np.linalg.solve(a, b) for a float p x p `a` and length-p `b`.
+cholesky = partial(_lapack, _umath_linalg.cholesky_lo, "Matrix is not positive definite")
+solve = partial(_lapack, _umath_linalg.solve1, "Singular matrix")
 
 
 class MvnParams:
@@ -29,14 +51,14 @@ class MvnParams:
         precision = np.asarray(precision, dtype=float)
         if mean.ndim != 1 or precision.shape != (mean.size, mean.size):
             raise ValueError("mean must be length-p and precision p x p")
-        if not (np.isfinite(mean).all() and np.isfinite(precision).all()):
+        if not (_all_true(np.isfinite(mean)) and _all_true(np.isfinite(precision))):
             raise ValueError("mean and precision must be finite")
         # Exact symmetry, else np.allclose(precision, precision.T)'s rule at a third of its cost.
         t = precision.T
-        if not ((precision == t).all() or (np.abs(precision - t) <= 1e-8 + 1e-5 * np.abs(t)).all()):
+        if not (_all_true(precision == t) or _all_true(np.abs(precision - t) <= 1e-8 + 1e-5 * np.abs(t))):
             raise ValueError("precision matrix must be symmetric")
         self.mean = mean
-        self.chol_lower = np.linalg.cholesky(precision)
+        self.chol_lower = cholesky(precision)
 
 
 def _invgauss_draw(mu, lambda_shape, rng: np.random.Generator):
@@ -66,16 +88,14 @@ def _gig_half_draw_vec(psi: float, chi: np.ndarray, rng: np.random.Generator) ->
     if not (psi > 0):
         raise ValueError(f"psi must be positive, got {psi}")
     degenerate = chi < CHI_DEGENERATE
-    if not degenerate.any():
+    if not np.count_nonzero(degenerate):
         return 1.0 / _invgauss_draw(np.sqrt(psi / chi), psi, rng)
-    if (chi < 0).any():  # a negative chi is below the cutoff, so it is caught before any draw
+    if np.count_nonzero(chi < 0):  # a negative chi is below the cutoff, so it is caught before any draw
         raise ValueError("chi must be nonnegative")
     out = np.empty_like(chi)
     out[degenerate] = rng.gamma(0.5, 2.0 / psi, size=int(degenerate.sum()))
-    proper = ~degenerate
-    if proper.any():
-        mu = np.sqrt(psi / chi[proper])
-        out[proper] = 1.0 / _invgauss_draw(mu, psi, rng)
+    proper = ~degenerate  # may be empty: a size-0 draw takes nothing from the stream
+    out[proper] = 1.0 / _invgauss_draw(np.sqrt(psi / chi[proper]), psi, rng)
     return out
 
 
@@ -88,7 +108,7 @@ def sample_mvn(params: MvnParams, rng: np.random.Generator) -> np.ndarray:
     """
     chol = params.chol_lower
     z = rng.standard_normal(params.mean.size)
-    if not (np.isfinite(chol).all() and np.isfinite(z).all()):
+    if not (_all_true(np.isfinite(chol)) and _all_true(np.isfinite(z))):
         raise ValueError("Cholesky factor and noise must be finite")
     x, info = lapack.dtrtrs(chol.T, z, lower=0, trans=0)
     if info != 0:

@@ -22,7 +22,7 @@ from functools import partial
 import numpy as np
 from scipy.linalg import lapack
 
-from .distributions import MvnParams, _gig_half_draw_vec, _invgauss_draw, sample_mvn
+from .distributions import MvnParams, _all_true, _gig_half_draw_vec, _invgauss_draw, cholesky, sample_mvn, solve
 from .pseudo_model import (
     Dataset,
     ExponentialPowerPrior,
@@ -119,10 +119,10 @@ def draw_lambda(
     A chain passes the weights in, computed once.
     """
     beta = np.asarray(beta, dtype=float)
-    if not np.isfinite(beta).all():
+    if not _all_true(np.isfinite(beta)):
         raise ValueError("beta must be finite")
     w = owl_weights(data) if weights is None else weights
-    margins = 1.0 - data.actions * (data.features @ beta)
+    margins = 1.0 - data.actions * data.features.dot(beta)
     chi = (w * margins) ** 2
     return _gig_half_draw_vec(1.0, chi, rng)
 
@@ -152,6 +152,7 @@ class CanonicalRows:
     order: np.ndarray
     tied_rank: np.ndarray | None
     x: np.ndarray
+    xt: np.ndarray  # a C-contiguous x.T: the Gram product scales it faster than x, with the same bits
     a: np.ndarray
     w: np.ndarray
     w_sq: np.ndarray
@@ -160,8 +161,8 @@ class CanonicalRows:
     def of(cls, data: Dataset) -> CanonicalRows:
         order, rank = _canonical_order(data)
         tied = data.n > 0 and rank[-1] < data.n
-        w = owl_weights(data)[order]
-        return cls(order, rank if tied else None, data.features[order], data.actions[order], w, w**2)
+        w, x = owl_weights(data)[order], data.features[order]
+        return cls(order, rank if tied else None, x, np.ascontiguousarray(x.T), data.actions[order], w, w**2)
 
 
 def build_suffstats(lam: np.ndarray, data: Dataset, rows: CanonicalRows | None = None) -> SuffStats:
@@ -177,23 +178,23 @@ def build_suffstats(lam: np.ndarray, data: Dataset, rows: CanonicalRows | None =
         raise ValueError(f"lam has length {lam.size}, expected {data.n}")
     if data.n == 0:
         return SuffStats(np.zeros((data.p, data.p)), np.zeros(data.p))
-    if not (lam > 0).all():
+    if not _all_true(lam > 0):
         raise ValueError("lam must be strictly positive")
 
     rows = CanonicalRows.of(data) if rows is None else rows
-    lam_o, x, a, w, w_sq = lam[rows.order], rows.x, rows.a, rows.w, rows.w_sq
+    lam_o, x, xt, a, w, w_sq = lam[rows.order], rows.x, rows.xt, rows.a, rows.w, rows.w_sq
     if rows.tied_rank is not None:
-        tie_order = np.lexsort((lam_o, rows.tied_rank))
-        lam_o, x, a, w, w_sq = lam_o[tie_order], x[tie_order], a[tie_order], w[tie_order], w_sq[tie_order]
+        tie = np.lexsort((lam_o, rows.tied_rank))
+        lam_o, x, xt, a, w, w_sq = lam_o[tie], x[tie], xt[:, tie], a[tie], w[tie], w_sq[tie]
 
-    precision = x.T @ ((w_sq / lam_o)[:, None] * x)
+    precision = x.T @ (xt * (w_sq / lam_o)).T
     precision = 0.5 * (precision + precision.T)
     linear = x.T @ (w * (1.0 + w / lam_o) * a)
     return SuffStats(precision, linear)
 
 
 def _gaussian_from_natural(b_inv: np.ndarray, b_vec: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    params = MvnParams(np.linalg.solve(b_inv, b_vec), b_inv)
+    params = MvnParams(solve(b_inv, b_vec), b_inv)
     return sample_mvn(params, rng)
 
 
@@ -209,7 +210,7 @@ def draw_beta_ep(
 ) -> np.ndarray:
     """beta ~ N(B2 b2, B2), B2^{-1} = precision_data + diag(1/(slab_variance_j omega_j))."""
     omega = np.asarray(omega, dtype=float).ravel()
-    if not (omega > 0).all():
+    if not _all_true(omega > 0):
         raise ValueError("omega must be strictly positive")
     b_inv = suff.precision_data + np.diag(1.0 / (slab_variance * omega))
     return _gaussian_from_natural(b_inv, suff.linear_data, rng)
@@ -225,14 +226,12 @@ def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rng: np.random.Generator)
     beta = np.asarray(beta, dtype=float).ravel()
     abs_beta = np.abs(beta)
     degenerate = abs_beta < BETA_ZERO_TOL
-    if not degenerate.any():
+    if not np.count_nonzero(degenerate):
         return 1.0 / _invgauss_draw(nu_sigma / abs_beta, 1.0, rng)
     out = np.empty_like(beta)
     out[degenerate] = rng.gamma(0.5, 2.0, size=int(degenerate.sum()))
-    proper = ~degenerate
-    if proper.any():
-        mu = nu_sigma[proper] / abs_beta[proper]
-        out[proper] = 1.0 / _invgauss_draw(mu, 1.0, rng)
+    proper = ~degenerate  # may be empty: a size-0 draw takes nothing from the stream
+    out[proper] = 1.0 / _invgauss_draw(nu_sigma[proper] / abs_beta[proper], 1.0, rng)
     return out
 
 
@@ -242,7 +241,7 @@ def _active_inverse(a_mat: np.ndarray, active: np.ndarray) -> np.ndarray:
     idx = active.nonzero()[0]
     if idx.size > 0:
         rows = idx[:, None]
-        chol_inv = lapack.dtrtri(np.linalg.cholesky(a_mat[rows, idx]), lower=1)[0]
+        chol_inv = lapack.dtrtri(cholesky(a_mat[rows, idx]), lower=1)[0]
         m_inv[rows, idx] = chol_inv.T @ chol_inv
     return m_inv
 
@@ -255,11 +254,11 @@ def _inclusion_log_bf(a_mat, b_vec, m_inv, is_active: bool, prior_prec_j: float,
     """
     if is_active:
         s = float(1.0 / m_inv[j, j])
-        t = float(m_inv[j] @ b_vec) * s
+        t = float(m_inv[j].dot(b_vec)) * s
     else:
-        v = m_inv @ a_mat[j]  # A is exactly symmetric, so row j is column j
-        s = float(a_mat[j, j]) - float(a_mat[j] @ v)
-        t = float(b_vec[j]) - float(v @ b_vec)
+        v = m_inv.dot(a_mat[j])  # A is exactly symmetric, so row j is column j
+        s = float(a_mat[j, j]) - float(a_mat[j].dot(v))
+        t = float(b_vec[j]) - float(v.dot(b_vec))
     if not (0.0 < s < math.inf and math.isfinite(t)):
         raise ValueError(f"non-positive or non-finite Schur complement {s!r} at coordinate {j}")
     return 0.5 * (math.log(prior_prec_j) - math.log(s) + t * t / s)
@@ -372,11 +371,11 @@ def _run_single_chain(
         except (ValueError, FloatingPointError, OverflowError) as exc:  # LinAlgError is a ValueError
             raise GibbsNumericalError(str(exc), chain_index, g) from exc
 
-        if not np.isfinite(state.beta).all():
+        if not _all_true(np.isfinite(state.beta)):
             raise GibbsNumericalError("non-finite beta", chain_index, g)
-        if not (state.lam > 0).all():
+        if not _all_true(state.lam > 0):
             raise GibbsNumericalError("nonpositive lam", chain_index, g)
-        if state.omega is not None and not (state.omega > 0).all():
+        if state.omega is not None and not _all_true(state.omega > 0):
             raise GibbsNumericalError("nonpositive omega", chain_index, g)
 
         if g >= config.burn_in:

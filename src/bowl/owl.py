@@ -49,16 +49,17 @@ def fit_owl_linear(x: np.ndarray, labels: np.ndarray, weights: np.ndarray, seed:
     suffix_start = total_steps // 2
     beta = np.zeros(p)
     suffix_sum = np.zeros(p)
+    rows, labels, weights = list(x), labels.tolist(), weights.tolist()
     t = 0
     for _ in range(EPOCHS):
-        for i in rng.permutation(n):
+        for i in rng.permutation(n).tolist():
             t += 1
             eta = step0 / math.sqrt(t)
-            xi = x[i]
-            if 1.0 - labels[i] * (xi @ beta) > 0.0:
-                beta = (1.0 - eta * REG_STRENGTH) * beta + (eta * weights[i] * labels[i]) * xi
-            else:
-                beta = (1.0 - eta * REG_STRENGTH) * beta
+            xi = rows[i]
+            hinge_active = 1.0 - labels[i] * xi.dot(beta) > 0.0
+            beta *= 1.0 - eta * REG_STRENGTH  # in place, with the out-of-place update's bits
+            if hinge_active:
+                beta += (eta * weights[i] * labels[i]) * xi
             if t > suffix_start:
                 suffix_sum += beta
     return suffix_sum / (total_steps - suffix_start)

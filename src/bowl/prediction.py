@@ -46,6 +46,12 @@ def recommend(draws: PosteriorDraws, x: np.ndarray) -> tuple[np.ndarray, np.ndar
     return prob, np.where(prob >= 0.5, 1, -1), np.maximum(prob, 1.0 - prob)
 
 
+def check_grid_resolution(k: int) -> int:
+    if k < 2:
+        raise ValueError("grid resolution must be at least 2")
+    return k
+
+
 def certainty_grid(
     draws: PosteriorDraws, dims: tuple[int, int] = (0, 1), resolution: int = 33
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -55,9 +61,7 @@ def certainty_grid(
     at 0. Returns (node coordinates (k*k, 2), prob_plus, action, certainty),
     nodes in row-major order with the second grid dimension varying fastest.
     """
-    k = resolution
-    if k < 2:
-        raise ValueError("grid resolution must be at least 2")
+    k = check_grid_resolution(resolution)
     j1, j2 = dims
     n_raw = draws.beta.shape[-1] - draws.intercept
     if not (0 <= j1 < n_raw and 0 <= j2 < n_raw and j1 != j2):

@@ -14,11 +14,7 @@ def substream(seed: int, *key: int) -> np.random.Generator:
     depend on process/thread scheduling, so work items (chains, replications)
     can be farmed out in any order and still reproduce bit-for-bit.
     """
-    if key:
-        ss = np.random.SeedSequence(entropy=int(seed), spawn_key=tuple(int(k) for k in key))
-    else:
-        ss = np.random.SeedSequence(entropy=int(seed))
-    return np.random.default_rng(ss)
+    return np.random.default_rng(np.random.SeedSequence(int(seed), spawn_key=tuple(int(k) for k in key)))
 
 
 def ordered_map(fn, items, jobs: int) -> list:

@@ -307,6 +307,21 @@ class TestReproduce:
         assert "n_reps" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--n", "60", "--heatmap-n", "0"], "n_train, n_test and n_reps must be positive"),
+        (["--n", "60", "--grid-res", "1"], "grid resolution must be at least 2"),
+        (["--n", "60", "0"], "n_train, n_test and n_reps must be positive"),
+    ])
+    def test_bad_input_exits_2_before_any_fit(self, flags, message, tmp_path, capsys, monkeypatch):
+        def no_fit(*args, **kwargs):
+            raise AssertionError("a fit ran before every input was checked")
+
+        monkeypatch.setattr("bowl.cli.run_experiment", no_fit)
+        monkeypatch.setattr("bowl.cli.uncertainty_study", no_fit)
+        assert main(["reproduce", "--scenario", "1", "--reps", "1", *flags, "--out-dir", str(tmp_path)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
     def test_unknown_method_exit_2(self, tmp_path, capsys):
         assert main(["reproduce", "--scenario", "1", "--reps", "1",
                      "--methods", "qlearning", "--out-dir", str(tmp_path)]) == 2

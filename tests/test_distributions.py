@@ -11,9 +11,12 @@ from scipy.stats import invgauss, ks_2samp
 
 from bowl.distributions import (
     MvnParams,
+    _all_true,
     _gig_half_draw_vec,
     _invgauss_draw,
+    cholesky,
     sample_mvn,
+    solve,
 )
 from bowl.rng import substream
 
@@ -305,6 +308,47 @@ class TestMvn:
 
         with pytest.raises(ValueError, match="finite"):
             sample_mvn(MvnParams(np.zeros(3), np.eye(3)), InfNoise())
+
+
+class TestLinalgHelpers:
+    """`cholesky`, `solve` and `_all_true` are np.linalg.cholesky, np.linalg.solve and ndarray.all."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-6, 6))
+    def test_bit_identical_to_numpy(self, p, seed, log_scale):
+        rng = substream(seed)
+        a = rng.standard_normal((p, p)) * 10.0**log_scale
+        spd = a @ a.T + 1e-3 * np.eye(p)
+        general, b = rng.standard_normal((p, p)), rng.standard_normal(p)
+        np.testing.assert_array_equal(cholesky(spd), np.linalg.cholesky(spd))
+        np.testing.assert_array_equal(solve(spd, b), np.linalg.solve(spd, b))
+        np.testing.assert_array_equal(solve(general, b), np.linalg.solve(general, b))
+
+    @pytest.mark.parametrize("ours, numpys, operands, message", [
+        (cholesky, np.linalg.cholesky, (np.array([[1.0, 2.0], [2.0, 1.0]]),), "Matrix is not positive definite"),
+        (cholesky, np.linalg.cholesky, (-np.eye(3),), "Matrix is not positive definite"),
+        (solve, np.linalg.solve, (np.zeros((2, 2)), np.ones(2)), "Singular matrix"),
+        (solve, np.linalg.solve, (np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2)), "Singular matrix"),
+    ])
+    def test_failure_is_numpys_error_without_a_warning(self, ours, numpys, operands, message):
+        with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+            numpys(*operands)
+        before = np.geterr()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+                ours(*operands)
+            with np.errstate(all="raise"), pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
+                ours(*operands)
+        assert np.geterr() == before
+
+    @pytest.mark.parametrize("mask", [
+        np.zeros(0, dtype=bool), np.zeros((0, 3), dtype=bool), np.ones(5, dtype=bool),
+        np.array([True, False, True]), np.zeros(4, dtype=bool), np.ones((3, 3), dtype=bool),
+        np.array([[True, True], [True, False]]), np.bool_(True), np.bool_(False),
+    ])
+    def test_all_true_is_all(self, mask):
+        assert _all_true(mask) == bool(mask.all())
 
 
 class TestDeterminism:

@@ -956,3 +956,9 @@ class TestDiagnostics:
         a = substream(73).standard_normal((1, 1000))
         chains = np.vstack([a, a + 10.0])
         assert split_rhat(chains) > 2.0
+
+    def test_split_rhat_infinite_for_stuck_chains_at_different_values(self):
+        # No within-segment spread, but the segments disagree: not converged.
+        assert split_rhat([[1.0] * 6, [2.0] * 6]) == math.inf
+        assert split_rhat([[1.0] * 3 + [2.0] * 3]) == math.inf
+        assert split_rhat([[1.5] * 6, [1.5] * 6]) == 1.0

@@ -60,3 +60,24 @@ def test_process_pool_only_in_rng():
     pools = [p.name for p in sorted(SRC.glob("*.py")) if "ProcessPoolExecutor" in names(p.read_text())]
     assert pools == ["rng.py"]
     assert names("import concurrent.futures\nconcurrent.futures.ProcessPoolExecutor()\n") >= {"ProcessPoolExecutor"}
+
+
+def linalg_uses(source: str) -> set[str]:
+    """Names a module reaches through numpy.linalg: `np.linalg.X` or `from numpy.linalg import X`."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and node.module == "numpy.linalg":
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Attribute):
+            if node.value.attr == "linalg":
+                found.add(node.attr)
+    return found
+
+
+def test_numpys_lapack_gufuncs_only_in_distributions():
+    gufuncs = [p.name for p in sorted(SRC.glob("*.py")) if "_umath_linalg" in names(p.read_text())]
+    assert gufuncs == ["distributions.py"]
+    for module in ("distributions.py", "gibbs.py"):  # the sweep factors through distributions' helpers
+        assert not linalg_uses((SRC / module).read_text()) & {"solve", "cholesky"}, module
+    assert linalg_uses("import numpy as np\nnp.linalg.solve(a, b)\n") == {"solve"}
+    assert linalg_uses("from numpy.linalg import cholesky, LinAlgError\n") == {"cholesky", "LinAlgError"}

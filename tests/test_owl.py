@@ -1,8 +1,10 @@
+import math
+
 import numpy as np
 import pytest
 
-from bowl.owl import REG_STRENGTH, fit_owl_linear, owl_problem
-from bowl.pseudo_model import Dataset, owl_weights
+from bowl.owl import EPOCHS, REG_STRENGTH, fit_owl_linear, owl_problem
+from bowl.pseudo_model import Dataset, add_intercept, owl_weights
 from bowl.rng import substream
 from tests.test_pseudo_model import owl_objective
 
@@ -25,6 +27,33 @@ def random_dataset(seed, n=12, p=2, rho=0.5):
         rewards=rng.uniform(0.2, 4.0, size=n),
         rho=rho,
     )
+
+
+def reference_owl_fit(x, labels, weights, seed):
+    """fit_owl_linear's loop as it was before its step went in place, kept verbatim to pin its bits."""
+    rng = substream(seed)
+    n, p = x.shape
+    if n == 0:
+        return np.zeros(p)
+    step0 = 1.0 / (float(np.mean(weights * np.linalg.norm(x, axis=1))) + REG_STRENGTH)
+
+    total_steps = EPOCHS * n
+    suffix_start = total_steps // 2
+    beta = np.zeros(p)
+    suffix_sum = np.zeros(p)
+    t = 0
+    for _ in range(EPOCHS):
+        for i in rng.permutation(n):
+            t += 1
+            eta = step0 / math.sqrt(t)
+            xi = x[i]
+            if 1.0 - labels[i] * (xi @ beta) > 0.0:
+                beta = (1.0 - eta * REG_STRENGTH) * beta + (eta * weights[i] * labels[i]) * xi
+            else:
+                beta = (1.0 - eta * REG_STRENGTH) * beta
+            if t > suffix_start:
+                suffix_sum += beta
+    return suffix_sum / (total_steps - suffix_start)
 
 
 def grid_min_objective(data, lo=-2.0, hi=2.0, step=0.05):
@@ -70,6 +99,22 @@ class TestFitOwlLinear:
     def test_deterministic(self):
         data = random_dataset(8)
         np.testing.assert_array_equal(fit(data, seed=3), fit(data, seed=3))
+
+    @pytest.mark.parametrize("case", ["n100-p11-intercept", "negative-rewards-rho0.3", "n1", "n0"])
+    def test_bit_identical_to_reference_loop(self, case):
+        rng = substream(31)
+        if case == "n100-p11-intercept":
+            data = random_dataset(32, n=100, p=10)
+            problem = (add_intercept(data.features), data.actions, owl_weights(data))
+        elif case == "negative-rewards-rho0.3":
+            x = rng.uniform(-1, 1, size=(80, 3))
+            a = np.where(rng.uniform(size=80) < 0.3, 1.0, -1.0)
+            problem = owl_problem(add_intercept(x), a, rng.normal(size=80), 0.3)
+            assert np.any(problem[1] != a)  # some labels flipped
+        else:
+            n = int(case[1:])
+            problem = (rng.uniform(-1, 1, size=(n, 3)), np.ones(n), rng.uniform(0.5, 2.0, size=n))
+        np.testing.assert_array_equal(fit_owl_linear(*problem, seed=7), reference_owl_fit(*problem, seed=7))
 
 
 class TestFlippedOwlDataset:
