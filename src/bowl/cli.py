@@ -1,10 +1,10 @@
 """Command-line front end: fit, predict, reproduce, verify.
 
-Exit codes: 0 ok, 1 verification failure, 2 input error, 3 numerical
-failure. Artifact files are written to a temp file and renamed into
-place, so a failing run never leaves partial output; every artifact
-embeds the configuration and seed that produced it in a leading
-`# config=` comment line.
+Exit codes: 0 ok, 1 verification failure, 2 input or OS error, 3
+numerical failure. Artifact files are written to a temp file and
+renamed into place, so a failing run never leaves partial output; every
+artifact embeds the configuration and seed that produced it in a
+leading `# config=` comment line.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from pathlib import Path
 
 import numpy as np
 
-from . import verify as verify_checks
 from .diagnostics import effective_sample_size, split_rhat
 from .gibbs import GibbsConfig, GibbsNumericalError, PosteriorDraws, run_chain
 from .prediction import certainty_grid, check_grid_resolution, coefficient_magnitudes, recommend
@@ -30,7 +29,7 @@ from .pseudo_model import (
     load_dataset_csv,
     read_numeric_csv,
 )
-from .simulate import METHODS, ScenarioSpec, run_experiment, uncertainty_study
+from .simulate import METHODS, ScenarioSpec, check_methods, run_experiment, uncertainty_study
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -110,6 +109,11 @@ def _parse_draws_csv(path: Path) -> tuple[PosteriorDraws, dict]:
     return draws, config
 
 
+def _finite_or_none(value: float) -> float | None:
+    """A float for strict JSON: a NaN or infinite value becomes null."""
+    return value if np.isfinite(value) else None
+
+
 def _prior_from_args(args) -> NormalPrior | ExponentialPowerPrior | SpikeSlabPrior:
     if args.prior == "normal":
         return NormalPrior(mu0=args.mu0, sigma0_sq=args.sigma0_sq)
@@ -124,9 +128,11 @@ def cmd_fit(args) -> int:
     config = GibbsConfig(
         n_draws=args.draws, burn_in=args.burn_in, n_chains=args.chains, seed=args.seed
     )
+    prior = _prior_from_args(args)
     feature_names = [f"x{j}" for j in range(1, data.p + 1)]
     coef_names = (["intercept"] if args.intercept else []) + feature_names
-    draws = run_chain(data, _prior_from_args(args), config, jobs=args.jobs, intercept=args.intercept)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable out dir fails before the first sweep
+    draws = run_chain(data, prior, config, jobs=args.jobs, intercept=args.intercept)
 
     echo = {
         "command": "fit",
@@ -163,7 +169,7 @@ def cmd_fit(args) -> int:
         for j, name in enumerate(coef_names)
     }
     rhat = (
-        {name: split_rhat(draws.beta[:, :, j]) for j, name in enumerate(coef_names)}
+        {name: _finite_or_none(split_rhat(draws.beta[:, :, j])) for j, name in enumerate(coef_names)}
         if config.n_chains >= 2
         else None
     )
@@ -184,7 +190,8 @@ def cmd_fit(args) -> int:
             name: float(v)
             for name, v in zip(coef_names, draws.stacked_gamma.mean(axis=0))
         }
-    _atomic_write(out_dir / "summary.json", [json.dumps(summary, indent=2, sort_keys=True) + "\n"])
+    text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    _atomic_write(out_dir / "summary.json", [text + "\n"])
     print(f"wrote {out_dir / 'draws.csv'} and {out_dir / 'summary.json'}")
     return EXIT_OK
 
@@ -243,6 +250,8 @@ def cmd_reproduce(args) -> int:
     specs = [ScenarioSpec(args.scenario, n_train, n_reps=args.reps, seed=args.seed) for n_train in args.n]
     ScenarioSpec(args.scenario, args.heatmap_n, seed=args.seed)
     check_grid_resolution(args.grid_res)
+    check_methods(methods)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable out dir fails before the first fit
 
     table_rows = []
     raw_rows = []
@@ -281,7 +290,9 @@ def cmd_reproduce(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    checks = verify_checks.run_all(tol=args.tol, seed=args.seed)
+    from .verify import run_all  # scipy.stats and scipy.integrate load only here
+
+    checks = run_all(tol=args.tol, seed=args.seed)
     any_failed = False
     for check in checks:
         status = "PASS" if check.passed else "FAIL"
@@ -361,7 +372,7 @@ def main(argv: list[str] | None = None) -> int:
         if "jobs" in args and args.jobs < 1:
             raise DataError(f"--jobs must be at least 1, got {args.jobs}")
         return args.func(args)
-    except (FileNotFoundError, ValueError) as exc:  # DataError and JSONDecodeError are ValueErrors
+    except (OSError, ValueError) as exc:  # DataError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT_ERROR
     except GibbsNumericalError as exc:

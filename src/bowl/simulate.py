@@ -187,6 +187,17 @@ def _fit_seed(seed: int, rep: int, method_index: int) -> int:
     return (seed * 1_000_003 + rep * 97 + method_index) % (2**63 - 1)
 
 
+def check_methods(methods: tuple[str, ...] | list[str]) -> list[str]:
+    """The methods as a list; ValueError if there are none or one is unknown."""
+    methods = list(methods)
+    if not methods:
+        raise ValueError("need at least one method")
+    for m in methods:
+        if m not in METHODS:
+            raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+    return methods
+
+
 def run_experiment(
     spec: ScenarioSpec,
     methods: tuple[str, ...] | list[str],
@@ -198,13 +209,7 @@ def run_experiment(
     replications use seeds derived from (spec.seed, rep), so the result is
     independent of worker count and scheduling.
     """
-    methods = list(methods)
-    if not methods:
-        raise ValueError("need at least one method")
-    for m in methods:
-        if m not in METHODS:
-            raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
-
+    methods = check_methods(methods)
     outcomes = ordered_map(_one_replication, [(spec, rep, methods) for rep in range(spec.n_reps)], jobs)
     result = ExperimentResult(failures=[f for _, failures in outcomes for f in failures])
     for method in methods:

@@ -7,7 +7,7 @@ from scipy.special import ndtr
 import bowl.simulate
 from bowl import verify
 from bowl.cli import _parse_draws_csv, main
-from bowl.gibbs import GibbsNumericalError
+from bowl.gibbs import GibbsNumericalError, PosteriorDraws
 from bowl.prediction import recommend
 from bowl.simulate import ScenarioSpec, _fit_seed, generate_scenario
 
@@ -26,6 +26,14 @@ def write_scenario_csv(path, n=60, seed=3, p=10):
 
 def query_features(m, p=10):
     return generate_scenario(ScenarioSpec(1, m, seed=4, p=p), 1)[0].features
+
+
+def reject_constant(token):
+    raise AssertionError(f"non-standard JSON token {token}")
+
+
+def no_run(*args, **kwargs):
+    raise AssertionError("sampling started before the input and out dir were checked")
 
 
 class TestFit:
@@ -67,6 +75,52 @@ class TestFit:
         assert not np.array_equal(chain0, chain1)
         summary = json.loads((out_a / "summary.json").read_text())
         assert summary["split_rhat"] is not None
+
+    def test_too_few_draws_for_rhat_write_strict_json_null(self, tmp_path):
+        # Three kept draws per chain is below split-Rhat's four, so every R-hat is NaN.
+        csv = tmp_path / "train.csv"
+        write_scenario_csv(csv, n=40, p=4)
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(csv), "--chains", "2", "--draws", "4", "--burn-in", "1",
+                     "--jobs", "1", "--out-dir", str(out)]) == 0
+        summary = json.loads((out / "summary.json").read_text(), parse_constant=reject_constant)
+        assert summary["split_rhat"] == dict.fromkeys(["intercept", "x1", "x2", "x3", "x4"])
+
+    def test_stuck_disagreeing_chains_write_null_rhat(self, tmp_path, monkeypatch):
+        csv = tmp_path / "train.csv"
+        write_scenario_csv(csv, n=40, p=4)
+        stuck = np.stack([np.full((10, 5), 1.0), np.full((10, 5), 2.0)])  # constant, unequal chains
+        monkeypatch.setattr("bowl.cli.run_chain", lambda *args, **kwargs: PosteriorDraws(stuck, None, True))
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(csv), "--chains", "2", "--draws", "12", "--burn-in", "2",
+                     "--out-dir", str(out)]) == 0
+        text = (out / "summary.json").read_text()
+        assert "Infinity" not in text
+        rhat = json.loads(text, parse_constant=reject_constant)["split_rhat"]
+        assert rhat == dict.fromkeys(["intercept", "x1", "x2", "x3", "x4"])
+
+    def test_directory_as_data_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bowl.cli.run_chain", no_run)
+        assert main(["fit", "--data", str(tmp_path), "--out-dir", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and "Traceback" not in err
+
+    def test_file_as_out_dir_exit_2_before_sampling(self, tmp_path, capsys, monkeypatch):
+        csv = tmp_path / "train.csv"
+        write_scenario_csv(csv, n=40)
+        monkeypatch.setattr("bowl.cli.run_chain", no_run)
+        assert main(["fit", "--data", str(csv), "--out-dir", str(csv)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(csv) in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("flags", [["--draws", "10", "--burn-in", "10"], ["--prior", "ep", "--nu", "0"]])
+    def test_bad_input_makes_no_out_dir(self, flags, tmp_path, capsys):
+        csv = tmp_path / "train.csv"
+        write_scenario_csv(csv, n=40)
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(csv), *flags, "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
 
     def test_spike_slab_summary_has_inclusion(self, tmp_path):
         csv = tmp_path / "train.csv"
@@ -221,6 +275,15 @@ class TestPredict:
         assert 0.5 <= certainty <= 1.0
         assert action in (-1.0, 1.0)
 
+    def test_directory_as_query_exit_2(self, fitted, tmp_path, capsys):
+        query = tmp_path / "queries"
+        query.mkdir()
+        assert main(["predict", "--draws", str(fitted), "--query", str(query),
+                     "--out-dir", str(tmp_path / "pred")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Is a directory" in err and "Traceback" not in err
+        assert not (tmp_path / "pred").exists()
+
     def test_query_dimension_mismatch_exit_2(self, fitted, tmp_path):
         query = tmp_path / "query.csv"
         query.write_text("x1,x2\n0.1,0.2\n")
@@ -318,13 +381,24 @@ class TestReproduce:
 
         monkeypatch.setattr("bowl.cli.run_experiment", no_fit)
         monkeypatch.setattr("bowl.cli.uncertainty_study", no_fit)
-        assert main(["reproduce", "--scenario", "1", "--reps", "1", *flags, "--out-dir", str(tmp_path)]) == 2
+        out = tmp_path / "out"  # not made: every input is checked before the out dir
+        assert main(["reproduce", "--scenario", "1", "--reps", "1", *flags, "--out-dir", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
+    def test_file_as_out_dir_exit_2_before_any_fit(self, tmp_path, capsys, monkeypatch):
+        for name in ("bowl.cli.run_experiment", "bowl.cli.uncertainty_study", "bowl.simulate.run_chain"):
+            monkeypatch.setattr(name, no_run)
+        out = tmp_path / "taken"
+        out.write_text("not a directory\n")
+        assert main(["reproduce", "--scenario", "1", "--n", "60", "--reps", "1", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and str(out) in err and "Traceback" not in err
+        assert out.read_text() == "not a directory\n"
+
     def test_unknown_method_exit_2(self, tmp_path, capsys):
         assert main(["reproduce", "--scenario", "1", "--reps", "1",
-                     "--methods", "qlearning", "--out-dir", str(tmp_path)]) == 2
+                     "--methods", "qlearning", "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "unknown method 'qlearning'; choose from owl, bowl-normal, bowl-ep, bowl-ss" in err
         assert not any(tmp_path.iterdir())

@@ -1,5 +1,6 @@
-"""Every name a module under src/bowl/ imports is used in that module, and
-only `bowl.rng.ordered_map` starts processes.
+"""Every name a module under src/bowl/ imports is used in that module,
+only `bowl.rng.ordered_map` starts processes, and only `bowl verify` loads
+scipy.stats and scipy.integrate.
 
 pyflakes-style, from the syntax tree alone: an imported name counts as used
 when it appears as a Name anywhere in the module (annotations included).
@@ -7,6 +8,10 @@ when it appears as a Name anywhere in the module (annotations included).
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -81,3 +86,79 @@ def test_numpys_lapack_gufuncs_only_in_distributions():
         assert not linalg_uses((SRC / module).read_text()) & {"solve", "cholesky"}, module
     assert linalg_uses("import numpy as np\nnp.linalg.solve(a, b)\n") == {"solve"}
     assert linalg_uses("from numpy.linalg import cholesky, LinAlgError\n") == {"cholesky", "LinAlgError"}
+
+
+def imported_modules(source: str, module_level: bool = False) -> set[str]:
+    """Dotted names a module imports, relative imports resolved inside `bowl`.
+
+    `from X import y` gives both X and X.y, since y may be a submodule. With
+    module_level, imports inside a function body (which run only when it is
+    called) are left out.
+    """
+    tree = ast.parse(source)
+    deferred = set()
+    if module_level:
+        for fn in ast.walk(tree):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                deferred.update(id(node) for node in ast.walk(fn))
+    found = set()
+    for node in ast.walk(tree):
+        if id(node) in deferred:
+            continue
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            base = ".".join(filter(None, ["bowl" if node.level else None, node.module]))
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+def test_only_verify_loads_scipy_stats_and_integrate():
+    users = [p.name for p in sorted(SRC.glob("*.py"))
+             if any(name.startswith(("scipy.stats", "scipy.integrate")) for name in imported_modules(p.read_text()))]
+    assert users == ["verify.py"]
+    eager = [p.name for p in sorted(SRC.glob("*.py"))
+             if "bowl.verify" in imported_modules(p.read_text(), module_level=True)]
+    assert eager == []
+    assert imported_modules("from scipy import stats\n") >= {"scipy.stats"}
+    assert imported_modules("from . import verify\n", module_level=True) >= {"bowl.verify"}
+    assert "bowl.verify" not in imported_modules("def f():\n    from .verify import run_all\n", module_level=True)
+
+
+BOUNDARY_SCRIPT = """
+import json
+import sys
+from pathlib import Path
+
+import numpy as np
+
+import bowl.cli
+from bowl.simulate import ScenarioSpec, generate_scenario
+
+out = Path(sys.argv[1])
+data, _ = generate_scenario(ScenarioSpec(1, 40, seed=3, p=3), 0)
+body = np.column_stack([data.features, data.actions, data.rewards])
+np.savetxt(out / "train.csv", body, delimiter=",", header="x1,x2,x3,a,r", comments="")
+runs = [
+    ["fit", "--data", str(out / "train.csv"), "--draws", "30", "--burn-in", "10", "--chains", "2",
+     "--jobs", "1", "--out-dir", str(out / "fit")],
+    ["predict", "--draws", str(out / "fit" / "draws.csv"), "--grid", "--grid-res", "3",
+     "--out-dir", str(out / "pred")],
+    ["reproduce", "--scenario", "1", "--n", "30", "--reps", "1", "--methods", "owl,bowl-normal",
+     "--heatmap-n", "30", "--grid-res", "3", "--jobs", "1", "--out-dir", str(out / "rep")],
+]
+for argv in runs:
+    assert bowl.cli.main(argv) == 0, argv
+print(json.dumps([name for name in ("scipy.stats", "scipy.integrate", "bowl.verify") if name in sys.modules]))
+"""
+
+
+def test_fit_predict_reproduce_never_load_scipy_stats(tmp_path):
+    path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    done = subprocess.run([sys.executable, "-c", BOUNDARY_SCRIPT, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
+    assert (tmp_path / "rep" / "heatmap.csv").is_file()
