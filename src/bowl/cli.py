@@ -1,10 +1,11 @@
 """Command-line front end: fit, predict, reproduce, verify.
 
 Exit codes: 0 ok, 1 verification failure, 2 input or OS error, 3
-numerical failure. Artifact files are written to a temp file and
-renamed into place, so a failing run never leaves partial output; every
-artifact embeds the configuration and seed that produced it in a
-leading `# config=` comment line.
+numerical failure. Each subcommand hands all of its artifacts to one
+writer, `_write_artifacts`, which renames them into place only once every
+one is written, so a failing run leaves none of them; every artifact
+embeds the configuration and seed that produced it in a leading strict
+JSON `# config=` comment line.
 """
 
 from __future__ import annotations
@@ -39,27 +40,37 @@ EXIT_NUMERICAL = 3
 GRID_HEADER = ["x_j1", "x_j2", "prob_plus", "action", "certainty"]
 
 
-def _atomic_write(path: Path, chunks) -> None:
-    """Stream the text `chunks` to a buffered temp file beside `path`, then rename it into place."""
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
+def _write_artifacts(out_dir: Path, artifacts: dict) -> None:
+    """Write each artifact's text chunks to its own temp file in `out_dir`, then rename them all into place.
+
+    `artifacts` maps a file name to its chunks, streamed as they come. No file
+    is renamed until every one is written, and any failure removes every temp
+    file, so a run leaves all of its artifacts or none.
+    """
+    out_dir.mkdir(parents=True, exist_ok=True)
+    temps = {}
     try:
-        with os.fdopen(fd, "w", newline="") as fh:
-            fh.writelines(chunks)
-        os.replace(tmp, path)
+        for name, chunks in artifacts.items():
+            fd, temps[name] = tempfile.mkstemp(dir=out_dir, prefix=f".{name}.", suffix=".tmp")
+            with os.fdopen(fd, "w", newline="") as fh:
+                fh.writelines(chunks)
+        for name, tmp in temps.items():
+            os.replace(tmp, out_dir / name)
     except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
+        for tmp in temps.values():
+            if os.path.exists(tmp):
+                os.unlink(tmp)
         raise
+    print(f"wrote {', '.join(artifacts)} in {out_dir}")
 
 
 def _csv_lines(config: dict, header: list[str], rows):
-    """Lines of a CSV artifact: the `# config=` echo, the header, then one line per row.
+    """Lines of a CSV artifact: the `# config=` echo as strict JSON, the header, then one line per row.
 
     Cells are Python scalars (`.tolist()`), written with str: for a float that is
     its repr, the shortest text that reads back to the same bits.
     """
-    yield "# config=" + json.dumps(config, sort_keys=True) + "\n"
+    yield "# config=" + json.dumps(config, sort_keys=True, allow_nan=False) + "\n"
     yield ",".join(header) + "\n"
     for row in rows:
         yield ",".join(map(str, row)) + "\n"
@@ -115,6 +126,9 @@ def _finite_or_none(value: float) -> float | None:
 
 
 def _prior_from_args(args) -> NormalPrior | ExponentialPowerPrior | SpikeSlabPrior:
+    for name in ("mu0", "sigma0_sq", "nu", "pi"):  # every one is echoed, read by the prior or not
+        if not np.isfinite(getattr(args, name)):
+            raise DataError(f"--{name.replace('_', '-')} must be finite, got {getattr(args, name)}")
     if args.prior == "normal":
         return NormalPrior(mu0=args.mu0, sigma0_sq=args.sigma0_sq)
     if args.prior == "ep":
@@ -161,7 +175,6 @@ def cmd_fit(args) -> int:
         for c in range(config.n_chains)
         for k, (beta, flags) in enumerate(zip(draws.beta[c].tolist(), gamma[c].tolist()))
     )
-    _atomic_write(out_dir / "draws.csv", _csv_lines(echo, header, rows))
 
     stacked = draws.stacked_beta
     ess = {
@@ -191,8 +204,7 @@ def cmd_fit(args) -> int:
             for name, v in zip(coef_names, draws.stacked_gamma.mean(axis=0))
         }
     text = json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
-    _atomic_write(out_dir / "summary.json", [text + "\n"])
-    print(f"wrote {out_dir / 'draws.csv'} and {out_dir / 'summary.json'}")
+    _write_artifacts(out_dir, {"draws.csv": _csv_lines(echo, header, rows), "summary.json": [text + "\n"]})
     return EXIT_OK
 
 
@@ -205,7 +217,6 @@ def _prediction_rows(x: np.ndarray, prob: np.ndarray, action: np.ndarray, certai
 
 
 def cmd_predict(args) -> int:
-    out_dir = Path(args.out_dir)
     draws, config = _parse_draws_csv(Path(args.draws))
     n_raw = draws.beta.shape[-1] - draws.intercept
     echo = {"command": "predict", "draws": str(args.draws), "source_config": config}
@@ -215,8 +226,7 @@ def cmd_predict(args) -> int:
         coords, *preds = certainty_grid(draws, dims, args.grid_res)
         echo["grid_dims"] = list(args.grid_dims)
         echo["grid_res"] = args.grid_res
-        out = out_dir / "certainty_grid.csv"
-        _atomic_write(out, _csv_lines(echo, GRID_HEADER, _prediction_rows(coords, *preds)))
+        name, lines = "certainty_grid.csv", _csv_lines(echo, GRID_HEADER, _prediction_rows(coords, *preds))
     else:
         if not args.query:
             raise DataError("predict needs either --query CSV or --grid")
@@ -225,9 +235,8 @@ def cmd_predict(args) -> int:
         if header != expected:
             raise DataError(f"{args.query}: query columns must be exactly {','.join(expected)}")
         rows = _prediction_rows(queries, *recommend(draws, queries))
-        out = out_dir / "recommendations.csv"
-        _atomic_write(out, _csv_lines(echo, expected + ["prob_plus", "action", "certainty"], rows))
-    print(f"wrote {out}")
+        name, lines = "recommendations.csv", _csv_lines(echo, expected + GRID_HEADER[2:], rows)
+    _write_artifacts(Path(args.out_dir), {name: lines})
     return EXIT_OK
 
 
@@ -264,28 +273,20 @@ def cmd_reproduce(args) -> int:
             table_rows.append([cell.method, args.scenario, n_train, cell.mean_rate, cell.mc_se, cell.n_reps_ok])
             for rep, rate in enumerate(cell.rates.tolist()):
                 raw_rows.append([cell.method, args.scenario, n_train, rep, rate])
-    _atomic_write(
-        out_dir / "tables.csv",
-        _csv_lines(echo, ["method", "scenario", "n_train", "mean_rate", "mc_se", "n_reps_ok"], table_rows),
-    )
-    _atomic_write(
-        out_dir / "raw_rates.csv",
-        _csv_lines(echo, ["method", "scenario", "n_train", "rep", "rate"], raw_rows),
-    )
-
-    _, coords, *preds, mags = uncertainty_study(
+    coords, *preds, mags = uncertainty_study(
         scenario_id=args.scenario,
         n_train=args.heatmap_n,
         seed=args.seed,
         resolution=args.grid_res,
     )
-    heatmap = _csv_lines(echo, GRID_HEADER, _prediction_rows(coords, *preds))
-    _atomic_write(out_dir / "heatmap.csv", heatmap)
-    _atomic_write(
-        out_dir / "coefficient_magnitudes.csv",
-        _csv_lines(echo, ["feature", "magnitude"], [[f"x{j + 1}", m] for j, m in enumerate(mags.tolist())]),
-    )
-    print(f"wrote tables.csv, raw_rates.csv, heatmap.csv, coefficient_magnitudes.csv in {out_dir}")
+    key = ["method", "scenario", "n_train"]
+    _write_artifacts(out_dir, {
+        "tables.csv": _csv_lines(echo, key + ["mean_rate", "mc_se", "n_reps_ok"], table_rows),
+        "raw_rates.csv": _csv_lines(echo, key + ["rep", "rate"], raw_rows),
+        "heatmap.csv": _csv_lines(echo, GRID_HEADER, _prediction_rows(coords, *preds)),
+        "coefficient_magnitudes.csv": _csv_lines(
+            echo, ["feature", "magnitude"], [[f"x{j + 1}", m] for j, m in enumerate(mags.tolist())]),
+    })
     return EXIT_OK
 
 

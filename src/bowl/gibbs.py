@@ -111,6 +111,19 @@ class PosteriorDraws:
         return self.stacked_beta.mean(axis=0)
 
 
+def _check_constant(values, what: str, inputs: str, positive: bool = True) -> None:
+    """Raise ValueError naming `inputs` unless every entry of `values` is finite, and positive if asked.
+
+    The kernels check each constant they derive from the prior and the data this way.
+    """
+    values = np.asarray(values)
+    ok = np.isfinite(values)
+    if positive:
+        ok &= values > 0
+    if not _all_true(ok):
+        raise ValueError(f"{what} is not finite{' and positive' if positive else ''} (check {inputs})")
+
+
 def draw_lambda(
     beta: np.ndarray, data: Dataset, rng: np.random.Generator, weights: np.ndarray | None = None
 ) -> np.ndarray:
@@ -162,7 +175,9 @@ class CanonicalRows:
         order, rank = _canonical_order(data)
         tied = data.n > 0 and rank[-1] < data.n
         w, x = owl_weights(data)[order], data.features[order]
-        return cls(order, rank if tied else None, x, np.ascontiguousarray(x.T), data.actions[order], w, w**2)
+        w_sq = w**2  # positive rewards and rho in (0, 1) make every weight positive, so this checks both
+        _check_constant(w_sq, "an OWL weight r/rho or r/(1 - rho), or its square,", "rho and the rewards")
+        return cls(order, rank if tied else None, x, np.ascontiguousarray(x.T), data.actions[order], w, w_sq)
 
 
 def build_suffstats(lam: np.ndarray, data: Dataset, rows: CanonicalRows | None = None) -> SuffStats:
@@ -311,6 +326,8 @@ class NormalKernel:
         self.data, self.rows, self.weights = data, rows, owl_weights(data)
         self.prior_precision = np.eye(data.p) / prior.sigma0_sq
         self.prior_linear = prior.mu0_vector(data.p) / prior.sigma0_sq
+        _check_constant(1.0 / prior.sigma0_sq, "the prior precision 1/sigma0_sq", "sigma0_sq")
+        _check_constant(self.prior_linear, "the prior linear term mu0/sigma0_sq", "mu0 and sigma0_sq", positive=False)
         self.start = ChainState(np.zeros(data.p), np.ones(data.n))
 
     def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
@@ -325,8 +342,10 @@ class ExponentialPowerKernel:
     def __init__(self, data: Dataset, rows: CanonicalRows, prior: ExponentialPowerPrior):
         self.data, self.rows, self.weights = data, rows, owl_weights(data)
         sigma = np.asarray(prior.sigma_j, dtype=float)
-        self.slab_variance = prior.nu**2 * sigma**2
+        self.slab_variance = np.float64(prior.nu) ** 2 * sigma**2  # Python's nu**2 bits, inf past the range
         self.nu_sigma = prior.nu * sigma
+        _check_constant(self.slab_variance, "the slab variance nu^2 sigma_j^2", "nu and sigma_j")
+        _check_constant(self.nu_sigma, "the scale nu sigma_j", "nu and sigma_j")
         self.start = ChainState(np.zeros(data.p), np.ones(data.n), omega=np.ones(data.p))
 
     def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
@@ -341,10 +360,12 @@ class SpikeSlabKernel:
 
     def __init__(self, data: Dataset, rows: CanonicalRows, prior: SpikeSlabPrior):
         self.data, self.rows, self.weights = data, rows, owl_weights(data)
-        prior_prec = 1.0 / (prior.nu**2 * np.asarray(prior.sigma_j, dtype=float) ** 2)
+        prior_prec = 1.0 / (np.float64(prior.nu) ** 2 * np.asarray(prior.sigma_j, dtype=float) ** 2)
         self.prior_prec = prior_prec.tolist()  # Python floats for the coordinate loop
         self.prior_precision = np.diag(prior_prec)
         self.log_prior_odds_out = math.log1p(-prior.pi_incl) - math.log(prior.pi_incl)
+        _check_constant(prior_prec, "the slab precision 1/(nu^2 sigma_j^2)", "nu and sigma_j")
+        _check_constant(self.log_prior_odds_out, "the log prior odds", "pi_incl", positive=False)
         self.start = ChainState(np.zeros(data.p), np.ones(data.n), gamma=np.ones(data.p, dtype=np.int8))
 
     def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
@@ -397,11 +418,13 @@ def run_chain(
     """
     if intercept:
         data = Dataset(add_intercept(data.features), data.actions, data.rewards, data.rho)
-    prior = resolve_prior(prior, data.features)
-    kernel = next((k for prior_type, k in _KERNELS if isinstance(prior, prior_type)), None)
-    if kernel is None:
+    kernel_type = next((k for prior_type, k in _KERNELS if isinstance(prior, prior_type)), None)
+    if kernel_type is None:
         raise TypeError(f"unknown prior type {type(prior)!r}")
-    one_chain = partial(_run_single_chain, kernel(data, CanonicalRows.of(data), prior), config)
+    # A constant that overflows raises ValueError from the kernel's own check, not a RuntimeWarning.
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        kernel = kernel_type(data, CanonicalRows.of(data), resolve_prior(prior, data.features))
+    one_chain = partial(_run_single_chain, kernel, config)
     betas, gammas = zip(*ordered_map(one_chain, range(config.n_chains), jobs))
     gamma = np.stack(gammas) if gammas[0] is not None else None
     return PosteriorDraws(np.stack(betas), gamma, intercept)

@@ -230,7 +230,7 @@ def uncertainty_study(
 ):
     """Fit the exponential-power variant once at the library defaults and map grid certainties.
 
-    Returns (draws, coords, prob_plus, action, certainty, magnitudes): the
+    Returns (coords, prob_plus, action, certainty, magnitudes): the
     deterministic lattice on the first two features with all others at
     zero, as certainty_grid gives it, plus the per-feature absolute
     posterior means. signal_scale is the scenario's (0 gives a
@@ -241,4 +241,4 @@ def uncertainty_study(
     spec = ScenarioSpec(scenario_id=scenario_id, n_train=n_train, seed=seed, signal_scale=signal_scale)
     train, _ = generate_scenario(spec, 0, substream(seed, 0, 0))
     draws = fit_bowl(train, "bowl-ep", _fit_seed(seed, 0, 1))
-    return (draws, *certainty_grid(draws, (0, 1), resolution), coefficient_magnitudes(draws))
+    return (*certainty_grid(draws, (0, 1), resolution), coefficient_magnitudes(draws))

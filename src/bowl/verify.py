@@ -264,6 +264,9 @@ def check_gibbs_vs_exact(seed: int = 0) -> CheckResult:
 
 
 def run_all(tol: float = 1e-6, seed: int = 0) -> list[CheckResult]:
+    """Every check, in order; a tolerance that is not finite and positive raises ValueError first."""
+    if not 0.0 < tol < math.inf:
+        raise ValueError(f"tol must be finite and positive, got {tol}")
     return [
         check_scale_mixture_identity(tol),
         check_gig_moments(seed),

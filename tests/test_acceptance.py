@@ -140,7 +140,7 @@ def uncertainty_replications():
     """The shrinkage-prior study at the pre-registered seeds, shared by criteria 6 and 7."""
     return _replication_arrays(
         [
-            uncertainty_study(scenario_id=1, n_train=UNCERTAINTY_N, seed=s)[1:]
+            uncertainty_study(scenario_id=1, n_train=UNCERTAINTY_N, seed=s)
             for s in UNCERTAINTY_SEEDS
         ]
     )
@@ -203,7 +203,7 @@ def test_criterion_7_feature_relevance(uncertainty_replications):
 def test_criteria_6_and_7_reject_signal_free_control():
     coords, certainty, actions, mags = _replication_arrays(
         [
-            uncertainty_study(scenario_id=1, n_train=UNCERTAINTY_N, seed=s, signal_scale=0.0)[1:]
+            uncertainty_study(scenario_id=1, n_train=UNCERTAINTY_N, seed=s, signal_scale=0.0)
             for s in UNCERTAINTY_SEEDS
         ]
     )

@@ -1,7 +1,13 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import bowl.simulate
@@ -121,6 +127,45 @@ class TestFit:
         assert main(["fit", "--data", str(csv), *flags, "--out-dir", str(out)]) == 2
         assert capsys.readouterr().err.startswith("error: ")
         assert not out.exists()
+
+    @pytest.mark.parametrize("flags, message", [
+        (["--prior", "ep", "--nu", "1e200"], "the slab variance nu^2 sigma_j^2 is not finite and positive (check nu"),
+        (["--mu0", "inf"], "--mu0 must be finite, got inf"),
+        (["--mu0", "nan"], "--mu0 must be finite, got nan"),
+        (["--prior", "ss", "--nu", "inf"], "--nu must be finite, got inf"),
+        (["--sigma0-sq", "1e-320"], "the prior precision 1/sigma0_sq is not finite and positive (check sigma0_sq)"),
+        (["--prior", "ss", "--nu", "1e-200"], "the slab precision 1/(nu^2 sigma_j^2) is not finite and positive"),
+        (["--prior", "ep", "--nu", "inf"], "--nu must be finite, got inf"),
+        (["--rho", "1e-300"], "its square, is not finite and positive (check rho and the rewards)"),
+        (["--sigma0-sq", "inf"], "--sigma0-sq must be finite, got inf"),
+        (["--prior", "normal", "--pi", "nan"], "--pi must be finite, got nan"),  # echoed, though unread
+        (["--mu0", "1e300", "--sigma0-sq", "1e-10"], "the prior linear term mu0/sigma0_sq is not finite (check mu0"),
+    ])
+    def test_hyperparameter_breaking_a_constant_exits_2_before_sampling(self, flags, message, tmp_path, capsys,
+                                                                         recwarn, monkeypatch):
+        csv = tmp_path / "train.csv"
+        write_scenario_csv(csv, n=60, p=3)
+        monkeypatch.setattr("bowl.gibbs._run_single_chain", no_run)
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(csv), "--draws", "20", "--burn-in", "5", *flags,
+                     "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+        assert [str(w.message) for w in recwarn] == []
+        assert not out.exists() or not any(out.iterdir())
+
+    def test_failure_after_the_draws_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        csv = tmp_path / "train.csv"
+        write_scenario_csv(csv, n=40, p=3)
+
+        def fail(draws):
+            raise ValueError("synthetic failure after sampling")
+
+        monkeypatch.setattr("bowl.cli.coefficient_magnitudes", fail)
+        out = tmp_path / "out"
+        assert main(["fit", "--data", str(csv), "--draws", "20", "--burn-in", "5", "--out-dir", str(out)]) == 2
+        assert capsys.readouterr().err == "error: synthetic failure after sampling\n"
+        assert list(out.iterdir()) == []
 
     def test_spike_slab_summary_has_inclusion(self, tmp_path):
         csv = tmp_path / "train.csv"
@@ -364,6 +409,17 @@ class TestReproduce:
         table = (tmp_path / "failed" / "tables.csv").read_text().splitlines()
         assert [row.split(",")[-1] for row in table[2:]] == ["3", "2"]  # n_reps_ok: owl, bowl-normal
 
+    def test_heatmap_fit_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
+        def fail(**kwargs):
+            raise GibbsNumericalError("synthetic failure", chain=0, iteration=3)
+
+        monkeypatch.setattr("bowl.cli.uncertainty_study", fail)
+        out = tmp_path / "out"
+        assert main(["reproduce", "--scenario", "1", "--n", "40", "--reps", "1", "--methods", "owl",
+                     "--jobs", "1", "--out-dir", str(out)]) == 3
+        assert "numerical failure: chain 0, iteration 3: synthetic failure" in capsys.readouterr().err
+        assert list(out.iterdir()) == []
+
     def test_zero_reps_exit_2(self, tmp_path, capsys):
         assert main(["reproduce", "--scenario", "1", "--reps", "0",
                      "--out-dir", str(tmp_path)]) == 2
@@ -448,6 +504,14 @@ class TestVerify:
         for name in ("scale-mixture identity", "half-order GIG moments", "spike-and-slab Schur log odds"):
             assert f"[PASS] {name}: " in out
 
+    @pytest.mark.parametrize("tol", ["nan", "inf", "0", "-1e-6"])
+    def test_tolerance_not_finite_and_positive_exits_2_before_any_check(self, tol, monkeypatch, capsys):
+        for name in ("check_scale_mixture_identity", "check_gig_moments", "check_beta_conditional_moments",
+                     "check_ss_log_odds", "check_gibbs_vs_exact"):
+            monkeypatch.setattr(verify, name, no_run)
+        assert main(["verify", f"--tol={tol}"]) == 2
+        assert capsys.readouterr().err == f"error: tol must be finite and positive, got {float(tol)}\n"
+
     def test_absurd_tolerance_fails(self, monkeypatch, capsys):
         # The two sampling checks ignore --tol and run at full size in criteria 2 and 3.
         for name in ("check_beta_conditional_moments", "check_gibbs_vs_exact"):
@@ -455,3 +519,72 @@ class TestVerify:
             monkeypatch.setattr(verify, name, lambda seed, stub=stub: stub)
         assert main(["verify", "--tol", "1e-300"]) == 1
         assert "[FAIL]" in capsys.readouterr().out
+
+
+# Each numeric flag takes its valid value or, for up to two flags at a time (and
+# for each `--grid-dims` value), one of EXTREMES. The `--flag=value` form lets a
+# negative value through argparse; an integer flag parses only "0" of these.
+EXTREMES = ["0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e300", "-1e300", "inf", "-inf", "nan"]
+
+
+def run_argv(argv) -> tuple[int, str]:
+    """(exit code, stderr) of `bowl.cli.main(argv)`, argparse's SystemExit counted as its code."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def small_inputs(tmp_path_factory):
+    """A 40-row, p=3 training CSV, a fit's draws.csv and a 5-row query CSV."""
+    root = tmp_path_factory.mktemp("argv")
+    write_scenario_csv(root / "train.csv", n=40, p=3)
+    assert run_argv(["fit", "--data", str(root / "train.csv"), "--draws", "12", "--burn-in", "4",
+                     "--jobs", "1", "--out-dir", str(root / "fit")])[0] == 0
+    np.savetxt(root / "query.csv", query_features(5, p=3), delimiter=",", header="x1,x2,x3", comments="")
+    return root
+
+
+FIT_FLAGS = {"--mu0": "0.3", "--sigma0-sq": "1.0", "--nu": "0.8", "--pi": "0.5", "--rho": "0.5",
+             "--draws": "12", "--burn-in": "4", "--chains": "2", "--seed": "3", "--jobs": "1"}
+PREDICT_FLAGS = {"--grid-res": "4", "--seed": "0"}
+REPRODUCE_FLAGS = {"--n": "30", "--reps": "1", "--heatmap-n": "30", "--grid-res": "3", "--seed": "1",
+                   "--jobs": "1"}
+
+
+@st.composite
+def argvs(draw, inputs):
+    command = draw(st.sampled_from(["fit", "predict", "reproduce"]))
+    if command == "fit":
+        argv = ["fit", "--data", str(inputs / "train.csv"), "--prior", draw(st.sampled_from(["normal", "ep", "ss"]))]
+        flags = FIT_FLAGS
+    elif command == "predict":
+        argv = ["predict", "--draws", str(inputs / "fit" / "draws.csv")]
+        argv += draw(st.sampled_from([["--grid"], ["--query", str(inputs / "query.csv")]]))
+        argv += ["--grid-dims", draw(st.sampled_from(["1", *EXTREMES])), draw(st.sampled_from(["3", *EXTREMES]))]
+        flags = PREDICT_FLAGS
+    else:
+        argv = ["reproduce", "--scenario", "1", "--methods", "owl,bowl-normal"]
+        flags = REPRODUCE_FLAGS
+    broken = draw(st.lists(st.sampled_from(list(flags)), max_size=2, unique=True))
+    return argv + [f"{flag}={draw(st.sampled_from(EXTREMES)) if flag in broken else valid}"
+                   for flag, valid in flags.items()]
+
+
+class TestArgvProperty:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(data=st.data())
+    def test_exit_code_stderr_and_out_dir(self, small_inputs, data):
+        argv = data.draw(argvs(small_inputs))
+        with tempfile.TemporaryDirectory() as tmp:
+            out = Path(tmp) / "out"
+            code, err = run_argv(argv + ["--out-dir", str(out)])
+            left = sorted(p.name for p in out.iterdir()) if out.exists() else []
+        assert code in (0, 2, 3), (argv, code, err)
+        assert "Traceback" not in err, (argv, err)
+        if code != 0:
+            assert left == [], (argv, code, left)

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bowl.cli import _atomic_write, _csv_lines
+from bowl.cli import _csv_lines, _write_artifacts
 from bowl.pseudo_model import _BLOCK, DataError, read_numeric_csv
 
 
@@ -114,7 +114,7 @@ class TestWriter:
         new_rows = [[f"row{k}", k, *beta[k].tolist(), *gamma[k].tolist()] for k in range(2)]
         new_rows += old_rows[2:]
         path = tmp_path / "out.csv"
-        _atomic_write(path, _csv_lines(config, header, new_rows))
+        _write_artifacts(tmp_path, {"out.csv": _csv_lines(config, header, new_rows)})
         expected = old_csv_text(config, header, old_rows).encode()
         assert path.read_bytes() == expected
         assert b"-0.0" in expected and b"nan" in expected and b"1e+16" in expected
@@ -125,10 +125,34 @@ class TestWriter:
             yield [1.0]
             raise RuntimeError("boom")
 
-        path = tmp_path / "out.csv"
         with pytest.raises(RuntimeError):
-            _atomic_write(path, _csv_lines({}, ["x1"], rows()))
+            _write_artifacts(tmp_path, {"out.csv": _csv_lines({}, ["x1"], rows())})
         assert list(tmp_path.iterdir()) == []
+
+    def test_second_artifact_failing_leaves_neither(self, tmp_path):
+        def rows():
+            yield [1.0]
+            raise RuntimeError("boom")
+
+        with pytest.raises(RuntimeError):
+            _write_artifacts(tmp_path, {"a.csv": _csv_lines({}, ["x1"], [[2.0]]),
+                                        "b.csv": _csv_lines({}, ["x1"], rows())})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_nonfinite_echo_raises_before_any_byte(self, tmp_path):
+        lines = _csv_lines({"x": float("inf")}, ["x1"], [[1.0]])
+        with pytest.raises(ValueError, match="Out of range float values are not JSON compliant"):
+            next(lines)
+        with pytest.raises(ValueError):
+            _write_artifacts(tmp_path, {"out.csv": _csv_lines({"x": math.nan}, ["x1"], [[1.0]])})
+        assert list(tmp_path.iterdir()) == []
+
+    def test_writes_every_artifact_and_names_them(self, tmp_path, capsys):
+        out = tmp_path / "new" / "dir"
+        _write_artifacts(out, {"a.csv": ["a\n"], "b.json": iter(["{", "}\n"])})
+        assert sorted(p.name for p in out.iterdir()) == ["a.csv", "b.json"]
+        assert (out / "b.json").read_text() == "{}\n"
+        assert capsys.readouterr().out == f"wrote a.csv, b.json in {out}\n"
 
     @settings(max_examples=60, deadline=None)
     @given(st.lists(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=3, max_size=3),
@@ -136,7 +160,7 @@ class TestWriter:
     def test_round_trip_is_bit_identical(self, rows):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "rt.csv"
-            _atomic_write(path, _csv_lines({"seed": 0}, ["x1", "x2", "x3"], rows))
+            _write_artifacts(Path(tmp), {"rt.csv": _csv_lines({"seed": 0}, ["x1", "x2", "x3"], rows)})
             header, values = read_numeric_csv(path)
         assert header == ["x1", "x2", "x3"]
         np.testing.assert_array_equal(bits(values), bits(np.array(rows)))

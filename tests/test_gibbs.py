@@ -674,6 +674,31 @@ class TestRunChain:
             draws = run_chain(data, prior, GibbsConfig(n_draws=150, burn_in=20, seed=4))
             assert np.all(np.isfinite(draws.beta))
 
+    @pytest.mark.parametrize("prior, rho, message", [
+        (NormalPrior(mu0=np.inf), 0.4, r"prior linear term mu0/sigma0_sq is not finite \(check mu0"),
+        (NormalPrior(mu0=np.array([0.0, np.nan, 0.0])), 0.4, r"prior linear term"),
+        (NormalPrior(sigma0_sq=np.inf), 0.4, r"prior precision 1/sigma0_sq is not finite and positive"),
+        (NormalPrior(sigma0_sq=1e-320), 0.4, r"prior precision 1/sigma0_sq"),
+        (ExponentialPowerPrior(nu=1e200), 0.4, r"slab variance nu\^2 sigma_j\^2 .* \(check nu and sigma_j\)"),
+        (ExponentialPowerPrior(nu=1e-200), 0.4, r"slab variance nu\^2 sigma_j\^2"),
+        (ExponentialPowerPrior(sigma_j=np.array([1.0, np.inf, 1.0])), 0.4, r"slab variance"),
+        (SpikeSlabPrior(nu=np.inf), 0.4, r"slab precision 1/\(nu\^2 sigma_j\^2\)"),
+        (SpikeSlabPrior(nu=1e-200), 0.4, r"slab precision 1/\(nu\^2 sigma_j\^2\)"),
+        (NormalPrior(), 1e-300, r"OWL weight r/rho or r/\(1 - rho\), or its square, is not finite and positive"),
+        (NormalPrior(), 5e-324, r"OWL weight .* \(check rho and the rewards\)"),
+    ])
+    def test_a_constant_that_is_not_finite_raises_before_the_first_sweep(self, prior, rho, message, monkeypatch,
+                                                                          recwarn):
+        def no_sweep(*args, **kwargs):
+            raise AssertionError("a sweep ran")
+
+        monkeypatch.setattr("bowl.gibbs._run_single_chain", no_sweep)
+        d = random_dataset(68)
+        data = Dataset(d.features, d.actions, d.rewards, rho)
+        with pytest.raises(ValueError, match=message):
+            run_chain(data, prior, GibbsConfig(n_draws=10, burn_in=0, seed=1))
+        assert [str(w.message) for w in recwarn] == []
+
     def test_numerical_failure_reports_location(self, monkeypatch):
         data = random_dataset(68)
 

@@ -1,6 +1,7 @@
 """Every name a module under src/bowl/ imports is used in that module,
-only `bowl.rng.ordered_map` starts processes, and only `bowl verify` loads
-scipy.stats and scipy.integrate.
+only `bowl.rng.ordered_map` starts processes, only `bowl verify` loads
+scipy.stats and scipy.integrate, and only `bowl.cli._write_artifacts`
+creates, writes or renames a file.
 
 pyflakes-style, from the syntax tree alone: an imported name counts as used
 when it appears as a Name anywhere in the module (annotations included).
@@ -124,6 +125,71 @@ def test_only_verify_loads_scipy_stats_and_integrate():
     assert imported_modules("from scipy import stats\n") >= {"scipy.stats"}
     assert imported_modules("from . import verify\n", module_level=True) >= {"bowl.verify"}
     assert "bowl.verify" not in imported_modules("def f():\n    from .verify import run_all\n", module_level=True)
+
+
+# Calls that create, write or rename a file whatever their arguments; `open` and
+# `fdopen` count only with a writing mode, and `replace` and `open` on `os` too.
+FILE_WRITERS = {"mkstemp", "mkdtemp", "NamedTemporaryFile", "TemporaryFile", "write_text", "write_bytes",
+                "savetxt", "save", "rename", "touch", "copyfile", "move"}
+
+
+def writes_a_file(call: ast.Call) -> bool:
+    func = call.func
+    name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+    owner = func.value.id if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) else None
+    if name in FILE_WRITERS or (owner == "os" and name in ("replace", "open")):
+        return True
+    if name not in ("open", "fdopen"):
+        return False
+    at = 0 if isinstance(func, ast.Attribute) and owner != "os" else 1  # Path.open(mode) vs open(path, mode)
+    modes = [kw.value for kw in call.keywords if kw.arg == "mode"] + call.args[at:at + 1]
+    if not modes:
+        return False
+    mode = modes[0]
+    return not (isinstance(mode, ast.Constant) and isinstance(mode.value, str) and not set(mode.value) & set("wax+"))
+
+
+def file_writers(source: str, module: str) -> set[str]:
+    """`module.function` for each function that calls a file writer, or `module` for top-level code."""
+    found = set()
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            inner = f"{module}.{child.name}" if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) else where
+            if isinstance(child, ast.Call) and writes_a_file(child):
+                found.add(inner)
+            visit(child, inner)
+
+    visit(ast.parse(source), module)
+    return found
+
+
+def test_only_the_artifact_writer_writes_files():
+    writers = set().union(*(file_writers(p.read_text(), p.stem) for p in SRC.glob("*.py")))
+    assert writers == {"cli._write_artifacts"}
+    source = """
+import os
+def reads(p, fd):
+    open(p)
+    open(p, "r", newline="")
+    p.open()
+    os.fdopen(fd)
+    "a_b".replace("_", "-")
+def opens_for_append(p):
+    p.open("a")
+def fdopen_for_writing(fd):
+    os.fdopen(fd, mode="wb")
+def renames(a, b):
+    os.replace(a, b)
+def makes_a_temp_file():
+    return tempfile.mkstemp()
+def mode_unknown(p, mode):
+    with open(p, mode) as fh:
+        pass
+Path("x").write_text("top level")
+"""
+    assert file_writers(source, "m") == {"m.opens_for_append", "m.fdopen_for_writing", "m.renames",
+                                         "m.makes_a_temp_file", "m.mode_unknown", "m"}
 
 
 BOUNDARY_SCRIPT = """
