@@ -38,6 +38,7 @@ EXIT_INPUT_ERROR = 2
 EXIT_NUMERICAL = 3
 
 GRID_HEADER = ["x_j1", "x_j2", "prob_plus", "action", "certainty"]
+ROW_BLOCK = 1024  # prediction rows converted to Python scalars at a time
 
 
 def _write_artifacts(out_dir: Path, artifacts: dict) -> None:
@@ -209,11 +210,16 @@ def cmd_fit(args) -> int:
 
 
 def _prediction_rows(x: np.ndarray, prob: np.ndarray, action: np.ndarray, certainty: np.ndarray):
-    """One output row per query or lattice node: its features, prob_plus, action, certainty."""
-    return (
-        [*xi, p, a, c]
-        for xi, p, a, c in zip(x.tolist(), prob.tolist(), action.tolist(), certainty.tolist())
-    )
+    """One output row per query or lattice node: its features, prob_plus, action, certainty.
+
+    The arrays become Python scalars `ROW_BLOCK` rows at a time, so the
+    writer's memory does not grow with the number of rows.
+    """
+    for start in range(0, len(prob), ROW_BLOCK):
+        block = slice(start, start + ROW_BLOCK)
+        for xi, p, a, c in zip(x[block].tolist(), prob[block].tolist(), action[block].tolist(),
+                               certainty[block].tolist()):
+            yield [*xi, p, a, c]
 
 
 def cmd_predict(args) -> int:

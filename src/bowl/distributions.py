@@ -11,8 +11,8 @@ from __future__ import annotations
 from functools import partial
 
 import numpy as np
+from numpy._core.multiarray import count_nonzero
 from numpy.linalg import LinAlgError, _umath_linalg
-from scipy.linalg import lapack
 
 # Below this, the inverse-Gaussian mean 1/sqrt(chi) is so large that the
 # half-order GIG is indistinguishable from its chi=0 Gamma limit.
@@ -20,8 +20,8 @@ CHI_DEGENERATE = 1e-12
 
 
 def _all_true(mask: np.ndarray) -> bool:
-    """mask.all(), without numpy's Python-level reduction wrapper."""
-    return np.count_nonzero(mask) == mask.size
+    """mask.all() as one call of the C function behind np.count_nonzero, without either's Python wrapper."""
+    return count_nonzero(mask) == mask.size
 
 
 @np.errstate(invalid="raise", over="ignore", divide="ignore", under="ignore")
@@ -33,9 +33,10 @@ def _lapack(gufunc, message: str, *operands) -> np.ndarray:
         raise LinAlgError(message) from None
 
 
-# np.linalg.cholesky(a) and np.linalg.solve(a, b) for a float p x p `a` and length-p `b`.
+# np.linalg.cholesky(a), np.linalg.solve(a, b) and np.linalg.inv(a) for a float p x p `a` and length-p `b`.
 cholesky = partial(_lapack, _umath_linalg.cholesky_lo, "Matrix is not positive definite")
 solve = partial(_lapack, _umath_linalg.solve1, "Singular matrix")
+inv = partial(_lapack, _umath_linalg.inv, "Singular matrix")
 
 
 class MvnParams:
@@ -88,9 +89,9 @@ def _gig_half_draw_vec(psi: float, chi: np.ndarray, rng: np.random.Generator) ->
     if not (psi > 0):
         raise ValueError(f"psi must be positive, got {psi}")
     degenerate = chi < CHI_DEGENERATE
-    if not np.count_nonzero(degenerate):
+    if not count_nonzero(degenerate):
         return 1.0 / _invgauss_draw(np.sqrt(psi / chi), psi, rng)
-    if np.count_nonzero(chi < 0):  # a negative chi is below the cutoff, so it is caught before any draw
+    if count_nonzero(chi < 0):  # a negative chi is below the cutoff, so it is caught before any draw
         raise ValueError("chi must be nonnegative")
     out = np.empty_like(chi)
     out[degenerate] = rng.gamma(0.5, 2.0 / psi, size=int(degenerate.sum()))
@@ -103,15 +104,15 @@ def sample_mvn(params: MvnParams, rng: np.random.Generator) -> np.ndarray:
     """Draw from N(mean, precision^{-1}) via the precision Cholesky factor.
 
     x = mean + L^{-T} z has covariance (L L^T)^{-1} = precision^{-1} exactly.
-    The LAPACK call is the one `solve_triangular(L, z, trans="T", lower=True)`
-    makes for a C-ordered L, without its wrapper, and gives the same bits.
+    L^{-T} z is numpy's LU solve (`solve`) of the upper-triangular L^T: with a
+    nonzero diagonal, partial pivoting keeps every row in place and each
+    elimination step subtracts exact zeros, so it gives the bits of
+    `scipy.linalg.solve_triangular(L, z, trans="T", lower=True)`. A zero on
+    L's diagonal raises LinAlgError.
     """
     chol = params.chol_lower
     z = rng.standard_normal(params.mean.size)
     if not (_all_true(np.isfinite(chol)) and _all_true(np.isfinite(z))):
         raise ValueError("Cholesky factor and noise must be finite")
-    x, info = lapack.dtrtrs(chol.T, z, lower=0, trans=0)
-    if info != 0:
-        raise LinAlgError(f"triangular solve failed: LAPACK dtrtrs info={info}")
-    return params.mean + x
+    return params.mean + solve(chol.T, z)
 

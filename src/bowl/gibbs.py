@@ -20,9 +20,18 @@ from dataclasses import dataclass
 from functools import partial
 
 import numpy as np
-from scipy.linalg import lapack
 
-from .distributions import MvnParams, _all_true, _gig_half_draw_vec, _invgauss_draw, cholesky, sample_mvn, solve
+from .distributions import (
+    MvnParams,
+    _all_true,
+    _gig_half_draw_vec,
+    _invgauss_draw,
+    cholesky,
+    count_nonzero,
+    inv,
+    sample_mvn,
+    solve,
+)
 from .pseudo_model import (
     Dataset,
     ExponentialPowerPrior,
@@ -43,8 +52,12 @@ class GibbsNumericalError(RuntimeError):
 
     def __init__(self, message: str, chain: int, iteration: int):
         super().__init__(f"chain {chain}, iteration {iteration}: {message}")
+        self.message = message
         self.chain = chain
         self.iteration = iteration
+
+    def __reduce__(self):  # a chain in a worker process raises it through the process pool
+        return type(self), (self.message, self.chain, self.iteration)
 
 
 @dataclass
@@ -241,7 +254,7 @@ def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rng: np.random.Generator)
     beta = np.asarray(beta, dtype=float).ravel()
     abs_beta = np.abs(beta)
     degenerate = abs_beta < BETA_ZERO_TOL
-    if not np.count_nonzero(degenerate):
+    if not count_nonzero(degenerate):
         return 1.0 / _invgauss_draw(nu_sigma / abs_beta, 1.0, rng)
     out = np.empty_like(beta)
     out[degenerate] = rng.gamma(0.5, 2.0, size=int(degenerate.sum()))
@@ -251,13 +264,20 @@ def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rng: np.random.Generator)
 
 
 def _active_inverse(a_mat: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """A_SS^{-1} embedded in a p x p array of zeros, from one Cholesky factorization of A_SS."""
+    """A_SS^{-1} embedded in a p x p array of zeros.
+
+    A Cholesky factorization of A_SS checks that it is positive definite
+    (else LinAlgError); the inverse itself is numpy's LU `inv`. Its last bits
+    differ from an inverse through the factor, but it only feeds the
+    inclusion odds, which are compared with uniforms.
+    """
     m_inv = np.zeros(a_mat.shape)
     idx = active.nonzero()[0]
     if idx.size > 0:
         rows = idx[:, None]
-        chol_inv = lapack.dtrtri(cholesky(a_mat[rows, idx]), lower=1)[0]
-        m_inv[rows, idx] = chol_inv.T @ chol_inv
+        block = a_mat[rows, idx]
+        cholesky(block)
+        m_inv[rows, idx] = inv(block)
     return m_inv
 
 
@@ -377,6 +397,8 @@ _KERNELS = ((NormalPrior, NormalKernel), (ExponentialPowerPrior, ExponentialPowe
             (SpikeSlabPrior, SpikeSlabKernel))
 
 
+# Overflow and NaN inside a sweep are silent: the checks after each sweep report them as GibbsNumericalError.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
 def _run_single_chain(
     kernel: NormalKernel | ExponentialPowerKernel | SpikeSlabKernel, config: GibbsConfig, chain_index: int
 ) -> tuple[np.ndarray, np.ndarray | None]:

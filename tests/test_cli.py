@@ -2,19 +2,21 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
 import bowl.simulate
 from bowl import verify
-from bowl.cli import _parse_draws_csv, main
+from bowl.cli import ROW_BLOCK, _parse_draws_csv, main
 from bowl.gibbs import GibbsNumericalError, PosteriorDraws
 from bowl.prediction import recommend
+from bowl.pseudo_model import read_numeric_csv
 from bowl.simulate import ScenarioSpec, _fit_seed, generate_scenario
 
 
@@ -232,6 +234,25 @@ class TestPredict:
         path = tmp_path / "edited_draws.csv"
         path.write_text("\n".join(lines[:2] + edit(lines[2:])) + "\n")
         return path
+
+    @pytest.mark.parametrize("m", [ROW_BLOCK, 2 * ROW_BLOCK + 1])
+    def test_rows_in_blocks_give_the_bytes_of_whole_arrays(self, fitted, tmp_path, m):
+        """recommendations.csv for exactly one block of query rows, and for two blocks and one row, equals
+        the file written from the whole arrays converted to Python scalars at once."""
+        query = tmp_path / "query.csv"
+        header = [f"x{j}" for j in range(1, 11)]
+        np.savetxt(query, query_features(m), delimiter=",", header=",".join(header), comments="")
+        out = tmp_path / "pred"
+        assert main(["predict", "--draws", str(fitted), "--query", str(query), "--out-dir", str(out)]) == 0
+
+        draws, config = _parse_draws_csv(fitted)
+        x = read_numeric_csv(query)[1]
+        columns = (x.tolist(), *(column.tolist() for column in recommend(draws, x)))
+        echo = {"command": "predict", "draws": str(fitted), "source_config": config}
+        lines = ["# config=" + json.dumps(echo, sort_keys=True), ",".join(header + ["prob_plus", "action", "certainty"])]
+        lines += [",".join(map(str, [*xi, p, a, c])) for xi, p, a, c in zip(*columns)]
+        assert len(lines) == m + 2
+        assert (out / "recommendations.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
 
     def test_nonfinite_draw_exit_2(self, fitted, tmp_path, capsys):
         for bad in ("nan", "inf", "-inf"):
@@ -528,21 +549,29 @@ EXTREMES = ["0", "5e-324", "-5e-324", "1e-300", "-1e-300", "1e300", "-1e300", "i
 
 
 def run_argv(argv) -> tuple[int, str]:
-    """(exit code, stderr) of `bowl.cli.main(argv)`, argparse's SystemExit counted as its code."""
+    """(exit code, stderr) of `bowl.cli.main(argv)`, argparse's SystemExit counted as its code.
+
+    Every warning raised in the call is shown on that stderr as Python shows it
+    outside pytest, which would otherwise capture it.
+    """
     err = io.StringIO()
-    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()), \
+            warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
-    return code, err.getvalue()
+    shown = "".join(warnings.formatwarning(w.message, w.category, w.filename, w.lineno) for w in caught)
+    return code, shown + err.getvalue()
 
 
 @pytest.fixture(scope="module")
 def small_inputs(tmp_path_factory):
-    """A 40-row, p=3 training CSV, a fit's draws.csv and a 5-row query CSV."""
+    """A 40-row and a 60-row p=3 training CSV, a fit's draws.csv and a 5-row query CSV."""
     root = tmp_path_factory.mktemp("argv")
     write_scenario_csv(root / "train.csv", n=40, p=3)
+    write_scenario_csv(root / "train60.csv", n=60, p=3)
     assert run_argv(["fit", "--data", str(root / "train.csv"), "--draws", "12", "--burn-in", "4",
                      "--jobs", "1", "--out-dir", str(root / "fit")])[0] == 0
     np.savetxt(root / "query.csv", query_features(5, p=3), delimiter=",", header="x1,x2,x3", comments="")
@@ -557,14 +586,16 @@ REPRODUCE_FLAGS = {"--n": "30", "--reps": "1", "--heatmap-n": "30", "--grid-res"
 
 
 @st.composite
-def argvs(draw, inputs):
+def argvs(draw):
+    """An argv whose input paths start with "{inputs}/", for the `small_inputs` directory."""
     command = draw(st.sampled_from(["fit", "predict", "reproduce"]))
     if command == "fit":
-        argv = ["fit", "--data", str(inputs / "train.csv"), "--prior", draw(st.sampled_from(["normal", "ep", "ss"]))]
+        data = draw(st.sampled_from(["train.csv", "train60.csv"]))
+        argv = ["fit", "--data", f"{{inputs}}/{data}", "--prior", draw(st.sampled_from(["normal", "ep", "ss"]))]
         flags = FIT_FLAGS
     elif command == "predict":
-        argv = ["predict", "--draws", str(inputs / "fit" / "draws.csv")]
-        argv += draw(st.sampled_from([["--grid"], ["--query", str(inputs / "query.csv")]]))
+        argv = ["predict", "--draws", "{inputs}/fit/draws.csv"]
+        argv += draw(st.sampled_from([["--grid"], ["--query", "{inputs}/query.csv"]]))
         argv += ["--grid-dims", draw(st.sampled_from(["1", *EXTREMES])), draw(st.sampled_from(["3", *EXTREMES]))]
         flags = PREDICT_FLAGS
     else:
@@ -575,16 +606,26 @@ def argvs(draw, inputs):
                    for flag, valid in flags.items()]
 
 
+# A finite mu0 that overflows the first lambda draw's chi = (w * margin)^2: exit 3, no numpy warning.
+MU0_OVERFLOW = ["fit", "--data", "{inputs}/train60.csv", "--prior", "normal"] + [
+    f"{flag}={'1e300' if flag == '--mu0' else valid}" for flag, valid in FIT_FLAGS.items()]
+
+
 class TestArgvProperty:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-    @given(data=st.data())
-    def test_exit_code_stderr_and_out_dir(self, small_inputs, data):
-        argv = data.draw(argvs(small_inputs))
+    @given(argv=argvs())
+    @example(argv=MU0_OVERFLOW)
+    @example(argv=MU0_OVERFLOW + ["--jobs=2"])  # the failing chain runs in a worker process
+    def test_exit_code_stderr_and_out_dir(self, small_inputs, argv):
+        argv = [arg.replace("{inputs}", str(small_inputs)) for arg in argv]
         with tempfile.TemporaryDirectory() as tmp:
             out = Path(tmp) / "out"
             code, err = run_argv(argv + ["--out-dir", str(out)])
             left = sorted(p.name for p in out.iterdir()) if out.exists() else []
         assert code in (0, 2, 3), (argv, code, err)
         assert "Traceback" not in err, (argv, err)
+        assert "RuntimeWarning" not in err, (argv, err)
+        if code == 3:
+            assert err.startswith("numerical failure: ") and err.count("\n") == 1, (argv, err)
         if code != 0:
             assert left == [], (argv, code, left)

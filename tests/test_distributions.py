@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 from scipy import integrate
 from scipy.linalg import solve_triangular
 from scipy.stats import invgauss, ks_2samp
@@ -15,6 +16,7 @@ from bowl.distributions import (
     _gig_half_draw_vec,
     _invgauss_draw,
     cholesky,
+    inv,
     sample_mvn,
     solve,
 )
@@ -288,6 +290,20 @@ class TestMvn:
         reference = params.mean + solve_triangular(params.chol_lower, z, trans="T", lower=True)
         np.testing.assert_array_equal(draw, reference)
 
+    @settings(max_examples=500, deadline=None)
+    @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-6, 6),
+           log_spread=st.integers(0, 4))
+    def test_solve_bit_identical_to_solve_triangular(self, p, seed, log_scale, log_spread):
+        """The noise solve L^{-T} z, on SPD precisions with columns scaled apart by up to 10^log_spread."""
+        rng = substream(seed)
+        scale = 10.0 ** (log_scale + rng.uniform(-log_spread, log_spread, p))
+        a = rng.standard_normal((p, p)) * scale
+        params = MvnParams(np.zeros(p), a @ a.T + 1e-3 * np.diag(scale**2))
+        z = substream(seed, 1).standard_normal(p)
+        reference = solve_triangular(params.chol_lower, z, lower=True, trans="T")
+        assert solve(params.chol_lower.T, z).tobytes() == reference.tobytes()
+        np.testing.assert_array_equal(sample_mvn(params, substream(seed, 1)), reference)
+
     def test_singular_factor_raises_linalg_error(self):
         params = MvnParams(np.zeros(3), np.eye(3))
         params.chol_lower = params.chol_lower.copy()
@@ -311,7 +327,7 @@ class TestMvn:
 
 
 class TestLinalgHelpers:
-    """`cholesky`, `solve` and `_all_true` are np.linalg.cholesky, np.linalg.solve and ndarray.all."""
+    """`cholesky`, `solve`, `inv` and `_all_true` are np.linalg.cholesky, solve, inv and ndarray.all."""
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-6, 6))
@@ -323,12 +339,15 @@ class TestLinalgHelpers:
         np.testing.assert_array_equal(cholesky(spd), np.linalg.cholesky(spd))
         np.testing.assert_array_equal(solve(spd, b), np.linalg.solve(spd, b))
         np.testing.assert_array_equal(solve(general, b), np.linalg.solve(general, b))
+        np.testing.assert_array_equal(inv(spd), np.linalg.inv(spd))
+        np.testing.assert_array_equal(inv(general), np.linalg.inv(general))
 
     @pytest.mark.parametrize("ours, numpys, operands, message", [
         (cholesky, np.linalg.cholesky, (np.array([[1.0, 2.0], [2.0, 1.0]]),), "Matrix is not positive definite"),
         (cholesky, np.linalg.cholesky, (-np.eye(3),), "Matrix is not positive definite"),
         (solve, np.linalg.solve, (np.zeros((2, 2)), np.ones(2)), "Singular matrix"),
         (solve, np.linalg.solve, (np.array([[1.0, 2.0], [2.0, 4.0]]), np.ones(2)), "Singular matrix"),
+        (inv, np.linalg.inv, (np.zeros((3, 3)),), "Singular matrix"),
     ])
     def test_failure_is_numpys_error_without_a_warning(self, ours, numpys, operands, message):
         with pytest.raises(np.linalg.LinAlgError, match=f"^{message}$"):
@@ -349,6 +368,12 @@ class TestLinalgHelpers:
     ])
     def test_all_true_is_all(self, mask):
         assert _all_true(mask) == bool(mask.all())
+
+    @settings(max_examples=300, deadline=None)
+    @given(mask=hnp.arrays(np.bool_, hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4)))
+    def test_all_true_is_all_on_random_shapes(self, mask):
+        assert _all_true(mask) == bool(mask.all())
+        assert _all_true(mask.T) == bool(mask.all())
 
 
 class TestDeterminism:

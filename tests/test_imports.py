@@ -1,7 +1,7 @@
 """Every name a module under src/bowl/ imports is used in that module,
 only `bowl.rng.ordered_map` starts processes, only `bowl verify` loads
-scipy.stats and scipy.integrate, and only `bowl.cli._write_artifacts`
-creates, writes or renames a file.
+scipy.stats, scipy.integrate and scipy.linalg, and only
+`bowl.cli._write_artifacts` creates, writes or renames a file.
 
 pyflakes-style, from the syntax tree alone: an imported name counts as used
 when it appears as a Name anywhere in the module (annotations included).
@@ -115,14 +115,18 @@ def imported_modules(source: str, module_level: bool = False) -> set[str]:
     return found
 
 
-def test_only_verify_loads_scipy_stats_and_integrate():
+VERIFY_ONLY = ("scipy.stats", "scipy.integrate", "scipy.linalg")
+
+
+def test_only_verify_loads_scipy_stats_integrate_and_linalg():
     users = [p.name for p in sorted(SRC.glob("*.py"))
-             if any(name.startswith(("scipy.stats", "scipy.integrate")) for name in imported_modules(p.read_text()))]
+             if any(name.startswith(VERIFY_ONLY) for name in imported_modules(p.read_text()))]
     assert users == ["verify.py"]
     eager = [p.name for p in sorted(SRC.glob("*.py"))
              if "bowl.verify" in imported_modules(p.read_text(), module_level=True)]
     assert eager == []
     assert imported_modules("from scipy import stats\n") >= {"scipy.stats"}
+    assert imported_modules("from scipy.linalg import lapack\n") >= {"scipy.linalg"}
     assert imported_modules("from . import verify\n", module_level=True) >= {"bowl.verify"}
     assert "bowl.verify" not in imported_modules("def f():\n    from .verify import run_all\n", module_level=True)
 
@@ -216,11 +220,12 @@ runs = [
 ]
 for argv in runs:
     assert bowl.cli.main(argv) == 0, argv
-print(json.dumps([name for name in ("scipy.stats", "scipy.integrate", "bowl.verify") if name in sys.modules]))
+print(json.dumps([name for name in ("scipy.stats", "scipy.integrate", "scipy.linalg", "bowl.verify")
+                  if name in sys.modules]))
 """
 
 
-def test_fit_predict_reproduce_never_load_scipy_stats(tmp_path):
+def test_fit_predict_reproduce_never_load_scipy_stats_or_linalg(tmp_path):
     path = os.pathsep.join(filter(None, [str(SRC.parent), os.environ.get("PYTHONPATH")]))
     env = {**os.environ, "PYTHONPATH": path}
     done = subprocess.run([sys.executable, "-c", BOUNDARY_SCRIPT, str(tmp_path)],
