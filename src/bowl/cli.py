@@ -234,8 +234,6 @@ def cmd_predict(args) -> int:
         echo["grid_res"] = args.grid_res
         name, lines = "certainty_grid.csv", _csv_lines(echo, GRID_HEADER, _prediction_rows(coords, *preds))
     else:
-        if not args.query:
-            raise DataError("predict needs either --query CSV or --grid")
         header, queries = read_numeric_csv(args.query)
         expected = [f"x{j}" for j in range(1, n_raw + 1)]
         if header != expected:
@@ -346,8 +344,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_pred.add_argument("--seed", type=int, default=0,
                         help="ignored (prediction is deterministic); the predict-bulk benchmark passes it")
     p_pred.add_argument("--draws", required=True, help="draws.csv from a fit")
-    p_pred.add_argument("--query", help="CSV of feature rows x1..xp")
-    p_pred.add_argument("--grid", action="store_true", help="evaluate a certainty lattice instead")
+    target = p_pred.add_mutually_exclusive_group(required=True)
+    target.add_argument("--query", help="CSV of feature rows x1..xp")
+    target.add_argument("--grid", action="store_true", help="evaluate a certainty lattice instead")
     p_pred.add_argument("--grid-dims", type=int, nargs=2, default=(1, 2), metavar=("J1", "J2"),
                         help="1-based feature indices spanning the lattice")
     p_pred.add_argument("--grid-res", type=int, default=33)

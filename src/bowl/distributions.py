@@ -62,41 +62,39 @@ class MvnParams:
         self.chol_lower = cholesky(precision)
 
 
-def _invgauss_draw(mu, lambda_shape, rng: np.random.Generator):
-    """Michael-Schucany-Haas transformation-with-rejection, vectorized.
+def _invgauss_draw(mu, rng: np.random.Generator):
+    """IG(mu, 1) draws by Michael-Schucany-Haas transformation-with-rejection, vectorized.
 
     The small root of the transformed quadratic is evaluated as
-    mu / (1 + t + sqrt(t^2 + 2t)) with t = mu*y/(2*lambda), which is
+    mu / (1 + t + sqrt(t^2 + 2t)) with t = mu*y/2, which is
     algebraically identical to the textbook form but free of the
     catastrophic cancellation it suffers for large y.
     """
     mu = np.asarray(mu, dtype=float)
     y = rng.standard_normal(size=mu.shape) ** 2
-    t = mu * y / (2.0 * lambda_shape)
+    t = mu * y / 2.0
     x_small = mu / (1.0 + t + np.sqrt(t * t + 2.0 * t))
     u = rng.random(mu.shape)  # the same bits and stream position as rng.uniform(size=mu.shape)
     return np.where(u <= mu / (mu + x_small), x_small, mu * mu / x_small)
 
 
-def _gig_half_draw_vec(psi: float, chi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Vector of independent GIG(1/2, psi, chi_i) draws.
+def _gig_half_draw_vec(chi: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+    """Vector of independent GIG(1/2, 1, chi_i) draws, the latent scales of the hinge's normal mixture.
 
-    Uses the reciprocal identity: X ~ GIG(1/2, psi, chi) iff
-    1/X ~ IG(sqrt(psi/chi), psi). Entries with chi below the degeneracy
-    cutoff fall back to the exact chi=0 limit Gamma(1/2, rate psi/2).
+    Uses the reciprocal identity: X ~ GIG(1/2, 1, chi) iff
+    1/X ~ IG(sqrt(1/chi), 1). Entries with chi below the degeneracy
+    cutoff fall back to the exact chi=0 limit Gamma(1/2, rate 1/2).
     """
     chi = np.asarray(chi, dtype=float)
-    if not (psi > 0):
-        raise ValueError(f"psi must be positive, got {psi}")
     degenerate = chi < CHI_DEGENERATE
     if not count_nonzero(degenerate):
-        return 1.0 / _invgauss_draw(np.sqrt(psi / chi), psi, rng)
+        return 1.0 / _invgauss_draw(np.sqrt(1.0 / chi), rng)
     if count_nonzero(chi < 0):  # a negative chi is below the cutoff, so it is caught before any draw
         raise ValueError("chi must be nonnegative")
     out = np.empty_like(chi)
-    out[degenerate] = rng.gamma(0.5, 2.0 / psi, size=int(degenerate.sum()))
+    out[degenerate] = rng.gamma(0.5, 2.0, size=int(degenerate.sum()))
     proper = ~degenerate  # may be empty: a size-0 draw takes nothing from the stream
-    out[proper] = 1.0 / _invgauss_draw(np.sqrt(psi / chi[proper]), psi, rng)
+    out[proper] = 1.0 / _invgauss_draw(np.sqrt(1.0 / chi[proper]), rng)
     return out
 
 

@@ -40,7 +40,7 @@ from .pseudo_model import (
     SpikeSlabPrior,
     add_intercept,
     owl_weights,
-    resolve_prior,
+    prior_scales,
 )
 from .rng import ordered_map, substream
 
@@ -137,20 +137,13 @@ def _check_constant(values, what: str, inputs: str, positive: bool = True) -> No
         raise ValueError(f"{what} is not finite{' and positive' if positive else ''} (check {inputs})")
 
 
-def draw_lambda(
-    beta: np.ndarray, data: Dataset, rng: np.random.Generator, weights: np.ndarray | None = None
-) -> np.ndarray:
-    """Sample lam_i ~ GIG(1/2, 1, w_i^2 (1 - a_i x_i'beta)^2) independently, w = owl_weights(data).
-
-    A chain passes the weights in, computed once.
-    """
+def draw_lambda(beta: np.ndarray, data: Dataset, rng: np.random.Generator, weights: np.ndarray) -> np.ndarray:
+    """Sample lam_i ~ GIG(1/2, 1, w_i^2 (1 - a_i x_i'beta)^2) independently, w = owl_weights(data), computed once."""
     beta = np.asarray(beta, dtype=float)
     if not _all_true(np.isfinite(beta)):
         raise ValueError("beta must be finite")
-    w = owl_weights(data) if weights is None else weights
     margins = 1.0 - data.actions * data.features.dot(beta)
-    chi = (w * margins) ** 2
-    return _gig_half_draw_vec(1.0, chi, rng)
+    return _gig_half_draw_vec((weights * margins) ** 2, rng)
 
 
 def _canonical_order(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
@@ -193,23 +186,20 @@ class CanonicalRows:
         return cls(order, rank if tied else None, x, np.ascontiguousarray(x.T), data.actions[order], w, w_sq)
 
 
-def build_suffstats(lam: np.ndarray, data: Dataset, rows: CanonicalRows | None = None) -> SuffStats:
+def build_suffstats(lam: np.ndarray, rows: CanonicalRows) -> SuffStats:
     """Accumulate the canonical sufficient statistics for the beta draw.
 
     Observations are summed in a canonical order, so the sums are
     bit-identical under any permutation of the input rows: rows gathered
-    once per chain (`CanonicalRows`, made here when not passed), `lam`
-    breaks exact-duplicate ties.
+    once per chain (`CanonicalRows`), `lam` breaks exact-duplicate ties.
+    With no rows the sums are zero.
     """
     lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape != (data.n,):
-        raise ValueError(f"lam has length {lam.size}, expected {data.n}")
-    if data.n == 0:
-        return SuffStats(np.zeros((data.p, data.p)), np.zeros(data.p))
+    if lam.shape != rows.order.shape:
+        raise ValueError(f"lam has length {lam.size}, expected {rows.order.size}")
     if not _all_true(lam > 0):
         raise ValueError("lam must be strictly positive")
 
-    rows = CanonicalRows.of(data) if rows is None else rows
     lam_o, x, xt, a, w, w_sq = lam[rows.order], rows.x, rows.xt, rows.a, rows.w, rows.w_sq
     if rows.tied_rank is not None:
         tie = np.lexsort((lam_o, rows.tied_rank))
@@ -255,11 +245,11 @@ def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rng: np.random.Generator)
     abs_beta = np.abs(beta)
     degenerate = abs_beta < BETA_ZERO_TOL
     if not count_nonzero(degenerate):
-        return 1.0 / _invgauss_draw(nu_sigma / abs_beta, 1.0, rng)
+        return 1.0 / _invgauss_draw(nu_sigma / abs_beta, rng)
     out = np.empty_like(beta)
     out[degenerate] = rng.gamma(0.5, 2.0, size=int(degenerate.sum()))
     proper = ~degenerate  # may be empty: a size-0 draw takes nothing from the stream
-    out[proper] = 1.0 / _invgauss_draw(nu_sigma[proper] / abs_beta[proper], 1.0, rng)
+    out[proper] = 1.0 / _invgauss_draw(nu_sigma[proper] / abs_beta[proper], rng)
     return out
 
 
@@ -312,7 +302,7 @@ def draw_gamma_and_beta_ss(
     is drawn from its conditional Gaussian and the inactive coordinates are
     exactly zero.
     """
-    suff = build_suffstats(state.lam, kernel.data, kernel.rows)
+    suff = build_suffstats(state.lam, kernel.rows)
     a_mat = suff.precision_data + kernel.prior_precision
     b_vec = suff.linear_data
 
@@ -351,7 +341,7 @@ class NormalKernel:
         self.start = ChainState(np.zeros(data.p), np.ones(data.n))
 
     def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
-        suff = build_suffstats(state.lam, self.data, self.rows)
+        suff = build_suffstats(state.lam, self.rows)
         state.beta = draw_beta_normal(suff, self.prior_precision, self.prior_linear, rng)
         state.lam = draw_lambda(state.beta, self.data, rng, self.weights)
 
@@ -361,7 +351,7 @@ class ExponentialPowerKernel:
 
     def __init__(self, data: Dataset, rows: CanonicalRows, prior: ExponentialPowerPrior):
         self.data, self.rows, self.weights = data, rows, owl_weights(data)
-        sigma = np.asarray(prior.sigma_j, dtype=float)
+        sigma = prior_scales(prior, data.features)
         self.slab_variance = np.float64(prior.nu) ** 2 * sigma**2  # Python's nu**2 bits, inf past the range
         self.nu_sigma = prior.nu * sigma
         _check_constant(self.slab_variance, "the slab variance nu^2 sigma_j^2", "nu and sigma_j")
@@ -369,7 +359,7 @@ class ExponentialPowerKernel:
         self.start = ChainState(np.zeros(data.p), np.ones(data.n), omega=np.ones(data.p))
 
     def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
-        suff = build_suffstats(state.lam, self.data, self.rows)
+        suff = build_suffstats(state.lam, self.rows)
         state.beta = draw_beta_ep(suff, state.omega, self.slab_variance, rng)
         state.lam = draw_lambda(state.beta, self.data, rng, self.weights)
         state.omega = draw_omega(state.beta, self.nu_sigma, rng)
@@ -380,7 +370,7 @@ class SpikeSlabKernel:
 
     def __init__(self, data: Dataset, rows: CanonicalRows, prior: SpikeSlabPrior):
         self.data, self.rows, self.weights = data, rows, owl_weights(data)
-        prior_prec = 1.0 / (np.float64(prior.nu) ** 2 * np.asarray(prior.sigma_j, dtype=float) ** 2)
+        prior_prec = 1.0 / (np.float64(prior.nu) ** 2 * prior_scales(prior, data.features) ** 2)
         self.prior_prec = prior_prec.tolist()  # Python floats for the coordinate loop
         self.prior_precision = np.diag(prior_prec)
         self.log_prior_odds_out = math.log1p(-prior.pi_incl) - math.log(prior.pi_incl)
@@ -434,7 +424,7 @@ def run_chain(
     """Run n_chains independent Gibbs chains and collect retained draws.
 
     With intercept set, the constant column is prepended to the features
-    before the prior is resolved. Each chain derives its own substream from
+    before the kernel reads the prior. Each chain derives its own substream from
     (seed, chain_index), so the result is identical whether chains run
     sequentially or in parallel; assembly is always ordered by chain index.
     """
@@ -445,7 +435,7 @@ def run_chain(
         raise TypeError(f"unknown prior type {type(prior)!r}")
     # A constant that overflows raises ValueError from the kernel's own check, not a RuntimeWarning.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        kernel = kernel_type(data, CanonicalRows.of(data), resolve_prior(prior, data.features))
+        kernel = kernel_type(data, CanonicalRows.of(data), prior)
     one_chain = partial(_run_single_chain, kernel, config)
     betas, gammas = zip(*ordered_map(one_chain, range(config.n_chains), jobs))
     gamma = np.stack(gammas) if gammas[0] is not None else None

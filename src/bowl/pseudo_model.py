@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import itertools
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -200,19 +200,15 @@ def _prior_vector(prior: PriorSpec, name: str, p: int) -> np.ndarray:
     return value
 
 
-def resolve_prior(prior: PriorSpec, features: np.ndarray) -> PriorSpec:
-    """Check the prior against the p feature columns, before any chain starts.
+def prior_scales(prior: ExponentialPowerPrior | SpikeSlabPrior, features: np.ndarray) -> np.ndarray:
+    """A shrinkage prior's sigma_j as a length-p vector, checked before any chain starts.
 
-    A shrinkage prior's sigma_j is filled in from the training features if
-    not set, or else broadcast to length p; the normal prior's mu0 is only
-    checked. A prior vector of any other shape raises ValueError.
+    An unset sigma_j is `feature_scales` of the training features, a scalar
+    broadcasts, and any other shape raises ValueError.
     """
-    p = features.shape[1]
-    if isinstance(prior, NormalPrior):
-        prior.mu0_vector(p)
-        return prior
-    sigma_j = feature_scales(features) if prior.sigma_j is None else _prior_vector(prior, "sigma_j", p)
-    return replace(prior, sigma_j=sigma_j)
+    if prior.sigma_j is None:
+        return feature_scales(features)
+    return _prior_vector(prior, "sigma_j", features.shape[1])
 
 
 def add_intercept(features: np.ndarray) -> np.ndarray:

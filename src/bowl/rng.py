@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
@@ -18,8 +19,12 @@ def substream(seed: int, *key: int) -> np.random.Generator:
 
 
 def ordered_map(fn, items, jobs: int) -> list:
-    """[fn(x) for x in items], in order; run in a pool of min(jobs, len(items)) processes if above 1."""
-    if jobs > 1 and len(items) > 1:
-        with ProcessPoolExecutor(max_workers=min(jobs, len(items))) as pool:
+    """[fn(x) for x in items], in order; run in a pool of min(jobs, len(items), CPUs) processes if above 1.
+
+    The CPU cap bounds a large `jobs`: under fork the pool starts every worker at its first submit.
+    """
+    workers = min(jobs, len(items), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             return list(pool.map(fn, items))
     return [fn(x) for x in items]

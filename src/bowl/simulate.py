@@ -21,6 +21,11 @@ from .rng import ordered_map, substream
 
 _BOWL_PRIORS = {"bowl-normal": NormalPrior, "bowl-ep": ExponentialPowerPrior, "bowl-ss": SpikeSlabPrior}
 METHODS = ("owl", *_BOWL_PRIORS)
+RHO = 0.5  # P(A = +1): every scenario assigns treatment by a fair coin
+
+# Each scenario's interaction coefficient c and boundary score s(x1, x2): the reward
+# mean holds c * s * a, and the optimal rule is sign(s), with s = 0 sent to -1.
+SCENARIOS = {1: (1.0, lambda x1, x2: x1 + x2), 2: (0.442, lambda x1, x2: 1.0 - x1 - x2)}
 
 
 @dataclass(frozen=True)
@@ -37,13 +42,12 @@ class ScenarioSpec:
     n_test: int = 1000
     n_reps: int = 200
     p: int = 10
-    rho: float = 0.5
     seed: int = 0
     signal_scale: float = 1.0
     noise_sd: float = 1.0
 
     def __post_init__(self):
-        if self.scenario_id not in (1, 2):
+        if self.scenario_id not in SCENARIOS:
             raise ValueError("scenario_id must be 1 or 2")
         if min(self.n_train, self.n_test, self.n_reps) < 1:
             raise ValueError("n_train, n_test and n_reps must be positive")
@@ -51,25 +55,16 @@ class ScenarioSpec:
 
 def interaction_term(scenario_id: int, features: np.ndarray, actions: np.ndarray) -> np.ndarray:
     """Treatment-feature interaction entering the reward mean."""
-    x1, x2 = features[:, 0], features[:, 1]
-    if scenario_id == 1:
-        return (x1 + x2) * actions
-    return 0.442 * (1.0 - x1 - x2) * actions
+    coefficient, score = SCENARIOS[scenario_id]
+    return coefficient * score(features[:, 0], features[:, 1]) * actions
 
 
-def true_optimal_rule(scenario_id: int, x: np.ndarray) -> np.ndarray | int:
-    """+1 where the interaction favors treatment +1, else -1 (boundary to -1)."""
-    x = np.asarray(x, dtype=float)
-    single = x.ndim == 1
-    xs = np.atleast_2d(x)
-    if scenario_id == 1:
-        score = xs[:, 0] + xs[:, 1]
-    elif scenario_id == 2:
-        score = 1.0 - xs[:, 0] - xs[:, 1]
-    else:
+def true_optimal_rule(scenario_id: int, x: np.ndarray) -> np.ndarray:
+    """+1 for each row of x where the interaction favors treatment +1, else -1 (boundary to -1)."""
+    if scenario_id not in SCENARIOS:
         raise ValueError("scenario_id must be 1 or 2")
-    labels = np.where(score > 0, 1, -1)
-    return int(labels[0]) if single else labels
+    x = np.asarray(x, dtype=float)
+    return np.where(SCENARIOS[scenario_id][1](x[:, 0], x[:, 1]) > 0, 1, -1)
 
 
 def generate_scenario_raw(
@@ -88,7 +83,7 @@ def generate_scenario_raw(
         rng = substream(spec.seed, rep_index)
     n = spec.n_train if n_obs is None else n_obs
     features = rng.uniform(-1.0, 1.0, size=(n, spec.p))
-    actions = np.where(rng.uniform(size=n) < spec.rho, 1.0, -1.0)
+    actions = np.where(rng.uniform(size=n) < RHO, 1.0, -1.0)
     mean_reward = (
         1.0
         + 2.0 * features[:, 0]
@@ -109,7 +104,7 @@ def generate_scenario(
     """Simulate one dataset (rewards shifted positive) plus its true labels."""
     features, actions, raw_rewards, truth = generate_scenario_raw(spec, rep_index, rng, n_obs)
     rewards, _ = reward_transform(raw_rewards)
-    data = Dataset(features=features, actions=actions, rewards=rewards, rho=spec.rho)
+    data = Dataset(features=features, actions=actions, rewards=rewards, rho=RHO)
     return data, truth
 
 
@@ -171,10 +166,10 @@ def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]
 
     rates: dict[str, float] = {}
     failures: list[tuple[str, int, str]] = []
-    for m_idx, method in enumerate(methods):
-        seed = _fit_seed(spec.seed, rep, m_idx)
+    for method in methods:
+        seed = _fit_seed(spec.seed, rep, METHODS.index(method))  # the method, not its place in `methods`
         try:
-            predicted = classify_with_method(method, x_tr, a_tr, r_tr, spec.rho, x_te, seed)
+            predicted = classify_with_method(method, x_tr, a_tr, r_tr, RHO, x_te, seed)
             rates[method] = misclassification_rate(predicted, truth)
         except GibbsNumericalError as exc:
             rates[method] = float("nan")
@@ -188,13 +183,15 @@ def _fit_seed(seed: int, rep: int, method_index: int) -> int:
 
 
 def check_methods(methods: tuple[str, ...] | list[str]) -> list[str]:
-    """The methods as a list; ValueError if there are none or one is unknown."""
+    """The methods as a list; ValueError if there are none, one is unknown or one is listed twice."""
     methods = list(methods)
     if not methods:
         raise ValueError("need at least one method")
-    for m in methods:
+    for i, m in enumerate(methods):
         if m not in METHODS:
             raise ValueError(f"unknown method {m!r}; choose from {', '.join(METHODS)}")
+        if m in methods[:i]:
+            raise ValueError(f"method {m!r} is listed twice")
     return methods
 
 

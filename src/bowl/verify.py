@@ -23,6 +23,7 @@ from scipy.stats import kstest
 
 from .distributions import _gig_half_draw_vec
 from .gibbs import (
+    CanonicalRows,
     GibbsConfig,
     _active_inverse,
     _inclusion_log_bf,
@@ -79,7 +80,7 @@ def check_gig_moments(seed: int = 0) -> CheckResult:
     failures = []
     details = []
     for chi in (0.25, 1.0, 4.0):
-        draws = _gig_half_draw_vec(1.0, np.full(MOMENT_DRAWS, chi), rng)
+        draws = _gig_half_draw_vec(np.full(MOMENT_DRAWS, chi), rng)
         recip_mean = float(np.mean(1.0 / draws))
         target = chi**-0.5
         se = math.sqrt(chi**-1.5 / MOMENT_DRAWS)  # Var of the reciprocal is mu^3 here
@@ -88,7 +89,7 @@ def check_gig_moments(seed: int = 0) -> CheckResult:
         if not ok:
             failures.append(chi)
     # chi = 0 degenerates to a chi-square(1) draw with mean 1, variance 2.
-    zero_draws = _gig_half_draw_vec(1.0, np.zeros(MOMENT_DRAWS), rng)
+    zero_draws = _gig_half_draw_vec(np.zeros(MOMENT_DRAWS), rng)
     zero_mean = float(zero_draws.mean())
     zero_se = math.sqrt(2.0 / MOMENT_DRAWS)
     ok_zero = abs(zero_mean - 1.0) < 3.0 * zero_se
@@ -118,7 +119,7 @@ def _moment_instance(seed: int, n: int = 6, p: int = 3):
 def check_beta_conditional_moments(seed: int = 0) -> CheckResult:
     """Empirical mean/covariance of the Gaussian conditionals vs direct solves."""
     data, lam = _moment_instance(seed)
-    suff = build_suffstats(lam, data)
+    suff = build_suffstats(lam, CanonicalRows.of(data))
     p = data.p
     prior_n = NormalPrior(mu0=0.25, sigma0_sq=1.5)
     prior_ep = ExponentialPowerPrior(nu=0.8, sigma_j=np.full(p, 0.6))
@@ -170,7 +171,7 @@ def check_ss_log_odds(tol: float = 1e-6, seed: int = 0) -> CheckResult:
     subset_log_marginal(S + {j}) - subset_log_marginal(S - {j}), over every (S, j) at p=5."""
     p = 5
     data, lam = _moment_instance(seed, n=12, p=p)
-    suff = build_suffstats(lam, data)
+    suff = build_suffstats(lam, CanonicalRows.of(data))
     prior_prec = 1.0 / (0.8 * np.linspace(0.5, 1.5, p)) ** 2
     a_mat = suff.precision_data + np.diag(prior_prec)
     gap = 0.0

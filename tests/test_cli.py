@@ -350,6 +350,17 @@ class TestPredict:
         assert err.startswith("error: ") and "Is a directory" in err and "Traceback" not in err
         assert not (tmp_path / "pred").exists()
 
+    @pytest.mark.parametrize("flags, message", [
+        (["--grid", "--query", "query.csv"], "argument --query: not allowed with argument --grid"),
+        ([], "one of the arguments --query --grid is required"),
+    ], ids=["both", "neither"])
+    def test_exactly_one_of_query_and_grid(self, fitted, tmp_path, capsys, flags, message):
+        with pytest.raises(SystemExit) as exc:  # argparse rejects the flags before any file is read
+            main(["predict", "--draws", str(fitted), *flags, "--out-dir", str(tmp_path / "pred")])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
+
     def test_query_dimension_mismatch_exit_2(self, fitted, tmp_path):
         query = tmp_path / "query.csv"
         query.write_text("x1,x2\n0.1,0.2\n")
@@ -478,6 +489,13 @@ class TestReproduce:
                      "--methods", "qlearning", "--out-dir", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert "unknown method 'qlearning'; choose from owl, bowl-normal, bowl-ep, bowl-ss" in err
+        assert not any(tmp_path.iterdir())
+
+    def test_repeated_method_exit_2(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.setattr("bowl.cli.run_experiment", no_run)
+        assert main(["reproduce", "--scenario", "1", "--reps", "1",
+                     "--methods", "owl,bowl-ep,owl", "--out-dir", str(tmp_path / "out")]) == 2
+        assert "error: method 'owl' is listed twice" in capsys.readouterr().err
         assert not any(tmp_path.iterdir())
 
 

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+from dataclasses import replace
 from types import SimpleNamespace
 
 import numpy as np
@@ -44,7 +45,7 @@ from bowl.pseudo_model import (
     add_intercept,
     feature_scales,
     owl_weights,
-    resolve_prior,
+    prior_scales,
 )
 from bowl.rng import substream
 from bowl.verify import check_ss_log_odds, exact_beta_cdf, oracle_instance, subset_log_marginal
@@ -91,11 +92,8 @@ def ss_kernel(data, prior):
     return SpikeSlabKernel(data, CanonicalRows.of(data), prior)
 
 
-def lexsort_suffstats(lam, data, rows=None):
-    """Reference build_suffstats: the 13-key lexsort (lam, r, a, x_p..x_1) on every call.
-
-    `rows` is accepted and ignored, so this can stand in for the real one.
-    """
+def lexsort_suffstats(lam, data):
+    """Reference build_suffstats: the 13-key lexsort (lam, r, a, x_p..x_1) on every call."""
     lam = np.asarray(lam, dtype=float).ravel()
     keys = (lam, data.rewards, data.actions) + tuple(
         data.features[:, j] for j in range(data.p - 1, -1, -1)
@@ -159,7 +157,8 @@ def reference_chain(data, prior, config):
     sweep is `cholesky_ss_reference`. Returns the retained beta and gamma draws
     (gamma all ones outside ss).
     """
-    prior = resolve_prior(prior, data.features)
+    if not isinstance(prior, NormalPrior):
+        prior = replace(prior, sigma_j=prior_scales(prior, data.features))
     p, w, kept = data.p, owl_weights(data), config.n_draws - config.burn_in
     betas, gammas = np.empty((config.n_chains, kept, p)), np.empty((config.n_chains, kept, p), dtype=np.int8)
     for chain in range(config.n_chains):
@@ -201,14 +200,14 @@ class TestDrawLambda:
         # a x'beta = 1 makes chi vanish; the draw degenerates to chi-square(1).
         data = Dataset(np.array([[0.5]]), np.array([1.0]), np.array([1.0]), 0.5)
         rng = substream(30)
-        draws = np.array([draw_lambda(np.array([2.0]), data, rng)[0] for _ in range(N // 4)])
+        draws = np.array([draw_lambda(np.array([2.0]), data, rng, owl_weights(data))[0] for _ in range(N // 4)])
         assert abs(draws.mean() - 1.0) < 3 * math.sqrt(2.0 / (N // 4))
 
     def test_reciprocal_mean_at_chi_four(self):
         # w = 2 at zero margin: chi = 4, E[1/lam] = 1/sqrt(chi) = 0.5.
         data = Dataset(np.array([[0.0]]), np.array([1.0]), np.array([1.0]), 0.5)
         rng = substream(31)
-        draws = np.array([draw_lambda(np.zeros(1), data, rng)[0] for _ in range(N // 4)])
+        draws = np.array([draw_lambda(np.zeros(1), data, rng, owl_weights(data))[0] for _ in range(N // 4)])
         se = math.sqrt(4.0**-1.5 / (N // 4))
         assert abs((1.0 / draws).mean() - 0.5) < 3 * se
 
@@ -216,7 +215,7 @@ class TestDrawLambda:
         data = random_dataset(32, n=2)
         rng = substream(33)
         beta = np.zeros(data.p)
-        draws = np.array([draw_lambda(beta, data, rng) for _ in range(N // 2)])
+        draws = np.array([draw_lambda(beta, data, rng, owl_weights(data)) for _ in range(N // 2)])
         corr = np.corrcoef(draws.T)[0, 1]
         assert abs(corr) < 0.02
 
@@ -225,14 +224,14 @@ class TestBuildSuffstats:
     def test_single_observation_closed_form(self):
         # w = 1, lam = 1: precision = w^2/lam = 1, linear = w(1 + w/lam) = 2.
         data = Dataset(np.array([[1.0]]), np.array([1.0]), np.array([0.5]), 0.5)
-        suff = build_suffstats(np.ones(1), data)
+        suff = build_suffstats(np.ones(1), CanonicalRows.of(data))
         assert suff.precision_data[0, 0] == pytest.approx(1.0)
         assert suff.linear_data[0] == pytest.approx(2.0)
 
     def test_matches_loop_oracle(self):
         data = random_dataset(34)
         lam = substream(35).uniform(0.5, 2.0, size=data.n)
-        suff = build_suffstats(lam, data)
+        suff = build_suffstats(lam, CanonicalRows.of(data))
         precision = np.zeros((data.p, data.p))
         linear = np.zeros(data.p)
         for i in range(data.n):
@@ -247,10 +246,10 @@ class TestBuildSuffstats:
     def test_permutation_bit_exact(self):
         for data in (random_dataset(36, n=12), duplicated_dataset(36)):
             lam = substream(37).uniform(0.5, 2.0, size=data.n)
-            suff = build_suffstats(lam, data)
+            suff = build_suffstats(lam, CanonicalRows.of(data))
             perm = substream(38).permutation(data.n)
             shuffled = Dataset(data.features[perm], data.actions[perm], data.rewards[perm], data.rho)
-            suff_p = build_suffstats(lam[perm], shuffled)
+            suff_p = build_suffstats(lam[perm], CanonicalRows.of(shuffled))
             np.testing.assert_array_equal(suff.precision_data, suff_p.precision_data)
             np.testing.assert_array_equal(suff.linear_data, suff_p.linear_data)
 
@@ -271,9 +270,9 @@ class TestBuildSuffstats:
                 "all_equal": np.ones(data.n),
             }[lam_kind]
             ref = lexsort_suffstats(lam, data)
-            for suff in (build_suffstats(lam, data), build_suffstats(lam, data, rows)):
-                np.testing.assert_array_equal(suff.precision_data, ref.precision_data)
-                np.testing.assert_array_equal(suff.linear_data, ref.linear_data)
+            suff = build_suffstats(lam, rows)
+            np.testing.assert_array_equal(suff.precision_data, ref.precision_data)
+            np.testing.assert_array_equal(suff.linear_data, ref.linear_data)
 
     def test_canonical_rank_ties_exact_duplicates_only(self):
         data = Dataset(
@@ -289,13 +288,15 @@ class TestBuildSuffstats:
     def test_rejects_nonpositive_lambda(self):
         data = random_dataset(39)
         with pytest.raises(ValueError):
-            build_suffstats(np.zeros(data.n), data)
+            build_suffstats(np.zeros(data.n), CanonicalRows.of(data))
 
 
 class TestDrawBetaNormal:
     def test_prior_recovery_without_data(self):
         empty = Dataset(np.empty((0, 2)), np.empty(0), np.empty(0), 0.5)
-        suff = build_suffstats(np.empty(0), empty)
+        suff = build_suffstats(np.empty(0), CanonicalRows.of(empty))
+        np.testing.assert_array_equal(suff.precision_data, np.zeros((2, 2)))
+        np.testing.assert_array_equal(suff.linear_data, np.zeros(2))
         prior = NormalPrior(mu0=np.array([0.5, -1.0]), sigma0_sq=2.0)
         rng = substream(40)
         draws = np.array([draw_beta_normal(suff, *normal_terms(prior, empty.p), rng) for _ in range(N // 4)])
@@ -306,7 +307,7 @@ class TestDrawBetaNormal:
     def test_scalar_closed_form(self):
         # One observation with w = 1, lam = 1: B = 1/2, b = 2, mean = 1.
         data = Dataset(np.array([[1.0]]), np.array([1.0]), np.array([0.5]), 0.5)
-        suff = build_suffstats(np.ones(1), data)
+        suff = build_suffstats(np.ones(1), CanonicalRows.of(data))
         prior = NormalPrior(mu0=0.0, sigma0_sq=1.0)
         rng = substream(41)
         draws = np.array([draw_beta_normal(suff, *normal_terms(prior, data.p), rng)[0] for _ in range(N // 2)])
@@ -317,7 +318,7 @@ class TestDrawBetaNormal:
     def test_mean_matches_direct_solve(self):
         data = random_dataset(42)
         lam = substream(43).uniform(0.5, 2.0, size=data.n)
-        suff = build_suffstats(lam, data)
+        suff = build_suffstats(lam, CanonicalRows.of(data))
         prior = NormalPrior(mu0=0.25, sigma0_sq=1.5)
         b_inv = suff.precision_data + np.eye(data.p) / prior.sigma0_sq
         target = np.linalg.solve(b_inv, suff.linear_data + 0.25 / 1.5)
@@ -332,7 +333,7 @@ class TestDrawBetaEp:
     def test_huge_omega_recovers_data_only_gaussian(self):
         data = random_dataset(45)
         lam = substream(46).uniform(0.5, 2.0, size=data.n)
-        suff = build_suffstats(lam, data)
+        suff = build_suffstats(lam, CanonicalRows.of(data))
         prior = ExponentialPowerPrior(nu=1.0, sigma_j=np.ones(data.p))
         omega = np.full(data.p, 1e12)
         target = np.linalg.solve(suff.precision_data, suff.linear_data)
@@ -361,7 +362,7 @@ class TestDrawBetaEp:
         for _ in range(5):
             data = random_dataset(int(rng.integers(0, 10_000)), n=9, p=3)
             lam = rng.uniform(0.5, 2.0, size=data.n)
-            suff = build_suffstats(lam, data)
+            suff = build_suffstats(lam, CanonicalRows.of(data))
             sigma = np.full(data.p, 0.7)
             norms = []
             for nu in (0.2, 0.5, 1.0, 2.0, 5.0):
@@ -371,7 +372,7 @@ class TestDrawBetaEp:
 
     def test_rejects_nonpositive_omega(self):
         data = random_dataset(50)
-        suff = build_suffstats(np.ones(data.n), data)
+        suff = build_suffstats(np.ones(data.n), CanonicalRows.of(data))
         prior = ExponentialPowerPrior(nu=1.0, sigma_j=np.ones(data.p))
         with pytest.raises(ValueError):
             draw_beta_ep(suff, np.zeros(data.p), prior.nu**2 * prior.sigma_j**2, substream(51))
@@ -408,7 +409,7 @@ class TestDrawOmega:
 
 def enumeration_inclusion_prob(data: Dataset, prior: SpikeSlabPrior, lam: np.ndarray) -> float:
     """Brute-force p = 1 oracle: integrate both gamma configurations directly."""
-    suff = build_suffstats(lam, data)
+    suff = build_suffstats(lam, CanonicalRows.of(data))
     p_term = float(suff.precision_data[0, 0])
     b_term = float(suff.linear_data[0])
     slab_sd = prior.nu * float(prior.sigma_j[0])
@@ -428,7 +429,7 @@ class TestDrawGammaAndBetaSs:
         lam = substream(56).uniform(0.5, 2.0, size=data.n)
         sigma = np.full(data.p, 0.7)
         prior = SpikeSlabPrior(nu=0.9, pi_incl=1.0 - 1e-12, sigma_j=sigma)
-        suff = build_suffstats(lam, data)
+        suff = build_suffstats(lam, CanonicalRows.of(data))
         b_inv = suff.precision_data + np.diag(1.0 / (0.9**2 * sigma**2))
         cov = np.linalg.inv(b_inv)
         target = cov @ suff.linear_data
@@ -488,7 +489,7 @@ class TestDrawGammaAndBetaSs:
         data = random_dataset(81, n=8, p=3)
         lam = substream(81, 1).uniform(0.5, 2.0, size=data.n)
         prior = SpikeSlabPrior(nu=0.8, pi_incl=0.4, sigma_j=np.array([0.5, 0.8, 1.2]))
-        suff = build_suffstats(lam, data)
+        suff = build_suffstats(lam, CanonicalRows.of(data))
         prior_prec = 1.0 / (prior.nu**2 * prior.sigma_j**2)
         configs = [np.array([(code >> k) & 1 for k in range(3)], dtype=bool) for code in range(8)]
         log_post = np.array([
@@ -652,8 +653,8 @@ class TestRunChain:
         rng = substream(65)
         cycled = np.empty(batch.size)
         for i, beta_star in enumerate(batch):
-            lam = draw_lambda(np.array([beta_star]), data, rng)
-            suff = build_suffstats(lam, data)
+            lam = draw_lambda(np.array([beta_star]), data, rng, owl_weights(data))
+            suff = build_suffstats(lam, CanonicalRows.of(data))
             beta_new = draw_beta_normal(suff, *normal_terms(prior, data.p), rng)
             cycled[i] = beta_new[0]
         for f in (lambda x: x, lambda x: x * x, np.abs):
@@ -719,7 +720,7 @@ class TestRunChain:
             data = make_data(69, n=36)
             real = run_chain(data, prior, config)
             with monkeypatch.context() as patch:
-                patch.setattr("bowl.gibbs.build_suffstats", lexsort_suffstats)
+                patch.setattr("bowl.gibbs.build_suffstats", lambda lam, rows: lexsort_suffstats(lam, data))
                 ref = run_chain(data, prior, config)
             np.testing.assert_array_equal(real.beta, ref.beta)
             if ref.gamma is not None:
@@ -753,7 +754,7 @@ class TestRunChain:
         data = make_data(84, n=40, p=4)
         config = GibbsConfig(n_draws=60, burn_in=10, n_chains=2, seed=7)
         real = run_chain(data, SpikeSlabPrior(), config)
-        prior = resolve_prior(SpikeSlabPrior(), data.features)
+        prior = SpikeSlabPrior(sigma_j=prior_scales(SpikeSlabPrior(), data.features))
         monkeypatch.setattr(
             "bowl.gibbs.draw_gamma_and_beta_ss",
             lambda state, kernel, rng: cholesky_ss_reference(state, kernel.data, prior, rng),
@@ -778,7 +779,7 @@ class TestRunChain:
 
         calls = []
 
-        def definite_then_indefinite(lam, data, rows=None):
+        def definite_then_indefinite(lam, rows):
             calls.append(1)
             if len(calls) == 1:
                 return SuffStats(np.eye(data.p), np.zeros(data.p))
@@ -919,7 +920,7 @@ class TestConditionalsMatchJoint:
         data, sigma, state, rng = self.random_state(seed)
         betas = rng.normal(size=(2, data.p))
         calls = self.capture(monkeypatch, "_gaussian_from_natural")
-        suff = build_suffstats(state.lam, data)
+        suff = build_suffstats(state.lam, CanonicalRows.of(data))
         normal, ep = NormalPrior(mu0=0.3, sigma0_sq=1.5), ExponentialPowerPrior(nu=0.8, sigma_j=sigma)
         ss = SpikeSlabPrior(nu=0.8, pi_incl=0.9, sigma_j=sigma)
         draw_beta_normal(suff, *normal_terms(normal, data.p), rng)
@@ -940,22 +941,22 @@ class TestConditionalsMatchJoint:
     def test_lambda_block(self, monkeypatch, seed):
         data, _, state, rng = self.random_state(seed)
         calls = self.capture(monkeypatch, "_gig_half_draw_vec")
-        draw_lambda(state.beta, data, rng)
-        ((psi, chi, _),) = calls
+        draw_lambda(state.beta, data, rng, owl_weights(data))
+        ((chi, _),) = calls
         values = rng.uniform(0.2, 3.0, size=(2, data.n))
-        v1, v2 = (sum(map(log_density_gig_half, v, np.full(data.n, psi), chi)) for v in values)
+        v1, v2 = (sum(map(log_density_gig_half, v, np.ones(data.n), chi)) for v in values)
         assert v1 - v2 == pytest.approx(self.joint_diff(state, data, NormalPrior(), "lam", values), rel=1e-9)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_omega_block(self, monkeypatch, seed):
-        # 1/omega ~ IG(mu, shape) makes omega ~ GIG(1/2, shape, shape / mu^2).
+        # 1/omega ~ IG(mu, 1) makes omega ~ GIG(1/2, 1, 1 / mu^2).
         data, sigma, state, rng = self.random_state(seed)
         prior = ExponentialPowerPrior(nu=0.8, sigma_j=sigma)
         calls = self.capture(monkeypatch, "_invgauss_draw")
         draw_omega(state.beta, prior.nu * prior.sigma_j, rng)
-        ((mu, shape, _),) = calls
+        ((mu, _),) = calls
         values = rng.uniform(0.3, 3.0, size=(2, data.p))
-        v1, v2 = (sum(log_density_gig_half(o, shape, shape / m**2) for o, m in zip(v, mu)) for v in values)
+        v1, v2 = (sum(log_density_gig_half(o, 1.0, 1.0 / m**2) for o, m in zip(v, mu)) for v in values)
         assert v1 - v2 == pytest.approx(self.joint_diff(state, data, prior, "omega", values), rel=1e-9)
 
 

@@ -15,7 +15,7 @@ from bowl.pseudo_model import (
     feature_scales,
     load_dataset_csv,
     owl_weights,
-    resolve_prior,
+    prior_scales,
     reward_transform,
 )
 from bowl.rng import substream
@@ -376,12 +376,12 @@ class TestDatasetAndCsv:
         assert scales[0] == 1.0
         assert np.all(scales[1:] > 0)
 
-    def test_resolve_prior_fills_sigma(self):
+    def test_prior_scales_fills_sigma(self):
         data = random_dataset(25)
-        prior = resolve_prior(ExponentialPowerPrior(nu=0.8), data.features)
-        np.testing.assert_allclose(prior.sigma_j, feature_scales(data.features))
-        normal = NormalPrior()
-        assert resolve_prior(normal, data.features) is normal
+        np.testing.assert_allclose(prior_scales(ExponentialPowerPrior(nu=0.8), data.features),
+                                   feature_scales(data.features))
+        sigma = np.array([0.5, 1.0, 2.0])
+        np.testing.assert_array_equal(prior_scales(SpikeSlabPrior(sigma_j=sigma), data.features), sigma)
 
     def test_csv_roundtrip(self, tmp_path):
         path = tmp_path / "data.csv"

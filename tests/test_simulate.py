@@ -72,23 +72,23 @@ class TestGenerateScenario:
 
 class TestTrueOptimalRule:
     def test_scenario_one_positive(self):
-        x = np.zeros(10)
-        x[0], x[1] = 0.5, -0.2
-        assert true_optimal_rule(1, x) == 1
+        x = np.zeros((1, 10))
+        x[0, 0], x[0, 1] = 0.5, -0.2
+        np.testing.assert_array_equal(true_optimal_rule(1, x), [1])
 
     def test_scenario_two_negative(self):
-        x = np.zeros(10)
-        x[0], x[1] = 0.9, 0.4
-        assert true_optimal_rule(2, x) == -1
+        x = np.zeros((1, 10))
+        x[0, 0], x[0, 1] = 0.9, 0.4
+        np.testing.assert_array_equal(true_optimal_rule(2, x), [-1])
 
     def test_boundary_goes_to_minus_one(self):
-        x = np.zeros(10)
-        x[0], x[1] = 0.5, -0.5
-        assert true_optimal_rule(1, x) == -1
+        x = np.zeros((1, 10))
+        x[0, 0], x[0, 1] = 0.5, -0.5
+        np.testing.assert_array_equal(true_optimal_rule(1, x), [-1])
 
     def test_invalid_scenario(self):
         with pytest.raises(ValueError):
-            true_optimal_rule(3, np.zeros(10))
+            true_optimal_rule(3, np.zeros((1, 10)))
 
 
 class TestMisclassificationRate:
@@ -138,11 +138,14 @@ class TestRunExperiment:
             np.testing.assert_array_equal(x.rates, y.rates)
 
     def test_methods_share_replication_data(self):
-        # Adding a method must not change another method's per-rep rates.
+        # Adding a method, or listing the methods in another order, must not change a method's per-rep rates.
         spec = ScenarioSpec(scenario_id=2, n_train=60, n_test=100, n_reps=4, seed=13)
         alone = run_experiment(spec, ["owl"])
         paired = run_experiment(spec, ["owl", "bowl-ep"])
+        swapped = run_experiment(spec, ["bowl-ep", "owl"])
         np.testing.assert_array_equal(cell(alone, "owl").rates, cell(paired, "owl").rates)
+        for method in ("owl", "bowl-ep"):
+            np.testing.assert_array_equal(cell(paired, method).rates, cell(swapped, method).rates)
 
     def test_rates_within_unit_interval_and_se_nonnegative(self):
         spec = ScenarioSpec(scenario_id=1, n_train=50, n_test=80, n_reps=5, seed=14)
@@ -158,6 +161,8 @@ class TestRunExperiment:
             run_experiment(spec, ["qlearning"])
         with pytest.raises(ValueError):
             run_experiment(spec, [])
+        with pytest.raises(ValueError, match="method 'owl' is listed twice"):
+            run_experiment(spec, ["owl", "bowl-ep", "owl"])
 
 
 @pytest.fixture(params=["owl", "bowl-ep"])
