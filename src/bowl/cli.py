@@ -65,16 +65,19 @@ def _write_artifacts(out_dir: Path, artifacts: dict) -> None:
     print(f"wrote {', '.join(artifacts)} in {out_dir}")
 
 
-def _csv_lines(config: dict, header: list[str], rows):
-    """Lines of a CSV artifact: the `# config=` echo as strict JSON, the header, then one line per row.
-
-    Cells are Python scalars (`.tolist()`), written with str: for a float that is
-    its repr, the shortest text that reads back to the same bits.
-    """
+def _csv_text(config: dict, header: list[str], lines):
+    """Lines of a CSV artifact: the `# config=` echo as strict JSON, the header, then `lines`, one per row."""
     yield "# config=" + json.dumps(config, sort_keys=True, allow_nan=False) + "\n"
     yield ",".join(header) + "\n"
-    for row in rows:
-        yield ",".join(map(str, row)) + "\n"
+    yield from lines
+
+
+def _csv_lines(config: dict, header: list[str], rows):
+    """`_csv_text` of rows of Python scalars (`.tolist()`), each cell written with str.
+
+    For a float that is its repr, the shortest text that reads back to the same bits.
+    """
+    return _csv_text(config, header, (",".join(map(str, row)) + "\n" for row in rows))
 
 
 def _read_config_comment(path: Path) -> dict:
@@ -209,17 +212,20 @@ def cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _prediction_rows(x: np.ndarray, prob: np.ndarray, action: np.ndarray, certainty: np.ndarray):
-    """One output row per query or lattice node: its features, prob_plus, action, certainty.
+def _prediction_lines(x: np.ndarray, prob: np.ndarray, action: np.ndarray, certainty: np.ndarray):
+    """One text line per query or lattice node: its features, prob_plus, action, certainty.
 
     The arrays become Python scalars `ROW_BLOCK` rows at a time, so the
-    writer's memory does not grow with the number of rows.
+    writer's memory does not grow with the number of rows. Floats are written
+    with repr, as `_csv_lines` writes them; where certainty is prob_plus
+    (prob_plus >= 0.5, the same float) its text is prob_plus's.
     """
     for start in range(0, len(prob), ROW_BLOCK):
         block = slice(start, start + ROW_BLOCK)
         for xi, p, a, c in zip(x[block].tolist(), prob[block].tolist(), action[block].tolist(),
                                certainty[block].tolist()):
-            yield [*xi, p, a, c]
+            p_text = repr(p)
+            yield f"{','.join(map(repr, xi))},{p_text},{a},{p_text if c == p else repr(c)}\n"
 
 
 def cmd_predict(args) -> int:
@@ -232,14 +238,14 @@ def cmd_predict(args) -> int:
         coords, *preds = certainty_grid(draws, dims, args.grid_res)
         echo["grid_dims"] = list(args.grid_dims)
         echo["grid_res"] = args.grid_res
-        name, lines = "certainty_grid.csv", _csv_lines(echo, GRID_HEADER, _prediction_rows(coords, *preds))
+        name, lines = "certainty_grid.csv", _csv_text(echo, GRID_HEADER, _prediction_lines(coords, *preds))
     else:
         header, queries = read_numeric_csv(args.query)
         expected = [f"x{j}" for j in range(1, n_raw + 1)]
         if header != expected:
             raise DataError(f"{args.query}: query columns must be exactly {','.join(expected)}")
-        rows = _prediction_rows(queries, *recommend(draws, queries))
-        name, lines = "recommendations.csv", _csv_lines(echo, expected + GRID_HEADER[2:], rows)
+        body = _prediction_lines(queries, *recommend(draws, queries))
+        name, lines = "recommendations.csv", _csv_text(echo, expected + GRID_HEADER[2:], body)
     _write_artifacts(Path(args.out_dir), {name: lines})
     return EXIT_OK
 
@@ -287,7 +293,7 @@ def cmd_reproduce(args) -> int:
     _write_artifacts(out_dir, {
         "tables.csv": _csv_lines(echo, key + ["mean_rate", "mc_se", "n_reps_ok"], table_rows),
         "raw_rates.csv": _csv_lines(echo, key + ["rep", "rate"], raw_rows),
-        "heatmap.csv": _csv_lines(echo, GRID_HEADER, _prediction_rows(coords, *preds)),
+        "heatmap.csv": _csv_text(echo, GRID_HEADER, _prediction_lines(coords, *preds)),
         "coefficient_magnitudes.csv": _csv_lines(
             echo, ["feature", "magnitude"], [[f"x{j + 1}", m] for j, m in enumerate(mags.tolist())]),
     })

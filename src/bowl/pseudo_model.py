@@ -21,23 +21,24 @@ class DataError(ValueError):
 
 # How np.loadtxt reads a body line: comma-separated cells, optionally double-quoted.
 _CELLS = dict(delimiter=",", quotechar='"', comments=None, ndmin=2)
-_BLOCK = 256  # body lines per np.loadtxt call
+_BLOCK = 256  # physical body lines per np.loadtxt call
+_BLANK = ("\n", "\r\n", "\r")
 
 
-def _rows(path, fh):
-    """(line number, line) of each line of `fh` that is not blank or a `#` comment row.
+def _rows(path, numbered):
+    """The (line number, line) pairs of `numbered` whose line is not blank or a `#` comment row.
 
     A row is one line; only a line with a quote needs `csv.reader` to find
     its first cell. A quoted cell open at the end of a line is rejected.
     """
-    for lineno, line in enumerate(fh, 1):
+    for lineno, line in numbered:
         if '"' in line:
             cells = next(csv.reader([line]))
             if cells[0].lstrip().startswith("#"):
                 continue
             if cells[-1].endswith(("\n", "\r")):
                 raise DataError(f"{path}: quoted cell left open at the end of line {lineno}")
-        elif line in ("\n", "\r\n", "\r") or line.lstrip().startswith("#"):
+        elif line in _BLANK or line.lstrip().startswith("#"):
             continue
         yield lineno, line
 
@@ -47,33 +48,40 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
 
     Every body row must have as many cells as the header, and every cell
     must parse as a finite float; the header's meaning is the caller's to
-    check. Each rejection raises DataError naming the file. The body is read
-    once, in blocks of _BLOCK lines with one np.loadtxt call each; a block
-    that fails is parsed again line by line to name its first bad line.
+    check. Each rejection raises DataError naming the file and, for a bad
+    row, its line. The body is read once, in blocks of _BLOCK physical lines
+    with one np.loadtxt call each. Only a block whose text holds a quote, a
+    `#` or a blank line goes through the per-line `_rows` filter; any other
+    block is all data rows as it stands.
     """
     with open(path, newline="") as fh:
-        rows = _rows(path, fh)
-        _, line = next(rows, (0, None))
+        lineno, line = next(_rows(path, enumerate(fh, 1)), (0, None))
         if line is None:
             raise DataError(f"{path}: empty file")
         header = [c.strip() for c in next(csv.reader([line]))]
         blocks = []
-        while block := list(itertools.islice(rows, _BLOCK)):
+        while block := list(itertools.islice(fh, _BLOCK)):
+            first, lineno = lineno + 1, lineno + len(block)
+            lines, text = block, "".join(block)
+            if '"' in text or "#" in text or any(blank in block for blank in _BLANK):
+                lines = [line for _, line in _rows(path, enumerate(block, first))]
+                if not lines:
+                    continue
             try:
-                values = np.loadtxt([line for _, line in block], **_CELLS)
+                values = np.loadtxt(lines, **_CELLS)
                 if values.shape[1] != len(header):
                     raise ValueError(f"{values.shape[1]} cells per row, the header {len(header)}")
             except ValueError as exc:
-                for lineno, line in block:
+                for k, line in _rows(path, enumerate(block, first)):
                     n_cells = len(next(csv.reader([line])))
                     if n_cells != len(header):
-                        raise DataError(f"{path}: ragged rows (line {lineno} has {n_cells} cells, "
+                        raise DataError(f"{path}: ragged rows (line {k} has {n_cells} cells, "
                                         f"the header {len(header)})") from None
                     try:
                         np.loadtxt([line], **_CELLS)
                     except ValueError as line_exc:
                         detail = str(line_exc).partition(" at row ")[0]  # numpy's row is within the line
-                        raise DataError(f"{path}: non-numeric cell on line {lineno} ({detail})") from None
+                        raise DataError(f"{path}: non-numeric cell on line {k} ({detail})") from None
                 raise DataError(f"{path}: {exc}") from None
             blocks.append(values)
     if not blocks:

@@ -125,7 +125,7 @@ def fit_bowl(data: Dataset, method: str, seed: int) -> PosteriorDraws:
 
 
 def classify_with_method(method: str, features: np.ndarray, actions: np.ndarray, raw_rewards: np.ndarray,
-                         rho: float, test_features: np.ndarray, seed: int) -> np.ndarray:
+                         test_features: np.ndarray, seed: int) -> np.ndarray:
     """Fit on the raw training data with an intercept, return recommended actions for the test features.
 
     OWL fits the label-flip form of the raw rewards (`owl_problem`); the
@@ -133,12 +133,13 @@ def classify_with_method(method: str, features: np.ndarray, actions: np.ndarray,
     pseudo-likelihood weights must be positive. Every method gives a linear
     rule, classified by one sign rule with ties sent to +1: OWL's
     coefficients, or a Bayesian fit's posterior mean, matching how the point
-    estimate is defined for the tables.
+    estimate is defined for the tables. Both weight by the scenarios'
+    randomization probability, RHO.
     """
     if method == "owl":
-        beta = fit_owl_linear(*owl_problem(add_intercept(features), actions, raw_rewards, rho), seed)
+        beta = fit_owl_linear(*owl_problem(add_intercept(features), actions, raw_rewards, RHO), seed)
     else:
-        train = Dataset(features, actions, reward_transform(raw_rewards)[0], rho)
+        train = Dataset(features, actions, reward_transform(raw_rewards)[0], RHO)
         beta = fit_bowl(train, method, seed).posterior_mean()
     return np.where(add_intercept(test_features) @ beta >= 0.0, 1, -1)
 
@@ -169,7 +170,7 @@ def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]
     for method in methods:
         seed = _fit_seed(spec.seed, rep, METHODS.index(method))  # the method, not its place in `methods`
         try:
-            predicted = classify_with_method(method, x_tr, a_tr, r_tr, RHO, x_te, seed)
+            predicted = classify_with_method(method, x_tr, a_tr, r_tr, x_te, seed)
             rates[method] = misclassification_rate(predicted, truth)
         except GibbsNumericalError as exc:
             rates[method] = float("nan")

@@ -2,7 +2,8 @@
 
 `oracle_read_numeric_csv` is the csv.reader + float() loop that
 `read_numeric_csv` used to be, and `old_csv_text` the per-cell dispatching
-formatter that `_csv_lines` replaced. Both are kept here as references.
+formatter that `_csv_lines` and `_prediction_lines` replaced. Both are kept
+here as references.
 """
 
 import csv
@@ -17,8 +18,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from bowl.cli import _csv_lines, _write_artifacts
-from bowl.pseudo_model import _BLOCK, DataError, read_numeric_csv
+from bowl.cli import GRID_HEADER, ROW_BLOCK, _csv_lines, _csv_text, _prediction_lines, _write_artifacts
+from bowl.pseudo_model import _BLOCK as B, DataError, read_numeric_csv
 
 
 def oracle_read_numeric_csv(path):
@@ -120,6 +121,24 @@ class TestWriter:
         assert b"-0.0" in expected and b"nan" in expected and b"1e+16" in expected
         assert b"5e-324" in expected and b"1e-05" in expected
 
+    def test_prediction_lines_equal_the_old_formatter(self, tmp_path):
+        # prob_plus at and next to 0.5, at the ends of [0, 1] and at the smallest subnormal,
+        # on both sides of a ROW_BLOCK boundary, among uniform draws; x cells from SPECIAL.
+        prob = np.random.default_rng(3).uniform(size=ROW_BLOCK + 40)
+        edges = [0.5, 0.0, 1.0, np.nextafter(0.5, 0.0), np.nextafter(0.5, 1.0), 5e-324]
+        prob[:6] = prob[ROW_BLOCK - 3 : ROW_BLOCK + 3] = edges
+        x = np.resize(SPECIAL, (len(prob), 3))
+        action, certainty = np.where(prob >= 0.5, 1, -1), np.maximum(prob, 1.0 - prob)  # as recommend
+        config, header = {"command": "predict"}, ["x1", "x2", "x3"] + GRID_HEADER[2:]
+        _write_artifacts(tmp_path, {"out.csv": _csv_text(config, header,
+                                                         _prediction_lines(x, prob, action, certainty))})
+        rows = [[*x[i], prob[i], action[i], certainty[i]] for i in range(len(prob))]
+        expected = old_csv_text(config, header, rows)
+        assert (tmp_path / "out.csv").read_text() == expected
+        assert ",0.49999999999999994,-1,0.5\n" in expected and ",5e-324,-1,1.0\n" in expected
+        assert ",0.5000000000000001,1,0.5000000000000001\n" in expected
+        assert "-0.0," in expected and "nan," in expected
+
     def test_failed_write_leaves_no_file(self, tmp_path):
         def rows():
             yield [1.0]
@@ -220,19 +239,26 @@ class TestReader:
             path.write_bytes(text.encode())
             assert_agrees_with_the_oracle(path)
 
-    @pytest.mark.parametrize("bad, expected", [
-        ({}, None),
-        ({40: "1,nan", 560: "3,x"}, "non-numeric cell on line 643 ("),
-        ({597: "1,inf"}, "NaN or Inf in column x2, data row 598"),
+    @pytest.mark.parametrize("p, special, expected", [
+        (2, {}, None),
+        (2, {k: ["", "  # c"][k % 2] for k in range(6, 3 * B + 90, 7)} | {40: "1,nan", 560: "3,x"},
+         "non-numeric cell on line 563 ("),
+        (2, {597: "1,inf"}, "NaN or Inf in column x2, data row 598"),
+        # Comment, quoted and blank lines first and last in a block; blocks of only comments or blanks.
+        (2, {0: "  # first", B - 1: '"# quoted, last"', **{k: "# c" for k in range(B, 2 * B)}, 2 * B: "",
+             3 * B - 1: "", 3 * B: '"1.5","-2"', 3 * B + 89: "# last"}, None),
+        (1, {0: "7", B - 1: "5", B: "", 2 * B - 1: "# c", **{k: "" for k in range(2 * B, 3 * B)},
+             3 * B: "3", 3 * B + 89: "1"}, None),
+        # A bad cell in a block read as it stands, then in one read line by line.
+        (2, {B + 10: "3,x"}, f"non-numeric cell on line {B + 13} ("),
+        (2, {B + 5: "# c", B + 10: "3,x"}, f"non-numeric cell on line {B + 13} ("),
     ])
-    def test_agrees_with_the_oracle_across_blocks(self, tmp_path, bad, expected):
-        # 2 * _BLOCK + 90 body rows, with a comment or blank line after every seventh.
+    def test_agrees_with_the_oracle_across_blocks(self, tmp_path, p, special, expected):
+        # 3 * _BLOCK + 90 body lines, body line k on physical line k + 3; `special` replaces some.
         rng = np.random.default_rng(7)
-        lines = ["# lead", "x1,x2"]
-        for k, row in enumerate(rng.normal(size=(2 * _BLOCK + 90, 2)).tolist()):
-            lines.append(bad.get(k, ",".join(map(repr, row))))
-            if k % 7 == 6:
-                lines.append(["", "  # c"][k % 2])
+        lines = ["# lead", ",".join(f"x{j + 1}" for j in range(p))]
+        for k, row in enumerate(rng.normal(size=(3 * B + 90, p)).tolist()):
+            lines.append(special.get(k, ",".join(map(repr, row))))
         path = tmp_path / "data.csv"
         path.write_text("\n".join(lines) + "\n")
         new = assert_agrees_with_the_oracle(path)
@@ -271,15 +297,18 @@ class TestReader:
         with pytest.raises(DataError, match=re.escape(f"{path}: ragged rows (line 2 has 3 cells, the header 2)")):
             read_numeric_csv(path)
 
+    @pytest.mark.parametrize("at", [-3, 2 + 2 * B, 2 + 3 * B - 1, 2 + 3 * B])
     @pytest.mark.parametrize("bad, message", [("3,x", "non-numeric cell on line {} ("),
                                               ("3,4,5", "ragged rows (line {} has 3 cells, the header 2)")])
-    def test_names_the_first_bad_line_past_the_first_block(self, tmp_path, bad, message):
-        # Blocks are counted in body lines; the comment and blank lines shift the physical numbers.
-        lines = ["# c", "x1,x2"] + ["1,2", "", "# c"] * _BLOCK + ["1,2"] * (_BLOCK + 7)
-        lines[-3] = lines[-1] = bad
+    def test_names_the_first_bad_line_past_the_first_block(self, tmp_path, at, bad, message):
+        # Blocks are counted in physical body lines from line 3: three blocks of data, blank and
+        # comment lines, then data alone. `at` is the first bad line's index: in the last, short
+        # block, first or last in a block read line by line, or first in one read as it stands.
+        lines = ["# c", "x1,x2"] + ["1,2", "", "# c"] * B + ["1,2"] * (B + 7)
+        lines[at] = lines[-1] = bad
         path = tmp_path / "data.csv"
         path.write_text("\n".join(lines) + "\n")
-        expected = message.format(len(lines) - 2)
+        expected = message.format(at % len(lines) + 1)
         with pytest.raises(DataError, match=re.escape(f"{path}: {expected}")):
             read_numeric_csv(path)
         assert read_either(oracle_read_numeric_csv, path)[1].startswith(f"{path}: {expected}")

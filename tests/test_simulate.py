@@ -173,7 +173,7 @@ def classify_with(request, monkeypatch):
     def classify(beta, x):
         monkeypatch.setattr(bowl.simulate, "fit_owl_linear", lambda x, labels, weights, seed: beta)
         monkeypatch.setattr(bowl.simulate, "fit_bowl", lambda *args: PosteriorDraws(beta[None, None]))
-        return classify_with_method(method, np.zeros((2, len(beta) - 1)), [1.0, -1.0], [1.0, -1.0], 0.5, x, 0)
+        return classify_with_method(method, np.zeros((2, len(beta) - 1)), [1.0, -1.0], [1.0, -1.0], x, 0)
 
     return classify
 
