@@ -146,14 +146,15 @@ def draw_lambda(beta: np.ndarray, data: Dataset, rng: np.random.Generator, weigh
     return _gig_half_draw_vec((weights * margins) ** 2, rng)
 
 
-def _canonical_order(data: Dataset) -> tuple[np.ndarray, np.ndarray]:
-    """Rows in lexicographic (x_1..x_p, a, r) order, stable, and their dense ranks in that order.
+def _canonical_order(x: np.ndarray, a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Rows in lexicographic (x_1..x_p, a, w) order, stable, and their dense ranks in that order.
 
-    Exact duplicates share a rank; -0.0 equals 0.0, as in np.lexsort.
+    Exact duplicates share a rank; -0.0 equals 0.0, as in np.lexsort. A `Dataset`'s
+    w = r / P(A = a) rises with r at fixed a, so this is its (x, a, r) order.
     """
-    order = np.lexsort((data.rewards, data.actions) + tuple(data.features[:, ::-1].T))
-    rows = np.column_stack((data.features, data.actions, data.rewards))[order]
-    starts_group = np.ones(data.n, dtype=bool)
+    order = np.lexsort((w, a) + tuple(x[:, ::-1].T))
+    rows = np.column_stack((x, a, w))[order]
+    starts_group = np.ones(a.size, dtype=bool)
     starts_group[1:] = np.any(rows[1:] != rows[:-1], axis=1)
     return order, np.cumsum(starts_group)
 
@@ -178,12 +179,17 @@ class CanonicalRows:
 
     @classmethod
     def of(cls, data: Dataset) -> CanonicalRows:
-        order, rank = _canonical_order(data)
-        tied = data.n > 0 and rank[-1] < data.n
-        w, x = owl_weights(data)[order], data.features[order]
+        return cls.from_arrays(data.features, data.actions, owl_weights(data))
+
+    @classmethod
+    def from_arrays(cls, x: np.ndarray, a: np.ndarray, w: np.ndarray) -> CanonicalRows:
+        """The rows of features x, labels a in {-1, +1} and positive weights w."""
+        order, rank = _canonical_order(x, a, w)
+        tied = a.size > 0 and rank[-1] < a.size
+        w, x = w[order], x[order]
         w_sq = w**2  # positive rewards and rho in (0, 1) make every weight positive, so this checks both
         _check_constant(w_sq, "an OWL weight r/rho or r/(1 - rho), or its square,", "rho and the rewards")
-        return cls(order, rank if tied else None, x, np.ascontiguousarray(x.T), data.actions[order], w, w_sq)
+        return cls(order, rank if tied else None, x, np.ascontiguousarray(x.T), a[order], w, w_sq)
 
 
 def build_suffstats(lam: np.ndarray, rows: CanonicalRows) -> SuffStats:

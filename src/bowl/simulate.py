@@ -134,10 +134,10 @@ def classify_with_method(method: str, features: np.ndarray, actions: np.ndarray,
     rule, classified by one sign rule with ties sent to +1: OWL's
     coefficients, or a Bayesian fit's posterior mean, matching how the point
     estimate is defined for the tables. Both weight by the scenarios'
-    randomization probability, RHO.
+    randomization probability, RHO. Only the Bayesian chain reads `seed`.
     """
     if method == "owl":
-        beta = fit_owl_linear(*owl_problem(add_intercept(features), actions, raw_rewards, RHO), seed)
+        beta = fit_owl_linear(*owl_problem(add_intercept(features), actions, raw_rewards, RHO))
     else:
         train = Dataset(features, actions, reward_transform(raw_rewards)[0], RHO)
         beta = fit_bowl(train, method, seed).posterior_mean()

@@ -281,7 +281,7 @@ class TestBuildSuffstats:
             np.array([1.0, 1.0, 1.0, 1.0, 1.0]),
             0.5,
         )
-        order, rank = _canonical_order(data)
+        order, rank = _canonical_order(data.features, data.actions, owl_weights(data))
         np.testing.assert_array_equal(order, [4, 2, 0, 1, 3])
         np.testing.assert_array_equal(rank, [1, 2, 3, 3, 4])
 

@@ -2,11 +2,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from bowl.owl import EPOCHS, REG_STRENGTH, fit_owl_linear, owl_problem
+from bowl.owl import REG_STRENGTH, fit_owl_linear, owl_problem
 from bowl.pseudo_model import Dataset, add_intercept, owl_weights
 from bowl.rng import substream
 from tests.test_pseudo_model import owl_objective
+
+EPOCHS = 80  # reference_owl_fit's passes over the data
 
 
 def regularized_objective(beta, data):
@@ -14,9 +18,15 @@ def regularized_objective(beta, data):
     return owl_objective(beta, data) + 0.5 * REG_STRENGTH * float(beta @ beta)
 
 
-def fit(data, seed):
+def array_objective(beta, x, labels, weights):
+    """regularized_objective of the problem (x, labels, weights)."""
+    hinge = np.maximum(1.0 - labels * (x @ beta), 0.0)
+    return float(np.mean(weights * hinge)) + 0.5 * REG_STRENGTH * float(beta @ beta) if len(x) else 0.0
+
+
+def fit(data):
     """fit_owl_linear on a Dataset's positive-reward problem: labels a, weights owl_weights."""
-    return fit_owl_linear(data.features, data.actions, owl_weights(data), seed)
+    return fit_owl_linear(data.features, data.actions, owl_weights(data))
 
 
 def random_dataset(seed, n=12, p=2, rho=0.5):
@@ -30,7 +40,7 @@ def random_dataset(seed, n=12, p=2, rho=0.5):
 
 
 def reference_owl_fit(x, labels, weights, seed):
-    """fit_owl_linear's loop as it was before its step went in place, kept verbatim to pin its bits."""
+    """The seeded subgradient-descent OWL fit (suffix-averaged over EPOCHS passes), the EM's reference."""
     rng = substream(seed)
     n, p = x.shape
     if n == 0:
@@ -70,6 +80,23 @@ def grid_min_objective(data, lo=-2.0, hi=2.0, step=0.05):
     return best
 
 
+@pytest.fixture(params=["n100-p11-intercept", "negative-rewards-rho0.3", "n1", "n0"])
+def problem(request):
+    """A fixed OWL problem (x, labels, weights): with an intercept, with flipped labels, one row, no rows."""
+    rng = substream(31)
+    if request.param == "n100-p11-intercept":
+        data = random_dataset(32, n=100, p=10)
+        return add_intercept(data.features), data.actions, owl_weights(data)
+    if request.param == "negative-rewards-rho0.3":
+        x = rng.uniform(-1, 1, size=(80, 3))
+        a = np.where(rng.uniform(size=80) < 0.3, 1.0, -1.0)
+        flipped = owl_problem(add_intercept(x), a, rng.normal(size=80), 0.3)
+        assert np.any(flipped[1] != a)  # some labels flipped
+        return flipped
+    n = int(request.param[1:])
+    return rng.uniform(-1, 1, size=(n, 3)), np.ones(n), rng.uniform(0.5, 2.0, size=n)
+
+
 class TestFitOwlLinear:
     def test_separable_toy_data(self):
         data = Dataset(
@@ -78,43 +105,51 @@ class TestFitOwlLinear:
             rewards=np.array([2.0, 2.0]),
             rho=0.5,
         )
-        beta = fit(data, seed=0)
+        beta = fit(data)
         assert beta[0] > 0
         assert regularized_objective(beta, data) < 0.1
 
     def test_within_two_percent_of_grid_search(self):
         for seed in range(10):
             data = random_dataset(seed)
-            achieved = regularized_objective(fit(data, seed), data)
+            achieved = regularized_objective(fit(data), data)
             best = grid_min_objective(data)
             assert achieved <= 1.02 * best + 1e-9, f"seed {seed}: {achieved} vs grid {best}"
 
     def test_objective_no_worse_than_zero_vector(self):
         for seed in range(5):
             data = random_dataset(100 + seed, n=30, p=4)
-            beta = fit(data, seed)
+            beta = fit(data)
             at_zero = float(np.mean(owl_weights(data) * np.ones(data.n)))
             assert regularized_objective(beta, data) <= at_zero
 
     def test_deterministic(self):
         data = random_dataset(8)
-        np.testing.assert_array_equal(fit(data, seed=3), fit(data, seed=3))
+        np.testing.assert_array_equal(fit(data), fit(data))
 
-    @pytest.mark.parametrize("case", ["n100-p11-intercept", "negative-rewards-rho0.3", "n1", "n0"])
-    def test_bit_identical_to_reference_loop(self, case):
-        rng = substream(31)
-        if case == "n100-p11-intercept":
-            data = random_dataset(32, n=100, p=10)
-            problem = (add_intercept(data.features), data.actions, owl_weights(data))
-        elif case == "negative-rewards-rho0.3":
-            x = rng.uniform(-1, 1, size=(80, 3))
-            a = np.where(rng.uniform(size=80) < 0.3, 1.0, -1.0)
-            problem = owl_problem(add_intercept(x), a, rng.normal(size=80), 0.3)
-            assert np.any(problem[1] != a)  # some labels flipped
-        else:
-            n = int(case[1:])
-            problem = (rng.uniform(-1, 1, size=(n, 3)), np.ones(n), rng.uniform(0.5, 2.0, size=n))
-        np.testing.assert_array_equal(fit_owl_linear(*problem, seed=7), reference_owl_fit(*problem, seed=7))
+    def test_objective_no_worse_than_reference_loop(self, problem):
+        achieved = array_objective(fit_owl_linear(*problem), *problem)
+        assert achieved <= array_objective(reference_owl_fit(*problem, seed=7), *problem)
+
+    def test_finite_and_zero_without_rows(self, problem):
+        x = problem[0]
+        beta = fit_owl_linear(*problem)
+        assert beta.shape == (x.shape[1],) and np.all(np.isfinite(beta))
+        if len(x) == 0:
+            np.testing.assert_array_equal(beta, np.zeros(x.shape[1]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 40), p=st.integers(1, 4), data=st.data())
+    def test_bit_identical_under_row_permutation(self, seed, n, p, data):
+        rng = substream(seed)
+        pool = rng.integers(1, 2 * n + 1)  # rows drawn from a pool of at most 2n, so exact duplicates occur
+        x = rng.uniform(-1, 1, size=(pool, p))[rng.integers(pool, size=n)]
+        labels = np.where(rng.uniform(size=n) < 0.5, 1.0, -1.0)
+        weights = rng.choice([0.5, 1.0, 2.5], size=n)
+        perm = np.array(data.draw(st.permutations(range(n))))
+        np.testing.assert_array_equal(
+            fit_owl_linear(x[perm], labels[perm], weights[perm]), fit_owl_linear(x, labels, weights)
+        )
 
 
 class TestFlippedOwlDataset:
