@@ -1,6 +1,5 @@
 """Bayesian outcome-weighted learning for individualized treatment rules."""
 
-from .distributions import MvnParams, sample_mvn
 from .pseudo_model import (
     Dataset,
     ExponentialPowerPrior,
@@ -10,26 +9,12 @@ from .pseudo_model import (
     owl_weights,
     reward_transform,
 )
-from .gibbs import (
-    ChainState,
-    GibbsConfig,
-    GibbsNumericalError,
-    PosteriorDraws,
-    SuffStats,
-    build_suffstats,
-    draw_beta_ep,
-    draw_beta_normal,
-    draw_gamma_and_beta_ss,
-    draw_lambda,
-    draw_omega,
-    run_chain,
-)
+from .gibbs import GibbsConfig, GibbsNumericalError, PosteriorDraws, run_chain
 from .prediction import certainty_grid, coefficient_magnitudes, recommend
 from .owl import fit_owl_linear, owl_problem
 from .simulate import (
     ExperimentResult,
     ScenarioSpec,
-    generate_scenario,
     misclassification_rate,
     run_experiment,
     true_optimal_rule,

@@ -165,8 +165,8 @@ class CanonicalRows:
 
     Without exact-duplicate rows the order is the same for every `lam`, so
     a sweep only gathers `lam`. `tied_rank` (the canonical ranks in that
-    order) is kept only when duplicates exist; `lam` then breaks their ties
-    and the order is re-sorted every sweep.
+    order) is kept only when duplicates exist; `lam` then breaks their ties,
+    and only `lam` is re-sorted every sweep.
     """
 
     order: np.ndarray
@@ -206,14 +206,13 @@ def build_suffstats(lam: np.ndarray, rows: CanonicalRows) -> SuffStats:
     if not _all_true(lam > 0):
         raise ValueError("lam must be strictly positive")
 
-    lam_o, x, xt, a, w, w_sq = lam[rows.order], rows.x, rows.xt, rows.a, rows.w, rows.w_sq
-    if rows.tied_rank is not None:
-        tie = np.lexsort((lam_o, rows.tied_rank))
-        lam_o, x, xt, a, w, w_sq = lam_o[tie], x[tie], xt[:, tie], a[tie], w[tie], w_sq[tie]
+    lam_o = lam[rows.order]
+    if rows.tied_rank is not None:  # a tie group shares x, a and w, so only lam is re-sorted
+        lam_o = lam_o[np.lexsort((lam_o, rows.tied_rank))]
 
-    precision = x.T @ (xt * (w_sq / lam_o)).T
+    precision = rows.x.T @ (rows.xt * (rows.w_sq / lam_o)).T
     precision = 0.5 * (precision + precision.T)
-    linear = x.T @ (w * (1.0 + w / lam_o) * a)
+    linear = rows.x.T @ (rows.w * (1.0 + rows.w / lam_o) * rows.a)
     return SuffStats(precision, linear)
 
 

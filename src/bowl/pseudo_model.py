@@ -98,8 +98,8 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
 class Dataset:
     """Trial data: features (n x p), actions in {-1,+1}, positive rewards.
 
-    rho is the known randomization probability P(A = +1). n = 0 is allowed
-    (prior-recovery runs); the CSV loader requires at least one row.
+    rho is the known randomization probability P(A = +1). n = 0 is allowed,
+    as (0, p) features (prior-recovery runs); the CSV loader needs a row.
     """
 
     features: np.ndarray
@@ -111,8 +111,6 @@ class Dataset:
         self.features = np.atleast_2d(np.asarray(self.features, dtype=float))
         self.actions = np.asarray(self.actions, dtype=float).ravel()
         self.rewards = np.asarray(self.rewards, dtype=float).ravel()
-        if self.features.size == 0:
-            self.features = self.features.reshape(0, max(self.features.shape[-1], 1))
         n, p = self.features.shape
         if p < 1:
             raise DataError("need at least one feature column")

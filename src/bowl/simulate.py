@@ -95,19 +95,6 @@ def generate_scenario_raw(
     return features, actions, raw_rewards, true_optimal_rule(spec.scenario_id, features)
 
 
-def generate_scenario(
-    spec: ScenarioSpec,
-    rep_index: int,
-    rng: np.random.Generator | None = None,
-    n_obs: int | None = None,
-) -> tuple[Dataset, np.ndarray]:
-    """Simulate one dataset (rewards shifted positive) plus its true labels."""
-    features, actions, raw_rewards, truth = generate_scenario_raw(spec, rep_index, rng, n_obs)
-    rewards, _ = reward_transform(raw_rewards)
-    data = Dataset(features=features, actions=actions, rewards=rewards, rho=RHO)
-    return data, truth
-
-
 def misclassification_rate(predicted: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of subjects recommended counter to the true optimal rule."""
     predicted = np.asarray(predicted).ravel()
@@ -119,8 +106,10 @@ def misclassification_rate(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(predicted != truth))
 
 
-def fit_bowl(data: Dataset, method: str, seed: int) -> PosteriorDraws:
-    """Fit one Bayesian variant at the library defaults, with an intercept."""
+def fit_bowl(features: np.ndarray, actions: np.ndarray, raw_rewards: np.ndarray, method: str,
+             seed: int) -> PosteriorDraws:
+    """Fit one Bayesian variant at the library defaults, with an intercept, to the shifted raw rewards."""
+    data = Dataset(features, actions, reward_transform(raw_rewards)[0], RHO)
     return run_chain(data, _BOWL_PRIORS[method](), GibbsConfig(seed=seed), intercept=True)
 
 
@@ -128,19 +117,18 @@ def classify_with_method(method: str, features: np.ndarray, actions: np.ndarray,
                          test_features: np.ndarray, seed: int) -> np.ndarray:
     """Fit on the raw training data with an intercept, return recommended actions for the test features.
 
-    OWL fits the label-flip form of the raw rewards (`owl_problem`); the
-    Bayesian variants fit the positivity-shifted rewards, since their
-    pseudo-likelihood weights must be positive. Every method gives a linear
-    rule, classified by one sign rule with ties sent to +1: OWL's
-    coefficients, or a Bayesian fit's posterior mean, matching how the point
-    estimate is defined for the tables. Both weight by the scenarios'
-    randomization probability, RHO. Only the Bayesian chain reads `seed`.
+    OWL fits the label-flip form of the raw rewards (`owl_problem`), the
+    Bayesian variants the positivity-shifted rewards (`fit_bowl`). Every
+    method gives a linear rule, classified by one sign rule with ties sent
+    to +1: OWL's coefficients, or a Bayesian fit's posterior mean, matching
+    how the point estimate is defined for the tables. Both weight by the
+    scenarios' randomization probability, RHO. Only the Bayesian chain
+    reads `seed`.
     """
     if method == "owl":
         beta = fit_owl_linear(*owl_problem(add_intercept(features), actions, raw_rewards, RHO))
     else:
-        train = Dataset(features, actions, reward_transform(raw_rewards)[0], RHO)
-        beta = fit_bowl(train, method, seed).posterior_mean()
+        beta = fit_bowl(features, actions, raw_rewards, method, seed).posterior_mean()
     return np.where(add_intercept(test_features) @ beta >= 0.0, 1, -1)
 
 
@@ -156,7 +144,7 @@ class MethodCell:
 @dataclass
 class ExperimentResult:
     cells: list[MethodCell] = field(default_factory=list)
-    # (method, rep, GibbsNumericalError message) for every NaN rate.
+    # (method, rep, message of the chain's GibbsNumericalError or OWL's LinAlgError) for every NaN rate.
     failures: list[tuple[str, int, str]] = field(default_factory=list)
 
 
@@ -172,7 +160,7 @@ def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]
         try:
             predicted = classify_with_method(method, x_tr, a_tr, r_tr, x_te, seed)
             rates[method] = misclassification_rate(predicted, truth)
-        except GibbsNumericalError as exc:
+        except (GibbsNumericalError, np.linalg.LinAlgError) as exc:
             rates[method] = float("nan")
             failures.append((method, rep, str(exc)))
     return rates, failures
@@ -237,6 +225,6 @@ def uncertainty_study(
     from .prediction import certainty_grid, coefficient_magnitudes
 
     spec = ScenarioSpec(scenario_id=scenario_id, n_train=n_train, seed=seed, signal_scale=signal_scale)
-    train, _ = generate_scenario(spec, 0, substream(seed, 0, 0))
-    draws = fit_bowl(train, "bowl-ep", _fit_seed(seed, 0, 1))
+    features, actions, raw_rewards, _ = generate_scenario_raw(spec, 0, substream(seed, 0, 0))
+    draws = fit_bowl(features, actions, raw_rewards, "bowl-ep", _fit_seed(seed, 0, 1))
     return (*certainty_grid(draws, (0, 1), resolution), coefficient_magnitudes(draws))

@@ -16,24 +16,25 @@ from bowl import verify
 from bowl.cli import ROW_BLOCK, _parse_draws_csv, main
 from bowl.gibbs import GibbsNumericalError, PosteriorDraws
 from bowl.prediction import recommend
-from bowl.pseudo_model import read_numeric_csv
-from bowl.simulate import ScenarioSpec, _fit_seed, generate_scenario
+from bowl.pseudo_model import DataError, read_numeric_csv, reward_transform
+from bowl.simulate import ScenarioSpec, _fit_seed, generate_scenario_raw
+from tests.test_simulate import fail_second_owl_fit
 
 
 def write_scenario_csv(path, n=60, seed=3, p=10):
-    data, _ = generate_scenario(ScenarioSpec(1, n, seed=seed, p=p), 0)
+    x, a, raw_rewards, _ = generate_scenario_raw(ScenarioSpec(1, n, seed=seed, p=p), 0)
+    r = reward_transform(raw_rewards)[0]
     header = [f"x{j}" for j in range(1, p + 1)] + ["a", "r"]
     lines = [",".join(header)]
-    for i in range(data.n):
-        cells = [repr(float(v)) for v in data.features[i]]
-        cells += [str(int(data.actions[i])), repr(float(data.rewards[i]))]
+    for i in range(n):
+        cells = [repr(float(v)) for v in x[i]]
+        cells += [str(int(a[i])), repr(float(r[i]))]
         lines.append(",".join(cells))
     path.write_text("\n".join(lines) + "\n")
-    return data
 
 
 def query_features(m, p=10):
-    return generate_scenario(ScenarioSpec(1, m, seed=4, p=p), 1)[0].features
+    return generate_scenario_raw(ScenarioSpec(1, m, seed=4, p=p), 1)[0]
 
 
 def reject_constant(token):
@@ -374,6 +375,27 @@ class TestPredict:
             path.write_text("\n".join(["# config=" + config] + lines[1:]) + "\n")
             self.rejects(["--draws", str(path), "--grid", "--out-dir", str(tmp_path)], path, capsys)
 
+    @pytest.mark.parametrize("config, header, message", [
+        (None, "chain,draw,beta_x1", "missing '# config=' metadata line"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0}, "chain,step,beta_x1",
+         r"expected columns chain, draw, then beta_\*"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0}, "chain,draw,gamma_x1",
+         r"expected columns chain, draw, then beta_\*"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1}, "chain,draw,beta_x1",
+         r"bad n_draws, burn_in, n_chains or seed in config \('seed'\)"),
+        ({"n_draws": "two", "burn_in": 1, "n_chains": 1, "seed": 0}, "chain,draw,beta_x1",
+         r"bad n_draws, burn_in, n_chains or seed in config \(invalid literal"),
+        ({"n_draws": 2, "burn_in": 2, "n_chains": 1, "seed": 0}, "chain,draw,beta_x1",
+         r"bad n_draws, burn_in, n_chains or seed in config \(burn_in must satisfy"),
+    ], ids=["no-config", "not-draw", "no-beta", "no-seed", "bad-n-draws", "burn-in-too-large"])
+    def test_draws_file_checks(self, tmp_path, config, header, message):
+        path = tmp_path / "draws.csv"
+        lines = [] if config is None else ["# config=" + json.dumps(config)]
+        path.write_text("\n".join(lines + [header, "0,1,0.5"]) + "\n")
+        with pytest.raises(DataError, match=message) as exc:
+            _parse_draws_csv(path)
+        assert str(exc.value).startswith(f"{path}: ")
+
     def test_zero_draws_file_exit_2(self, tmp_path):
         empty = tmp_path / "draws.csv"
         empty.write_text('# config={"intercept": false, "n_chains": 1}\nchain,draw,beta_x1\n')
@@ -440,6 +462,17 @@ class TestReproduce:
                 assert after == before
         table = (tmp_path / "failed" / "tables.csv").read_text().splitlines()
         assert [row.split(",")[-1] for row in table[2:]] == ["3", "2"]  # n_reps_ok: owl, bowl-normal
+
+    def test_singular_owl_fit_is_a_warning_not_an_input_error(self, tmp_path, monkeypatch, capsys):
+        fail_second_owl_fit(monkeypatch)
+        out = tmp_path / "rep"
+        assert main(["reproduce", "--scenario", "1", "--n", "40", "--reps", "2", "--methods", "owl",
+                     "--heatmap-n", "40", "--grid-res", "3", "--jobs", "1", "--out-dir", str(out)]) == 0
+        err = capsys.readouterr().err.splitlines()
+        assert [line for line in err if line.startswith(("warning:", "error:"))] == [
+            "warning: owl (n=40) rep 1 failed and is left out of its rate: Singular matrix"]
+        assert (out / "raw_rates.csv").read_text().splitlines()[3] == "owl,1,40,1,nan"
+        assert (out / "tables.csv").read_text().splitlines()[2].endswith(",1")  # n_reps_ok
 
     def test_heatmap_fit_failure_writes_nothing(self, tmp_path, capsys, monkeypatch):
         def fail(**kwargs):

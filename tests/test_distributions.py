@@ -180,6 +180,12 @@ class TestGigHalfLogDensity:
 
 
 class TestMvn:
+    @pytest.mark.parametrize("mean, precision", [(np.zeros(2), np.eye(3)), (np.zeros((2, 1)), np.eye(2))],
+                             ids=["p-disagrees", "2-d-mean"])
+    def test_rejects_mismatched_shapes(self, mean, precision):
+        with pytest.raises(ValueError, match="mean must be length-p and precision p x p"):
+            MvnParams(mean, precision)
+
     def test_identity_precision(self):
         params = MvnParams(np.zeros(3), np.eye(3))
         rng = substream(20)

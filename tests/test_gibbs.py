@@ -221,6 +221,10 @@ class TestDrawLambda:
 
 
 class TestBuildSuffstats:
+    def test_rejects_lam_of_the_wrong_length(self):
+        with pytest.raises(ValueError, match="lam has length 6, expected 7"):
+            build_suffstats(np.ones(6), CanonicalRows.of(random_dataset(33)))
+
     def test_single_observation_closed_form(self):
         # w = 1, lam = 1: precision = w^2/lam = 1, linear = w(1 + w/lam) = 2.
         data = Dataset(np.array([[1.0]]), np.array([1.0]), np.array([0.5]), 0.5)
@@ -586,6 +590,15 @@ class TestExactBetaCdf:
 
 
 class TestRunChain:
+    def test_nonpositive_omega_after_a_sweep(self, monkeypatch):
+        monkeypatch.setattr(bowl.gibbs, "draw_omega", lambda beta, nu_sigma, rng: np.zeros(beta.size))
+        with pytest.raises(GibbsNumericalError, match="^chain 0, iteration 0: nonpositive omega$"):
+            run_chain(random_dataset(61), ExponentialPowerPrior(), GibbsConfig(n_draws=2, burn_in=0))
+
+    def test_unknown_prior_type(self):
+        with pytest.raises(TypeError, match="unknown prior type <class 'object'>"):
+            run_chain(random_dataset(61), object(), GibbsConfig(n_draws=2, burn_in=0))
+
     def test_bitwise_deterministic(self):
         data = random_dataset(62)
         config = GibbsConfig(n_draws=60, burn_in=20, n_chains=2, seed=5)

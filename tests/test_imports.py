@@ -204,11 +204,12 @@ from pathlib import Path
 import numpy as np
 
 import bowl.cli
-from bowl.simulate import ScenarioSpec, generate_scenario
+from bowl.pseudo_model import reward_transform
+from bowl.simulate import ScenarioSpec, generate_scenario_raw
 
 out = Path(sys.argv[1])
-data, _ = generate_scenario(ScenarioSpec(1, 40, seed=3, p=3), 0)
-body = np.column_stack([data.features, data.actions, data.rewards])
+x, a, raw_rewards, _ = generate_scenario_raw(ScenarioSpec(1, 40, seed=3, p=3), 0)
+body = np.column_stack([x, a, reward_transform(raw_rewards)[0]])
 np.savetxt(out / "train.csv", body, delimiter=",", header="x1,x2,x3,a,r", comments="")
 runs = [
     ["fit", "--data", str(out / "train.csv"), "--draws", "30", "--burn-in", "10", "--chains", "2",

@@ -8,9 +8,24 @@ from hypothesis import strategies as st
 from bowl.owl import REG_STRENGTH, fit_owl_linear, owl_problem
 from bowl.pseudo_model import Dataset, add_intercept, owl_weights
 from bowl.rng import substream
+from bowl.simulate import RHO, ScenarioSpec, generate_scenario_raw
 from tests.test_pseudo_model import owl_objective
 
 EPOCHS = 80  # reference_owl_fit's passes over the data
+
+# float.hex of the study's OWL coefficients (intercept first) on replication 0 of a
+# scenario at seed 0. The EM reaches a fixed point on both n=100 problems, but not at n=800.
+OWL_PINS = {
+    (1, 100): ["-0x1.b244eb03266e9p-2", "0x1.c3d6635b9be98p-1", "0x1.19f8a750e016bp+0", "-0x1.39a9b27072f87p-2",
+               "0x1.79bb888cc973fp-5", "0x1.a52756d313502p-2", "-0x1.571de03ad5098p-3", "0x1.4e4b70ed1afabp-3",
+               "0x1.b32070a0d51f7p-1", "-0x1.5076aec3cdeb8p+0", "-0x1.a37f7df411d80p-1"],
+    (2, 100): ["0x1.de02cb5e36228p-1", "-0x1.2711c6378866dp-2", "-0x1.e224196cc9c7fp-1", "0x1.42b887f03fdf3p-2",
+               "0x1.cd0a9b633d951p-3", "0x1.e838a9e3f7e53p-2", "0x1.a1c9045999244p-5", "0x1.ec22b06781952p-2",
+               "0x1.dbfd37c1dfceap-1", "-0x1.3ea20b5570fccp-1", "-0x1.7e2260946dda8p-1"],
+    (1, 800): ["-0x1.f218f20559ba0p-4", "0x1.1ded5328d7775p+0", "0x1.0b1f48e8feabdp+0", "0x1.558fe0eb698a2p-5",
+               "-0x1.1e494da72f058p-2", "-0x1.168502e0cc3c1p-3", "-0x1.6b77af0850559p-2", "-0x1.6bd86f2add7bdp-6",
+               "-0x1.eb1b236c4090ap-3", "0x1.8cabf4384f749p-3", "-0x1.28759f159073cp-7"],
+}
 
 
 def regularized_objective(beta, data):
@@ -126,6 +141,12 @@ class TestFitOwlLinear:
     def test_deterministic(self):
         data = random_dataset(8)
         np.testing.assert_array_equal(fit(data), fit(data))
+
+    @pytest.mark.parametrize("scenario, n", OWL_PINS, ids=[f"s{s}-n{n}" for s, n in OWL_PINS])
+    def test_coefficients_pinned_on_scenario_data(self, scenario, n):
+        x, a, r, _ = generate_scenario_raw(ScenarioSpec(scenario, n, seed=0), 0)
+        beta = fit_owl_linear(*owl_problem(add_intercept(x), a, r, RHO))
+        assert [float.hex(float(b)) for b in beta] == OWL_PINS[scenario, n]
 
     def test_objective_no_worse_than_reference_loop(self, problem):
         achieved = array_objective(fit_owl_linear(*problem), *problem)

@@ -446,3 +446,43 @@ class TestDatasetAndCsv:
         data, _ = load_dataset_csv(path, rho=0.5)
         np.testing.assert_array_equal(data.features, [[0.5], [-0.25]])
         np.testing.assert_array_equal(data.actions, [1.0, -1.0])
+
+
+class TestInputChecks:
+    @pytest.mark.parametrize("features, actions, message", [
+        (np.empty((3, 0)), np.ones(3), "need at least one feature column"),
+        (np.ones((3, 2)), np.ones(2), "features, actions and rewards disagree on n"),
+        (np.array([[0.5, np.nan]] * 3), np.ones(3), "features contain NaN or Inf"),
+        (np.array([[0.5, -np.inf]] * 3), np.ones(3), "features contain NaN or Inf"),
+    ], ids=["no-feature-column", "n-disagrees", "nan-feature", "inf-feature"])
+    def test_dataset_rejects(self, features, actions, message):
+        with pytest.raises(DataError, match=message):
+            Dataset(features, actions, np.ones(3), 0.5)
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: NormalPrior(sigma0_sq=0.0), "sigma0_sq must be positive"),
+        (lambda: NormalPrior(sigma0_sq=math.nan), "sigma0_sq must be positive"),
+        (lambda: SpikeSlabPrior(nu=0.0), "nu must be positive"),
+        (lambda: SpikeSlabPrior(nu=-0.8), "nu must be positive"),
+    ], ids=["normal-zero", "normal-nan", "ss-zero", "ss-negative"])
+    def test_prior_rejects(self, make, message):
+        with pytest.raises(ValueError, match=message):
+            make()
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_reward_transform_rejects_non_finite(self, bad):
+        with pytest.raises(DataError, match="rewards contain NaN or Inf"):
+            reward_transform(np.array([1.0, bad]))
+
+    @pytest.mark.parametrize("header, message", [
+        ("x1,a,r,x2", "header must end with columns a, r"),
+        ("a,r", "header must end with columns a, r"),
+        ("x2,x1,a,r", r"feature columns must be named x1\.\.xp in order, got \['x2', 'x1'\]"),
+        ("x1,x3,a,r", r"feature columns must be named x1\.\.xp in order, got \['x1', 'x3'\]"),
+    ], ids=["a-r-not-last", "no-feature", "out-of-order", "gap"])
+    def test_csv_header_rejects(self, tmp_path, header, message):
+        path = tmp_path / "data.csv"
+        path.write_text(header + "\n" + ",".join(["1"] * len(header.split(","))) + "\n")
+        with pytest.raises(DataError, match=message) as exc:
+            load_dataset_csv(path, rho=0.5)
+        assert str(exc.value).startswith(f"{path}: ")

@@ -5,14 +5,13 @@ import pytest
 
 import bowl.simulate
 from bowl.gibbs import GibbsConfig, PosteriorDraws
-from bowl.pseudo_model import ExponentialPowerPrior, NormalPrior, SpikeSlabPrior
+from bowl.pseudo_model import ExponentialPowerPrior, NormalPrior, SpikeSlabPrior, reward_transform
 from bowl.rng import substream
 from bowl.simulate import (
     METHODS,
     ScenarioSpec,
     _fit_seed,
     classify_with_method,
-    generate_scenario,
     generate_scenario_raw,
     interaction_term,
     misclassification_rate,
@@ -20,6 +19,19 @@ from bowl.simulate import (
     true_optimal_rule,
     uncertainty_study,
 )
+
+
+def fail_second_owl_fit(monkeypatch):
+    """Make the second `fit_owl_linear` call, replication 1's at one job, raise a LinAlgError."""
+    real_fit, calls = bowl.simulate.fit_owl_linear, []
+
+    def fit(x, labels, weights):
+        calls.append(None)
+        if len(calls) == 2:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return real_fit(x, labels, weights)
+
+    monkeypatch.setattr(bowl.simulate, "fit_owl_linear", fit)
 
 
 def cell(result, method):
@@ -40,10 +52,10 @@ class TestGenerateScenario:
 
     def test_feature_moments(self):
         spec = ScenarioSpec(scenario_id=1, n_train=100_000, seed=5)
-        data, _ = generate_scenario(spec, 0)
-        assert np.all(np.abs(data.features.mean(axis=0)) < 0.01)
-        assert np.all(np.abs(data.features.var(axis=0) - 1.0 / 3.0) < 0.01)
-        assert abs(np.mean(data.actions == 1.0) - 0.5) < 0.01
+        x, a, _, _ = generate_scenario_raw(spec, 0)
+        assert np.all(np.abs(x.mean(axis=0)) < 0.01)
+        assert np.all(np.abs(x.var(axis=0) - 1.0 / 3.0) < 0.01)
+        assert abs(np.mean(a == 1.0) - 0.5) < 0.01
 
     def test_reward_mean_structure(self):
         # Raw rewards average to the stated mean surface.
@@ -53,21 +65,25 @@ class TestGenerateScenario:
         np.testing.assert_allclose(r, expected, atol=1e-12)
 
     def test_rewards_positive_after_transform(self):
-        data, _ = generate_scenario(ScenarioSpec(1, 500, seed=7), 0)
-        assert np.all(data.rewards > 0)
+        _, _, r, _ = generate_scenario_raw(ScenarioSpec(1, 500, seed=7), 0)
+        assert r.min() <= 0  # the shift is exercised
+        assert np.all(reward_transform(r)[0] > 0)
 
     def test_labels_match_rule(self):
         spec = ScenarioSpec(scenario_id=2, n_train=500, seed=8)
-        data, truth = generate_scenario(spec, 0)
-        np.testing.assert_array_equal(truth, true_optimal_rule(2, data.features))
+        x, _, _, truth = generate_scenario_raw(spec, 0)
+        np.testing.assert_array_equal(truth, true_optimal_rule(2, x))
 
     def test_deterministic_per_rep(self):
         spec = ScenarioSpec(scenario_id=1, n_train=50, seed=9)
-        a, _ = generate_scenario(spec, 3)
-        b, _ = generate_scenario(spec, 3)
-        np.testing.assert_array_equal(a.features, b.features)
-        c, _ = generate_scenario(spec, 4)
-        assert not np.array_equal(a.features, c.features)
+        a, b, c = (generate_scenario_raw(spec, rep)[0] for rep in (3, 3, 4))
+        np.testing.assert_array_equal(a, b)
+        assert not np.array_equal(a, c)
+
+
+    def test_unknown_scenario_rejected(self):
+        with pytest.raises(ValueError, match="scenario_id must be 1 or 2"):
+            ScenarioSpec(scenario_id=3, n_train=10)
 
 
 class TestTrueOptimalRule:
@@ -153,6 +169,17 @@ class TestRunExperiment:
         normal = cell(result, "bowl-normal")
         assert np.all((normal.rates >= 0) & (normal.rates <= 1))
         assert normal.mc_se >= 0
+
+    def test_singular_owl_fit_is_a_counted_failure(self, monkeypatch):
+        spec = ScenarioSpec(scenario_id=1, n_train=40, n_test=50, n_reps=3, seed=16)
+        clean = cell(run_experiment(spec, ["owl"]), "owl")
+        fail_second_owl_fit(monkeypatch)
+        result = run_experiment(spec, ["owl"])
+        owl = cell(result, "owl")
+        assert np.isnan(owl.rates[1]) and owl.n_reps_ok == clean.n_reps_ok - 1 == 2
+        np.testing.assert_array_equal(owl.rates[[0, 2]], clean.rates[[0, 2]])
+        assert owl.mean_rate == float(clean.rates[[0, 2]].mean())
+        assert result.failures == [("owl", 1, "Singular matrix")]
 
     def test_unknown_method_rejected(self):
         spec = ScenarioSpec(scenario_id=1, n_train=50, n_reps=2, seed=15)
