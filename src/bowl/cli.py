@@ -81,7 +81,7 @@ def _csv_lines(config: dict, header: list[str], rows):
 
 
 def _read_config_comment(path: Path) -> dict:
-    with open(path) as fh:
+    with open(path, encoding="utf-8-sig") as fh:
         first = fh.readline().strip()
     if not first.startswith("# config="):
         raise DataError(f"{path}: missing '# config=' metadata line")
@@ -234,8 +234,10 @@ def cmd_predict(args) -> int:
     echo = {"command": "predict", "draws": str(args.draws), "source_config": config}
 
     if args.grid:
-        dims = (args.grid_dims[0] - 1, args.grid_dims[1] - 1)
-        coords, *preds = certainty_grid(draws, dims, args.grid_res)
+        j1, j2 = args.grid_dims
+        if not (1 <= j1 <= n_raw and 1 <= j2 <= n_raw and j1 != j2):
+            raise DataError(f"--grid-dims must be two different feature indices in 1..{n_raw}, got {j1} {j2}")
+        coords, *preds = certainty_grid(draws, (j1 - 1, j2 - 1), args.grid_res)
         echo["grid_dims"] = list(args.grid_dims)
         echo["grid_res"] = args.grid_res
         name, lines = "certainty_grid.csv", _csv_text(echo, GRID_HEADER, _prediction_lines(coords, *preds))

@@ -40,23 +40,22 @@ inv = partial(_lapack, _umath_linalg.inv, "Singular matrix")
 
 
 class MvnParams:
-    """Multivariate normal given by its mean and precision matrix.
+    """N(precision^{-1} linear, precision^{-1}): its mean by LU `solve`, then the precision's Cholesky factor.
 
-    The precision Cholesky factor is computed once at construction;
-    a LinAlgError here means the precision is not positive definite
-    (degenerate data or a caller bug, not a sampling failure).
+    The precision must be exactly symmetric. A LinAlgError here means it is
+    singular or not positive definite (degenerate data or a caller bug, not
+    a sampling failure).
     """
 
-    def __init__(self, mean: np.ndarray, precision: np.ndarray):
-        mean = np.asarray(mean, dtype=float)
+    def __init__(self, precision: np.ndarray, linear: np.ndarray):
         precision = np.asarray(precision, dtype=float)
-        if mean.ndim != 1 or precision.shape != (mean.size, mean.size):
-            raise ValueError("mean must be length-p and precision p x p")
+        linear = np.asarray(linear, dtype=float)
+        if linear.ndim != 1 or precision.shape != (linear.size, linear.size):
+            raise ValueError("linear term must be length-p and precision p x p")
+        mean = solve(precision, linear)
         if not (_all_true(np.isfinite(mean)) and _all_true(np.isfinite(precision))):
             raise ValueError("mean and precision must be finite")
-        # Exact symmetry, else np.allclose(precision, precision.T)'s rule at a third of its cost.
-        t = precision.T
-        if not (_all_true(precision == t) or _all_true(np.abs(precision - t) <= 1e-8 + 1e-5 * np.abs(t))):
+        if not _all_true(precision == precision.T):
             raise ValueError("precision matrix must be symmetric")
         self.mean = mean
         self.chol_lower = cholesky(precision)

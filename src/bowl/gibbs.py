@@ -30,7 +30,6 @@ from .distributions import (
     count_nonzero,
     inv,
     sample_mvn,
-    solve,
 )
 from .pseudo_model import (
     Dataset,
@@ -216,16 +215,11 @@ def build_suffstats(lam: np.ndarray, rows: CanonicalRows) -> SuffStats:
     return SuffStats(precision, linear)
 
 
-def _gaussian_from_natural(b_inv: np.ndarray, b_vec: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    params = MvnParams(solve(b_inv, b_vec), b_inv)
-    return sample_mvn(params, rng)
-
-
 def draw_beta_normal(
     suff: SuffStats, prior_precision: np.ndarray, prior_linear: np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
     """beta ~ N(B1 b1, B1), B1^{-1} = precision_data + prior_precision, b1 = linear_data + prior_linear."""
-    return _gaussian_from_natural(suff.precision_data + prior_precision, suff.linear_data + prior_linear, rng)
+    return sample_mvn(MvnParams(suff.precision_data + prior_precision, suff.linear_data + prior_linear), rng)
 
 
 def draw_beta_ep(
@@ -236,7 +230,7 @@ def draw_beta_ep(
     if not _all_true(omega > 0):
         raise ValueError("omega must be strictly positive")
     b_inv = suff.precision_data + np.diag(1.0 / (slab_variance * omega))
-    return _gaussian_from_natural(b_inv, suff.linear_data, rng)
+    return sample_mvn(MvnParams(b_inv, suff.linear_data), rng)
 
 
 def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
@@ -325,7 +319,7 @@ def draw_gamma_and_beta_ss(
     beta = np.zeros(kernel.data.p)
     idx = active.nonzero()[0]
     if idx.size > 0:
-        beta[idx] = _gaussian_from_natural(a_mat[idx[:, None], idx], b_vec[idx], rng)
+        beta[idx] = sample_mvn(MvnParams(a_mat[idx[:, None], idx], b_vec[idx]), rng)
     return active.astype(np.int8), beta
 
 

@@ -54,7 +54,7 @@ def read_numeric_csv(path) -> tuple[list[str], np.ndarray]:
     `#` or a blank line goes through the per-line `_rows` filter; any other
     block is all data rows as it stands.
     """
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         lineno, line = next(_rows(path, enumerate(fh, 1)), (0, None))
         if line is None:
             raise DataError(f"{path}: empty file")

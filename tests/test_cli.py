@@ -1,3 +1,4 @@
+import codecs
 import contextlib
 import io
 import json
@@ -212,6 +213,29 @@ class TestFit:
         assert grid.shape == (9, 5) and tuple(grid[4, :3]) == (0.0, 0.0, 0.5)
 
 
+    def test_utf8_byte_order_mark_is_ignored(self, tmp_path):
+        """Training, draws and query files that start with a UTF-8 byte-order mark, as Excel's "CSV UTF-8"
+        writes them, give the artifacts of the same files without one; a mark before a `#` row keeps it a comment."""
+        write_scenario_csv(tmp_path / "scenario.csv", n=40)
+        train = b"# a comment row\n" + (tmp_path / "scenario.csv").read_bytes()
+        names = [f"x{j}" for j in range(1, 11)]
+        query = "\n".join([",".join(names)] + [",".join(map(repr, row)) for row in query_features(9).tolist()])
+        draws, outputs = tmp_path / "draws.csv", []
+        for k, mark in enumerate((b"", codecs.BOM_UTF8)):
+            (tmp_path / "train.csv").write_bytes(mark + train)
+            fit = tmp_path / f"fit{k}"
+            assert main(["fit", "--data", str(tmp_path / "train.csv"), "--draws", "60", "--burn-in", "20",
+                         "--jobs", "1", "--out-dir", str(fit)]) == 0
+            draws.write_bytes(mark + (tmp_path / "fit0" / "draws.csv").read_bytes())
+            (tmp_path / "query.csv").write_bytes(mark + query.encode() + b"\n")
+            pred = tmp_path / f"pred{k}"
+            assert main(["predict", "--draws", str(draws), "--query", str(tmp_path / "query.csv"),
+                         "--out-dir", str(pred)]) == 0
+            outputs.append([(path / name).read_bytes() for path, name in
+                            ((fit, "draws.csv"), (fit, "summary.json"), (pred, "recommendations.csv"))])
+        assert outputs[0] == outputs[1]
+
+
 class TestPredict:
     @pytest.fixture()
     def fitted(self, tmp_path):
@@ -360,6 +384,14 @@ class TestPredict:
             main(["predict", "--draws", str(fitted), *flags, "--out-dir", str(tmp_path / "pred")])
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
+        assert not (tmp_path / "pred").exists()
+
+    @pytest.mark.parametrize("dims", [["1", "12"], ["0", "11"], ["3", "3"]])
+    def test_bad_grid_dims_named_as_given(self, fitted, tmp_path, capsys, dims):
+        assert main(["predict", "--draws", str(fitted), "--grid", "--grid-dims", *dims,
+                     "--out-dir", str(tmp_path / "pred")]) == 2
+        assert capsys.readouterr().err == ("error: --grid-dims must be two different feature indices in 1..10, "
+                                           f"got {' '.join(dims)}\n")
         assert not (tmp_path / "pred").exists()
 
     def test_query_dimension_mismatch_exit_2(self, fitted, tmp_path):

@@ -18,7 +18,7 @@ from scipy.stats import kstest, norm
 import bowl
 import bowl.gibbs
 from bowl.diagnostics import effective_sample_size, split_rhat
-from bowl.distributions import CHI_DEGENERATE
+from bowl.distributions import CHI_DEGENERATE, MvnParams, sample_mvn
 from bowl.gibbs import (
     BETA_ZERO_TOL,
     CanonicalRows,
@@ -28,7 +28,6 @@ from bowl.gibbs import (
     SpikeSlabKernel,
     SuffStats,
     _canonical_order,
-    _gaussian_from_natural,
     build_suffstats,
     draw_beta_ep,
     draw_beta_normal,
@@ -136,7 +135,7 @@ def cholesky_ss_reference(state, data, prior, rng):
     idx = np.flatnonzero(active)
     if idx.size > 0:
         b_inv = suff.precision_data[np.ix_(idx, idx)] + np.diag(prior_prec[idx])
-        beta[idx] = _gaussian_from_natural(b_inv, suff.linear_data[idx], rng)
+        beta[idx] = sample_mvn(MvnParams(b_inv, suff.linear_data[idx]), rng)
     return active.astype(np.int8), beta
 
 
@@ -173,7 +172,7 @@ def reference_chain(data, prior, config):
                 else:
                     b_inv = suff.precision_data + np.diag(1.0 / (prior.nu**2 * prior.sigma_j**2 * omega))
                     b_vec = suff.linear_data
-                beta = _gaussian_from_natural(b_inv, b_vec, rng)
+                beta = sample_mvn(MvnParams(b_inv, b_vec), rng)
             chi = (w * (1.0 - data.actions * (data.features @ beta))) ** 2
             small = chi < CHI_DEGENERATE
             lam = np.empty(data.n)
@@ -932,7 +931,7 @@ class TestConditionalsMatchJoint:
     def test_beta_blocks(self, monkeypatch, seed):
         data, sigma, state, rng = self.random_state(seed)
         betas = rng.normal(size=(2, data.p))
-        calls = self.capture(monkeypatch, "_gaussian_from_natural")
+        calls = self.capture(monkeypatch, "MvnParams")
         suff = build_suffstats(state.lam, CanonicalRows.of(data))
         normal, ep = NormalPrior(mu0=0.3, sigma0_sq=1.5), ExponentialPowerPrior(nu=0.8, sigma_j=sigma)
         ss = SpikeSlabPrior(nu=0.8, pi_incl=0.9, sigma_j=sigma)
@@ -945,7 +944,7 @@ class TestConditionalsMatchJoint:
         ss_betas = np.where(active, betas, 0.0)
         cases = [(normal, state, betas, slice(None)), (ep, state, betas, slice(None)),
                  (ss, SimpleNamespace(**{**vars(state), "gamma": gamma}), ss_betas, active)]
-        for (b_inv, b_vec, _), (prior, at, values, block) in zip(calls, cases):
+        for (b_inv, b_vec), (prior, at, values, block) in zip(calls, cases):
             v1, v2 = values[0][block], values[1][block]
             conditional = (-0.5 * v1 @ b_inv @ v1 + b_vec @ v1) - (-0.5 * v2 @ b_inv @ v2 + b_vec @ v2)
             assert conditional == pytest.approx(self.joint_diff(at, data, prior, "beta", values), rel=1e-9)
