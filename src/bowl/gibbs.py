@@ -25,6 +25,7 @@ from .distributions import (
     MvnParams,
     _all_true,
     _gig_half_draw_vec,
+    _invgauss,
     _invgauss_draw,
     cholesky,
     count_nonzero,
@@ -41,7 +42,7 @@ from .pseudo_model import (
     owl_weights,
     prior_scales,
 )
-from .rng import ordered_map, substream
+from .rng import ordered_map, substream, worker_count
 
 BETA_ZERO_TOL = 1e-12
 
@@ -61,23 +62,23 @@ class GibbsNumericalError(RuntimeError):
 
 @dataclass
 class ChainState:
-    """Current augmented state of one chain.
+    """Current augmented state of a batch of R chains, one row per member.
 
     lam is the per-observation scale augmentation; omega only exists under
     the exponential-power prior, gamma only under spike-and-slab (where
     beta_j = 0 exactly when gamma_j = 0).
     """
 
-    beta: np.ndarray
-    lam: np.ndarray
-    omega: np.ndarray | None = None
-    gamma: np.ndarray | None = None
+    beta: np.ndarray  # R x p
+    lam: np.ndarray  # R x n
+    omega: np.ndarray | None = None  # R x p
+    gamma: np.ndarray | None = None  # R x p
 
 
 @dataclass
 class SuffStats:
-    precision_data: np.ndarray  # p x p, symmetric PSD
-    linear_data: np.ndarray  # length p
+    precision_data: np.ndarray  # R x p x p, each symmetric PSD
+    linear_data: np.ndarray  # R x p
 
 
 @dataclass(frozen=True)
@@ -160,95 +161,109 @@ def _canonical_order(x: np.ndarray, a: np.ndarray, w: np.ndarray) -> tuple[np.nd
 
 @dataclass(frozen=True)
 class CanonicalRows:
-    """A dataset's rows gathered once in canonical order (`_canonical_order`).
+    """The rows of a batch's R datasets (sharing n and p), each gathered once in canonical order (`_canonical_order`).
 
-    Without exact-duplicate rows the order is the same for every `lam`, so
-    a sweep only gathers `lam`. `tied_rank` (the canonical ranks in that
-    order) is kept only when duplicates exist; `lam` then breaks their ties,
-    and only `lam` is re-sorted every sweep.
+    Arrays carry a leading member axis. Without exact-duplicate rows a
+    member's order is the same for every `lam`, so a sweep only gathers
+    `lam`. `tied` pairs each member that has duplicates with its canonical
+    ranks in that order; `lam` then breaks their ties, and only that
+    member's `lam` is re-sorted every sweep.
     """
 
-    order: np.ndarray
-    tied_rank: np.ndarray | None
+    order: np.ndarray  # R x n flat indices into an R x n lam: member r's canonical order, plus r n
+    tied: tuple[tuple[int, np.ndarray], ...]
     x: np.ndarray
-    xt: np.ndarray  # a C-contiguous x.T: the Gram product scales it faster than x, with the same bits
+    xt: np.ndarray  # C-contiguous x.T per member: the Gram product scales it faster than x, with the same bits
     a: np.ndarray
     w: np.ndarray
     w_sq: np.ndarray
+    wa: np.ndarray  # w a, exactly: a is -1 or +1
 
     @classmethod
-    def of(cls, data: Dataset) -> CanonicalRows:
-        return cls.from_arrays(data.features, data.actions, owl_weights(data))
+    def of(cls, datasets: list[Dataset]) -> CanonicalRows:
+        return cls.from_arrays([d.features for d in datasets], [d.actions for d in datasets],
+                               [owl_weights(d) for d in datasets])
 
     @classmethod
-    def from_arrays(cls, x: np.ndarray, a: np.ndarray, w: np.ndarray) -> CanonicalRows:
-        """The rows of features x, labels a in {-1, +1} and positive weights w."""
-        order, rank = _canonical_order(x, a, w)
-        tied = a.size > 0 and rank[-1] < a.size
-        w, x = w[order], x[order]
+    def from_arrays(cls, x, a, w) -> CanonicalRows:
+        """The rows of R members' features x, labels a in {-1, +1} and positive weights w, listed per member."""
+        ordered = [_canonical_order(*member) for member in zip(x, a, w)]
+        order = np.array([o for o, _ in ordered], dtype=np.intp).reshape(len(ordered), -1)
+        tied = tuple((r, rank) for r, (_, rank) in enumerate(ordered) if rank.size and rank[-1] < rank.size)
+        x, a, w = (np.stack([v[o] for v, o in zip(values, order)]) for values in (x, a, w))
         w_sq = w**2  # positive rewards and rho in (0, 1) make every weight positive, so this checks both
         _check_constant(w_sq, "an OWL weight r/rho or r/(1 - rho), or its square,", "rho and the rewards")
-        return cls(order, rank if tied else None, x, np.ascontiguousarray(x.T), a[order], w, w_sq)
+        order += np.arange(len(ordered))[:, None] * order.shape[1]
+        return cls(order, tied, x, np.ascontiguousarray(x.mT), a, w, w_sq, w * a)
 
 
 def build_suffstats(lam: np.ndarray, rows: CanonicalRows) -> SuffStats:
-    """Accumulate the canonical sufficient statistics for the beta draw.
+    """Accumulate each member's canonical sufficient statistics for the beta draw, lam being R x n.
 
     Observations are summed in a canonical order, so the sums are
-    bit-identical under any permutation of the input rows: rows gathered
-    once per chain (`CanonicalRows`), `lam` breaks exact-duplicate ties.
-    With no rows the sums are zero.
+    bit-identical under any permutation of a member's rows: rows gathered
+    once per batch (`CanonicalRows`), `lam` breaks exact-duplicate ties.
+    One `np.matmul` forms all R Gram products and one stacked gemv all R
+    linear terms, each with the bits of its own 2-D product. With no rows
+    the sums are zero.
     """
-    lam = np.asarray(lam, dtype=float).ravel()
-    if lam.shape != rows.order.shape:
-        raise ValueError(f"lam has length {lam.size}, expected {rows.order.size}")
+    lam = np.asarray(lam, dtype=float)
+    if lam.shape != rows.w.shape:
+        raise ValueError(f"lam has shape {lam.shape}, expected {rows.w.shape}")
     if not _all_true(lam > 0):
         raise ValueError("lam must be strictly positive")
 
-    lam_o = lam[rows.order]
-    if rows.tied_rank is not None:  # a tie group shares x, a and w, so only lam is re-sorted
-        lam_o = lam_o[np.lexsort((lam_o, rows.tied_rank))]
+    lam_o = lam.take(rows.order)
+    for r, rank in rows.tied:  # a tie group shares x, a and w, so only lam is re-sorted
+        lam_o[r] = lam_o[r, np.lexsort((lam_o[r], rank))]
 
-    precision = rows.x.T @ (rows.xt * (rows.w_sq / lam_o)).T
-    precision = 0.5 * (precision + precision.T)
-    linear = rows.x.T @ (rows.w * (1.0 + rows.w / lam_o) * rows.a)
+    precision = rows.x.mT @ (rows.xt * (rows.w_sq / lam_o)[:, None]).mT
+    precision = 0.5 * (precision + precision.mT)
+    linear = (rows.x.mT @ (rows.wa * (1.0 + rows.w / lam_o))[:, :, None])[:, :, 0]  # w (1 + w/lam) a, bit for bit
     return SuffStats(precision, linear)
 
 
 def draw_beta_normal(
-    suff: SuffStats, prior_precision: np.ndarray, prior_linear: np.ndarray, rng: np.random.Generator
+    suff: SuffStats, prior_precision: np.ndarray, prior_linear: np.ndarray, rngs
 ) -> np.ndarray:
-    """beta ~ N(B1 b1, B1), B1^{-1} = precision_data + prior_precision, b1 = linear_data + prior_linear."""
-    return sample_mvn(MvnParams(suff.precision_data + prior_precision, suff.linear_data + prior_linear), rng)
+    """beta_r ~ N(B1 b1, B1), B1^{-1} = precision_data_r + prior_precision, b1 = linear_data_r + prior_linear."""
+    return sample_mvn(MvnParams(suff.precision_data + prior_precision, suff.linear_data + prior_linear), rngs)
 
 
-def draw_beta_ep(
-    suff: SuffStats, omega: np.ndarray, slab_variance: np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """beta ~ N(B2 b2, B2), B2^{-1} = precision_data + diag(1/(slab_variance_j omega_j))."""
-    omega = np.asarray(omega, dtype=float).ravel()
+def draw_beta_ep(suff: SuffStats, omega: np.ndarray, slab_variance: np.ndarray, rngs) -> np.ndarray:
+    """beta_r ~ N(B2 b2, B2), B2^{-1} = precision_data_r + diag(1/(slab_variance_rj omega_rj)), omega being R x p."""
+    omega = np.asarray(omega, dtype=float)
     if not _all_true(omega > 0):
         raise ValueError("omega must be strictly positive")
-    b_inv = suff.precision_data + np.diag(1.0 / (slab_variance * omega))
-    return sample_mvn(MvnParams(b_inv, suff.linear_data), rng)
+    b_inv = suff.precision_data.copy()
+    p = b_inv.shape[-1]
+    b_inv.reshape(-1, p * p)[:, :: p + 1] += 1.0 / (slab_variance * omega)  # the diagonals, in place
+    return sample_mvn(MvnParams(b_inv, suff.linear_data), rngs)
 
 
-def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """omega_j = 1 / u_j with u_j ~ IG(nu_sigma_j / |beta_j|, 1), where nu_sigma = nu sigma_j.
+def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rngs) -> np.ndarray:
+    """omega_rj = 1 / u_rj with u_rj ~ IG(nu_sigma_rj / |beta_rj|, 1), where nu_sigma = nu sigma_j, beta being R x p.
 
     That is the exact conditional GIG(1/2, 1, beta_j^2 / nu_sigma_j^2).
     Coordinates with beta_j numerically zero take its beta_j = 0 limit,
-    Gamma(1/2, rate 1/2) with mean 1.
+    Gamma(1/2, rate 1/2) with mean 1; a member with one draws its Gammas
+    first, as it does alone.
     """
-    beta = np.asarray(beta, dtype=float).ravel()
+    beta = np.asarray(beta, dtype=float)
     abs_beta = np.abs(beta)
     degenerate = abs_beta < BETA_ZERO_TOL
     if not count_nonzero(degenerate):
-        return 1.0 / _invgauss_draw(nu_sigma / abs_beta, rng)
+        normal, uniform = np.empty(beta.shape), np.empty(beta.shape)
+        for r, rng in enumerate(rngs):
+            rng.standard_normal(out=normal[r])
+        for r, rng in enumerate(rngs):
+            rng.random(out=uniform[r])
+        return 1.0 / _invgauss(nu_sigma / abs_beta, normal, uniform)
     out = np.empty_like(beta)
-    out[degenerate] = rng.gamma(0.5, 2.0, size=int(degenerate.sum()))
-    proper = ~degenerate  # may be empty: a size-0 draw takes nothing from the stream
-    out[proper] = 1.0 / _invgauss_draw(nu_sigma[proper] / abs_beta[proper], rng)
+    for r, rng in enumerate(rngs):
+        zero, proper = degenerate[r], ~degenerate[r]  # either may be empty: a size-0 draw takes nothing from the stream
+        out[r, zero] = rng.gamma(0.5, 2.0, size=int(zero.sum()))
+        out[r, proper] = 1.0 / _invgauss_draw(nu_sigma[r, proper] / abs_beta[r, proper], rng)
     return out
 
 
@@ -288,10 +303,8 @@ def _inclusion_log_bf(a_mat, b_vec, m_inv, is_active: bool, prior_prec_j: float,
     return 0.5 * (math.log(prior_prec_j) - math.log(s) + t * t / s)
 
 
-def draw_gamma_and_beta_ss(
-    state: ChainState, kernel: SpikeSlabKernel, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Nested single-site sweep over inclusion indicators, then the slab draw.
+def draw_gamma_and_beta_ss(state: ChainState, kernel: SpikeSlabKernel, rngs) -> tuple[np.ndarray, np.ndarray]:
+    """Nested single-site sweep over inclusion indicators, then the slab draw, for each member of a batch.
 
     For each coordinate j, the Bernoulli odds compare the beta-integrated
     log marginals of the augmented model under gamma_j = 0 vs 1 holding the
@@ -299,143 +312,208 @@ def draw_gamma_and_beta_ss(
     factored once per sweep and again after each accepted flip (fewer than
     one flip per sweep in practice). After the sweep, beta on the active set
     is drawn from its conditional Gaussian and the inactive coordinates are
-    exactly zero.
+    exactly zero. The sums are formed for the whole batch; the coordinate
+    loop and the slab draw run one member at a time, each from its own rng.
     """
     suff = build_suffstats(state.lam, kernel.rows)
-    a_mat = suff.precision_data + kernel.prior_precision
-    b_vec = suff.linear_data
+    a_mats = suff.precision_data + kernel.prior_precision
+    gamma = np.array(state.gamma, dtype=bool)
+    beta = np.zeros(gamma.shape)
+    for r, (prior_prec, rng) in enumerate(zip(kernel.prior_prec, rngs)):
+        a_mat, b_vec, active = a_mats[r], suff.linear_data[r], gamma[r]
+        m_inv = _active_inverse(a_mat, active)
+        uniforms = rng.random(active.size).tolist()  # the same stream as one scalar draw per coordinate
+        for j in range(active.size):
+            log_bf = _inclusion_log_bf(a_mat, b_vec, m_inv, active[j], prior_prec[j], j)
+            prob_include = 1.0 / (1.0 + math.exp(min(kernel.log_prior_odds_out - log_bf, 700.0)))
+            include = uniforms[j] < prob_include
+            if include != active[j]:
+                active[j] = include
+                m_inv = _active_inverse(a_mat, active)
 
-    active = np.array(state.gamma, dtype=bool)
-    m_inv = _active_inverse(a_mat, active)
-    uniforms = rng.random(kernel.data.p).tolist()  # the same stream as one scalar draw per coordinate
-    for j in range(kernel.data.p):
-        log_bf = _inclusion_log_bf(a_mat, b_vec, m_inv, active[j], kernel.prior_prec[j], j)
-        prob_include = 1.0 / (1.0 + math.exp(min(kernel.log_prior_odds_out - log_bf, 700.0)))
-        include = uniforms[j] < prob_include
-        if include != active[j]:
-            active[j] = include
-            m_inv = _active_inverse(a_mat, active)
-
-    beta = np.zeros(kernel.data.p)
-    idx = active.nonzero()[0]
-    if idx.size > 0:
-        beta[idx] = sample_mvn(MvnParams(a_mat[idx[:, None], idx], b_vec[idx]), rng)
-    return active.astype(np.int8), beta
+        idx = active.nonzero()[0]
+        if idx.size > 0:
+            beta[r, idx] = sample_mvn(MvnParams(a_mat[idx[:, None], idx][None], b_vec[idx][None]), (rng,))[0]
+    return gamma.astype(np.int8), beta
 
 
-class NormalKernel:
-    """The Gibbs sweep under the normal prior, with every constant of a chain built once.
+class _Batch:
+    """What every prior's kernel holds for a batch of members that share n and p.
 
-    Each prior's kernel advances a copy of its `start` state in place (`sweep`)
-    through the module-level draw functions, looked up on every call; the
-    kernel itself never changes.
+    Each member is one dataset; a kernel's constants have a leading member
+    axis, built once per batch. Each kernel advances a copy of its `start`
+    state in place (`sweep`) through the module-level draw functions, looked
+    up on every call; the kernel itself never changes.
     """
 
-    def __init__(self, data: Dataset, rows: CanonicalRows, prior: NormalPrior):
-        self.data, self.rows, self.weights = data, rows, owl_weights(data)
-        self.prior_precision = np.eye(data.p) / prior.sigma0_sq
-        self.prior_linear = prior.mu0_vector(data.p) / prior.sigma0_sq
+    def __init__(self, datasets: list[Dataset], prior: PriorSpec):
+        self.data, self.prior = list(datasets), prior
+        self.rows = CanonicalRows.of(self.data)
+        self.lambda_args = [(d, owl_weights(d)) for d in self.data]
+        self.p = self.data[0].p
+
+    def member(self, r: int):
+        """The kernel of member r alone."""
+        return type(self)(self.data[r : r + 1], self.prior)
+
+    def draw_lambdas(self, state: ChainState, rngs) -> None:
+        """Each member's `draw_lambda`, one call per member, written over its row of state.lam."""
+        for r, (data, weights) in enumerate(self.lambda_args):
+            state.lam[r] = draw_lambda(state.beta[r], data, rngs[r], weights)
+
+    def start_state(self, **latents) -> ChainState:
+        return ChainState(np.zeros((len(self.data), self.p)), np.ones(self.rows.w.shape), **latents)
+
+
+class NormalKernel(_Batch):
+    """The Gibbs sweep under the normal prior."""
+
+    def __init__(self, datasets: list[Dataset], prior: NormalPrior):
+        super().__init__(datasets, prior)
+        members = len(self.data)  # one row per member: adding same-shape arrays skips numpy's broadcasting
+        self.prior_precision = np.tile(np.eye(self.p) / prior.sigma0_sq, (members, 1, 1))
+        self.prior_linear = np.tile(prior.mu0_vector(self.p) / prior.sigma0_sq, (members, 1))
         _check_constant(1.0 / prior.sigma0_sq, "the prior precision 1/sigma0_sq", "sigma0_sq")
         _check_constant(self.prior_linear, "the prior linear term mu0/sigma0_sq", "mu0 and sigma0_sq", positive=False)
-        self.start = ChainState(np.zeros(data.p), np.ones(data.n))
+        self.start = self.start_state()
 
-    def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
+    def sweep(self, state: ChainState, rngs) -> None:
         suff = build_suffstats(state.lam, self.rows)
-        state.beta = draw_beta_normal(suff, self.prior_precision, self.prior_linear, rng)
-        state.lam = draw_lambda(state.beta, self.data, rng, self.weights)
+        state.beta = draw_beta_normal(suff, self.prior_precision, self.prior_linear, rngs)
+        self.draw_lambdas(state, rngs)
 
 
-class ExponentialPowerKernel:
-    """The Gibbs sweep under the exponential-power prior (see `NormalKernel`)."""
+class ExponentialPowerKernel(_Batch):
+    """The Gibbs sweep under the exponential-power prior."""
 
-    def __init__(self, data: Dataset, rows: CanonicalRows, prior: ExponentialPowerPrior):
-        self.data, self.rows, self.weights = data, rows, owl_weights(data)
-        sigma = prior_scales(prior, data.features)
+    def __init__(self, datasets: list[Dataset], prior: ExponentialPowerPrior):
+        super().__init__(datasets, prior)
+        sigma = np.array([prior_scales(prior, d.features) for d in self.data])
         self.slab_variance = np.float64(prior.nu) ** 2 * sigma**2  # Python's nu**2 bits, inf past the range
         self.nu_sigma = prior.nu * sigma
         _check_constant(self.slab_variance, "the slab variance nu^2 sigma_j^2", "nu and sigma_j")
         _check_constant(self.nu_sigma, "the scale nu sigma_j", "nu and sigma_j")
-        self.start = ChainState(np.zeros(data.p), np.ones(data.n), omega=np.ones(data.p))
+        self.start = self.start_state(omega=np.ones(sigma.shape))
 
-    def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
+    def sweep(self, state: ChainState, rngs) -> None:
         suff = build_suffstats(state.lam, self.rows)
-        state.beta = draw_beta_ep(suff, state.omega, self.slab_variance, rng)
-        state.lam = draw_lambda(state.beta, self.data, rng, self.weights)
-        state.omega = draw_omega(state.beta, self.nu_sigma, rng)
+        state.beta = draw_beta_ep(suff, state.omega, self.slab_variance, rngs)
+        self.draw_lambdas(state, rngs)
+        state.omega = draw_omega(state.beta, self.nu_sigma, rngs)
 
 
-class SpikeSlabKernel:
-    """The Gibbs sweep under the spike-and-slab prior (see `NormalKernel`)."""
+class SpikeSlabKernel(_Batch):
+    """The Gibbs sweep under the spike-and-slab prior."""
 
-    def __init__(self, data: Dataset, rows: CanonicalRows, prior: SpikeSlabPrior):
-        self.data, self.rows, self.weights = data, rows, owl_weights(data)
-        prior_prec = 1.0 / (np.float64(prior.nu) ** 2 * prior_scales(prior, data.features) ** 2)
+    def __init__(self, datasets: list[Dataset], prior: SpikeSlabPrior):
+        super().__init__(datasets, prior)
+        scales = np.array([prior_scales(prior, d.features) for d in self.data])
+        prior_prec = 1.0 / (np.float64(prior.nu) ** 2 * scales**2)
         self.prior_prec = prior_prec.tolist()  # Python floats for the coordinate loop
-        self.prior_precision = np.diag(prior_prec)
+        self.prior_precision = np.zeros(prior_prec.shape + (self.p,))
+        self.prior_precision.reshape(-1, self.p * self.p)[:, :: self.p + 1] = prior_prec
         self.log_prior_odds_out = math.log1p(-prior.pi_incl) - math.log(prior.pi_incl)
         _check_constant(prior_prec, "the slab precision 1/(nu^2 sigma_j^2)", "nu and sigma_j")
         _check_constant(self.log_prior_odds_out, "the log prior odds", "pi_incl", positive=False)
-        self.start = ChainState(np.zeros(data.p), np.ones(data.n), gamma=np.ones(data.p, dtype=np.int8))
+        self.start = self.start_state(gamma=np.ones(prior_prec.shape, dtype=np.int8))
 
-    def sweep(self, state: ChainState, rng: np.random.Generator) -> None:
-        state.lam = draw_lambda(state.beta, self.data, rng, self.weights)
-        state.gamma, state.beta = draw_gamma_and_beta_ss(state, self, rng)
+    def sweep(self, state: ChainState, rngs) -> None:
+        self.draw_lambdas(state, rngs)
+        state.gamma, state.beta = draw_gamma_and_beta_ss(state, self, rngs)
 
 
 _KERNELS = ((NormalPrior, NormalKernel), (ExponentialPowerPrior, ExponentialPowerKernel),
             (SpikeSlabPrior, SpikeSlabKernel))
 
 
+def _check_invariants(state: ChainState) -> None:
+    if not _all_true(np.isfinite(state.beta)):
+        raise ValueError("non-finite beta")
+    if not _all_true(state.lam > 0):
+        raise ValueError("nonpositive lam")
+    if state.omega is not None and not _all_true(state.omega > 0):
+        raise ValueError("nonpositive omega")
+
+
 # Overflow and NaN inside a sweep are silent: the checks after each sweep report them as GibbsNumericalError.
 @np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _run_single_chain(
-    kernel: NormalKernel | ExponentialPowerKernel | SpikeSlabKernel, config: GibbsConfig, chain_index: int
-) -> tuple[np.ndarray, np.ndarray | None]:
-    rng = substream(config.seed, chain_index)
+def _run_lockstep(config: GibbsConfig, batch: tuple[_Batch, list[tuple[int, int]]]) -> list:
+    """Advance a kernel's members in lockstep, member r from substream(*keys[r]) with keys[r] = (seed, chain).
+
+    Returns, per member, its retained (beta, gamma) draws or the
+    GibbsNumericalError that stopped it. A batch that fails anywhere is
+    rerun one member at a time, so each failure is reported as a lone run
+    reports it and the other members keep their bytes.
+    """
+    kernel, keys = batch
+    rngs = [substream(seed, chain) for seed, chain in keys]
     state = copy.deepcopy(kernel.start)
     kept = config.n_draws - config.burn_in
-    beta_out = np.empty((kept, kernel.data.p))
-    gamma_out = np.empty((kept, kernel.data.p), dtype=np.int8) if state.gamma is not None else None
+    beta_out = np.empty((len(keys), kept, kernel.p))
+    gamma_out = np.empty(beta_out.shape, dtype=np.int8) if state.gamma is not None else None
 
     for g in range(config.n_draws):
         try:
-            kernel.sweep(state, rng)
+            kernel.sweep(state, rngs)
+            _check_invariants(state)
         except (ValueError, FloatingPointError, OverflowError) as exc:  # LinAlgError is a ValueError
-            raise GibbsNumericalError(str(exc), chain_index, g) from exc
-
-        if not _all_true(np.isfinite(state.beta)):
-            raise GibbsNumericalError("non-finite beta", chain_index, g)
-        if not _all_true(state.lam > 0):
-            raise GibbsNumericalError("nonpositive lam", chain_index, g)
-        if state.omega is not None and not _all_true(state.omega > 0):
-            raise GibbsNumericalError("nonpositive omega", chain_index, g)
+            if len(keys) > 1:
+                return [out for r in range(len(keys)) for out in _run_lockstep(config, (kernel.member(r), keys[r:r + 1]))]
+            error = GibbsNumericalError(str(exc), keys[0][1], g)
+            error.__cause__ = exc
+            return [error]
 
         if g >= config.burn_in:
-            beta_out[g - config.burn_in] = state.beta
+            beta_out[:, g - config.burn_in] = state.beta
             if gamma_out is not None:
-                gamma_out[g - config.burn_in] = state.gamma
-    return beta_out, gamma_out
+                gamma_out[:, g - config.burn_in] = state.gamma
+    return [(beta_out[r], None if gamma_out is None else gamma_out[r]) for r in range(len(keys))]
 
 
-def run_chain(
-    data: Dataset, prior: PriorSpec, config: GibbsConfig, jobs: int = 1, intercept: bool = False
-) -> PosteriorDraws:
-    """Run n_chains independent Gibbs chains and collect retained draws.
+def run_chain(data, prior: PriorSpec, config, jobs: int = 1, intercept: bool = False):
+    """Run config.n_chains independent Gibbs chains on data and collect their retained draws.
 
     With intercept set, the constant column is prepended to the features
-    before the kernel reads the prior. Each chain derives its own substream from
-    (seed, chain_index), so the result is identical whether chains run
-    sequentially or in parallel; assembly is always ordered by chain index.
+    before the kernel reads the prior. Each chain is a member (dataset,
+    seed, chain index) with its own substream(seed, chain_index); every
+    chain a worker runs steps in one lockstep batch, so the draws are
+    identical however chains are split over workers, and assembly is always
+    ordered by chain index. The first failed chain raises its
+    GibbsNumericalError.
+
+    data and config may instead be equal-length lists, one fit per dataset,
+    whose datasets share n and p and whose configs share n_draws and
+    burn_in: a study's batch of replications. Every chain of every fit then
+    joins the batch, and the result lists, per fit, its PosteriorDraws or
+    the GibbsNumericalError of its first failed chain.
     """
+    fits = not isinstance(data, Dataset)
+    datasets, configs = (list(data), list(config)) if fits else ([data], [config])
     if intercept:
-        data = Dataset(add_intercept(data.features), data.actions, data.rewards, data.rho)
+        datasets = [Dataset(add_intercept(d.features), d.actions, d.rewards, d.rho) for d in datasets]
     kernel_type = next((k for prior_type, k in _KERNELS if isinstance(prior, prior_type)), None)
     if kernel_type is None:
         raise TypeError(f"unknown prior type {type(prior)!r}")
+    if len({(c.n_draws, c.burn_in) for c in configs}) > 1:
+        raise ValueError("the fits of a batch must share n_draws and burn_in")
+    members = [(d, (c.seed, chain)) for d, c in zip(datasets, configs) for chain in range(c.n_chains)]
+    groups = np.array_split(np.arange(len(members)), worker_count(jobs, len(members)))
     # A constant that overflows raises ValueError from the kernel's own check, not a RuntimeWarning.
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        kernel = kernel_type(data, CanonicalRows.of(data), prior)
-    one_chain = partial(_run_single_chain, kernel, config)
-    betas, gammas = zip(*ordered_map(one_chain, range(config.n_chains), jobs))
-    gamma = np.stack(gammas) if gammas[0] is not None else None
-    return PosteriorDraws(np.stack(betas), gamma, intercept)
+        batches = [(kernel_type([members[i][0] for i in group], prior), [members[i][1] for i in group])
+                   for group in groups]
+    chains = iter([out for outs in ordered_map(partial(_run_lockstep, configs[0]), batches, jobs) for out in outs])
+    results = []
+    for c in configs:
+        own = [next(chains) for _ in range(c.n_chains)]
+        failed = next((out for out in own if isinstance(out, GibbsNumericalError)), None)
+        if failed is None:
+            betas, gammas = zip(*own)
+            results.append(PosteriorDraws(np.stack(betas), None if gammas[0] is None else np.stack(gammas), intercept))
+        else:
+            results.append(failed)
+    if fits:
+        return results
+    if isinstance(results[0], GibbsNumericalError):
+        raise results[0]
+    return results[0]

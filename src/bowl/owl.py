@@ -47,16 +47,17 @@ def fit_owl_linear(x: np.ndarray, labels: np.ndarray, weights: np.ndarray) -> np
     n, p = x.shape
     if n == 0:
         return np.zeros(p)
-    rows = CanonicalRows.from_arrays(x, labels, weights)
-    prior_precision, lam = np.eye(p) * (2.0 * n * REG_STRENGTH), np.empty(n)
+    rows = CanonicalRows.from_arrays([x], [labels], [weights])  # a batch of one
+    x, a, w = rows.x[0], rows.a[0], rows.w[0]
+    prior_precision, lam = np.eye(p) * (2.0 * n * REG_STRENGTH), np.empty((1, n))
 
     def em_step(beta):
-        lam[rows.order] = np.maximum(np.abs(rows.w * (1.0 - rows.a * rows.x.dot(beta))), EM_FLOOR)
+        lam.put(rows.order, np.maximum(np.abs(w * (1.0 - a * x.dot(beta))), EM_FLOOR))
         suff = build_suffstats(lam, rows)
-        return solve(suff.precision_data + prior_precision, suff.linear_data)
+        return solve(suff.precision_data[0] + prior_precision, suff.linear_data[0])
 
     def objective(beta):
-        return np.mean(rows.w * np.maximum(1.0 - rows.a * rows.x.dot(beta), 0.0)) + REG_STRENGTH / 2 * beta.dot(beta)
+        return np.mean(w * np.maximum(1.0 - a * x.dot(beta), 0.0)) + REG_STRENGTH / 2 * beta.dot(beta)
 
     beta = np.zeros(p)
     for _ in range(EM_CYCLES):

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .gibbs import GibbsConfig, GibbsNumericalError, PosteriorDraws, run_chain
+from .gibbs import GibbsConfig, GibbsNumericalError, run_chain
 from .owl import fit_owl_linear, owl_problem
 from .pseudo_model import (
     Dataset,
@@ -22,6 +22,7 @@ from .rng import ordered_map, substream
 _BOWL_PRIORS = {"bowl-normal": NormalPrior, "bowl-ep": ExponentialPowerPrior, "bowl-ss": SpikeSlabPrior}
 METHODS = ("owl", *_BOWL_PRIORS)
 RHO = 0.5  # P(A = +1): every scenario assigns treatment by a fair coin
+REP_BATCH = 25  # replications per lockstep batch: 2 batches for 50 replications, 8 for 200
 
 # Each scenario's interaction coefficient c and boundary score s(x1, x2): the reward
 # mean holds c * s * a, and the optimal rule is sign(s), with s = 0 sent to -1.
@@ -106,30 +107,42 @@ def misclassification_rate(predicted: np.ndarray, truth: np.ndarray) -> float:
     return float(np.mean(predicted != truth))
 
 
-def fit_bowl(features: np.ndarray, actions: np.ndarray, raw_rewards: np.ndarray, method: str,
-             seed: int) -> PosteriorDraws:
-    """Fit one Bayesian variant at the library defaults, with an intercept, to the shifted raw rewards."""
-    data = Dataset(features, actions, reward_transform(raw_rewards)[0], RHO)
-    return run_chain(data, _BOWL_PRIORS[method](), GibbsConfig(seed=seed), intercept=True)
+def fit_bowl(train: list[tuple[np.ndarray, np.ndarray, np.ndarray]], method: str, seeds: list[int]) -> list:
+    """Fit one Bayesian variant at the library defaults, with an intercept, to each training set's shifted raw rewards.
+
+    train lists (features, actions, raw rewards) per replication, and seeds
+    each fit's chain seed. All fits step in one lockstep batch (`run_chain`);
+    the result lists each fit's PosteriorDraws or its GibbsNumericalError.
+    """
+    datasets = [Dataset(x, a, reward_transform(r)[0], RHO) for x, a, r in train]
+    return run_chain(datasets, _BOWL_PRIORS[method](), [GibbsConfig(seed=seed) for seed in seeds], intercept=True)
 
 
-def classify_with_method(method: str, features: np.ndarray, actions: np.ndarray, raw_rewards: np.ndarray,
-                         test_features: np.ndarray, seed: int) -> np.ndarray:
-    """Fit on the raw training data with an intercept, return recommended actions for the test features.
+def classify_with_method(method: str, train: list[tuple[np.ndarray, np.ndarray, np.ndarray]],
+                         test_features: list[np.ndarray], seeds: list[int]) -> list:
+    """Fit on each replication's raw training data with an intercept, and recommend actions for its test features.
 
-    OWL fits the label-flip form of the raw rewards (`owl_problem`), the
-    Bayesian variants the positivity-shifted rewards (`fit_bowl`). Every
-    method gives a linear rule, classified by one sign rule with ties sent
-    to +1: OWL's coefficients, or a Bayesian fit's posterior mean, matching
-    how the point estimate is defined for the tables. Both weight by the
-    scenarios' randomization probability, RHO. Only the Bayesian chain
-    reads `seed`.
+    OWL fits the label-flip form of the raw rewards (`owl_problem`) one
+    replication at a time, the Bayesian variants the positivity-shifted
+    rewards (`fit_bowl`) in one batch. Every method gives a linear rule,
+    classified by one sign rule with ties sent to +1: OWL's coefficients, or
+    a Bayesian fit's posterior mean, matching how the point estimate is
+    defined for the tables. Both weight by the scenarios' randomization
+    probability, RHO. Only the Bayesian chains read `seeds`. The result
+    lists, per replication, its recommended actions or the error that
+    stopped its fit (OWL's LinAlgError or the chain's GibbsNumericalError).
     """
     if method == "owl":
-        beta = fit_owl_linear(*owl_problem(add_intercept(features), actions, raw_rewards, RHO))
+        betas = []
+        for x, a, r in train:
+            try:
+                betas.append(fit_owl_linear(*owl_problem(add_intercept(x), a, r, RHO)))
+            except np.linalg.LinAlgError as exc:
+                betas.append(exc)
     else:
-        beta = fit_bowl(features, actions, raw_rewards, method, seed).posterior_mean()
-    return np.where(add_intercept(test_features) @ beta >= 0.0, 1, -1)
+        betas = [d if isinstance(d, GibbsNumericalError) else d.posterior_mean() for d in fit_bowl(train, method, seeds)]
+    return [beta if isinstance(beta, Exception) else np.where(add_intercept(x) @ beta >= 0.0, 1, -1)
+            for beta, x in zip(betas, test_features)]
 
 
 @dataclass
@@ -148,21 +161,29 @@ class ExperimentResult:
     failures: list[tuple[str, int, str]] = field(default_factory=list)
 
 
-def _one_replication(args) -> tuple[dict[str, float], list[tuple[str, int, str]]]:
-    spec, rep, methods = args
-    x_tr, a_tr, r_tr, _ = generate_scenario_raw(spec, rep, substream(spec.seed, rep, 0), n_obs=spec.n_train)
-    x_te, _, _, truth = generate_scenario_raw(spec, rep, substream(spec.seed, rep, 1), n_obs=spec.n_test)
+def _one_batch(args) -> tuple[dict[str, list[float]], list[tuple[str, int, str]]]:
+    """Every method's rate on each replication of a batch, and its failures in (rep, method) order."""
+    spec, reps, methods = args
+    train, test_features, truths = [], [], []
+    for rep in reps:
+        x_tr, a_tr, r_tr, _ = generate_scenario_raw(spec, rep, substream(spec.seed, rep, 0), n_obs=spec.n_train)
+        x_te, _, _, truth = generate_scenario_raw(spec, rep, substream(spec.seed, rep, 1), n_obs=spec.n_test)
+        train.append((x_tr, a_tr, r_tr))
+        test_features.append(x_te)
+        truths.append(truth)
 
-    rates: dict[str, float] = {}
+    rates: dict[str, list[float]] = {}
     failures: list[tuple[str, int, str]] = []
     for method in methods:
-        seed = _fit_seed(spec.seed, rep, METHODS.index(method))  # the method, not its place in `methods`
-        try:
-            predicted = classify_with_method(method, x_tr, a_tr, r_tr, x_te, seed)
-            rates[method] = misclassification_rate(predicted, truth)
-        except (GibbsNumericalError, np.linalg.LinAlgError) as exc:
-            rates[method] = float("nan")
-            failures.append((method, rep, str(exc)))
+        seeds = [_fit_seed(spec.seed, rep, METHODS.index(method)) for rep in reps]  # the method, not its place
+        rates[method] = []
+        for rep, truth, predicted in zip(reps, truths, classify_with_method(method, train, test_features, seeds)):
+            if isinstance(predicted, Exception):
+                rates[method].append(float("nan"))
+                failures.append((method, rep, str(predicted)))
+            else:
+                rates[method].append(misclassification_rate(predicted, truth))
+    failures.sort(key=lambda f: (f[1], methods.index(f[0])))
     return rates, failures
 
 
@@ -192,14 +213,18 @@ def run_experiment(
     """Replicate the paired train/fit/test cycle and aggregate rates.
 
     Within each replication every method sees the same train and test data;
-    replications use seeds derived from (spec.seed, rep), so the result is
-    independent of worker count and scheduling.
+    replications use seeds derived from (spec.seed, rep). They run in fixed
+    batches of REP_BATCH, whose membership depends only on the replication
+    index, and each Bayesian method is fitted once per batch, so the result
+    is independent of worker count and scheduling.
     """
     methods = check_methods(methods)
-    outcomes = ordered_map(_one_replication, [(spec, rep, methods) for rep in range(spec.n_reps)], jobs)
+    batches = [(spec, range(start, min(start + REP_BATCH, spec.n_reps)), methods)
+               for start in range(0, spec.n_reps, REP_BATCH)]
+    outcomes = ordered_map(_one_batch, batches, jobs)
     result = ExperimentResult(failures=[f for _, failures in outcomes for f in failures])
     for method in methods:
-        rates = np.array([rep_rates[method] for rep_rates, _ in outcomes])
+        rates = np.array([rate for batch_rates, _ in outcomes for rate in batch_rates[method]])
         ok = rates[~np.isnan(rates)]
         mean = float(ok.mean()) if ok.size else float("nan")
         se = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else float("nan")
@@ -226,5 +251,7 @@ def uncertainty_study(
 
     spec = ScenarioSpec(scenario_id=scenario_id, n_train=n_train, seed=seed, signal_scale=signal_scale)
     features, actions, raw_rewards, _ = generate_scenario_raw(spec, 0, substream(seed, 0, 0))
-    draws = fit_bowl(features, actions, raw_rewards, "bowl-ep", _fit_seed(seed, 0, 1))
+    (draws,) = fit_bowl([(features, actions, raw_rewards)], "bowl-ep", [_fit_seed(seed, 0, 1)])
+    if isinstance(draws, GibbsNumericalError):
+        raise draws
     return (*certainty_grid(draws, (0, 1), resolution), coefficient_magnitudes(draws))

@@ -25,6 +25,7 @@ from .distributions import _gig_half_draw_vec
 from .gibbs import (
     CanonicalRows,
     GibbsConfig,
+    SuffStats,
     _active_inverse,
     _inclusion_log_bf,
     build_suffstats,
@@ -117,29 +118,33 @@ def _moment_instance(seed: int, n: int = 6, p: int = 3):
 
 
 def check_beta_conditional_moments(seed: int = 0) -> CheckResult:
-    """Empirical mean/covariance of the Gaussian conditionals vs direct solves."""
+    """Empirical mean/covariance of the Gaussian conditionals vs direct solves.
+
+    Each case's MOMENT_DRAWS draws are one batch whose members all draw
+    from the same generator: the stream of as many one-member draws.
+    """
     data, lam = _moment_instance(seed)
-    suff = build_suffstats(lam, CanonicalRows.of(data))
+    suff = build_suffstats(lam[None], CanonicalRows.of([data]))
     p = data.p
+    batch = SuffStats(*(np.broadcast_to(v, (MOMENT_DRAWS, *v.shape[1:])) for v in (suff.precision_data, suff.linear_data)))
     prior_n = NormalPrior(mu0=0.25, sigma0_sq=1.5)
     prior_ep = ExponentialPowerPrior(nu=0.8, sigma_j=np.full(p, 0.6))
     omega = substream(seed, 405).uniform(0.5, 2.0, size=p)
-    # (label, substream key, prior precision, prior linear term, one kernel draw)
+    # (label, substream key, prior precision, prior linear term, the batch's draws from one rng)
     normal_prec, normal_linear = np.eye(p) / prior_n.sigma0_sq, prior_n.mu0_vector(p) / prior_n.sigma0_sq
     slab_variance = prior_ep.nu**2 * prior_ep.sigma_j**2
     cases = (
         ("normal", 403, normal_prec, normal_linear,
-         lambda rng: draw_beta_normal(suff, normal_prec, normal_linear, rng)),
+         lambda rngs: draw_beta_normal(batch, normal_prec, normal_linear, rngs)),
         ("shrinkage", 404, np.diag(1.0 / (slab_variance * omega)), 0.0,
-         lambda rng: draw_beta_ep(suff, omega, slab_variance, rng)),
+         lambda rngs: draw_beta_ep(batch, omega, slab_variance, rngs)),
     )
     details = []
     ok = True
     for label, key, prior_prec, prior_linear, draw in cases:
-        rng = substream(seed, key)
-        cov = np.linalg.inv(suff.precision_data + prior_prec)
-        mean = cov @ (suff.linear_data + prior_linear)
-        draws = np.array([draw(rng) for _ in range(MOMENT_DRAWS)])
+        cov = np.linalg.inv(suff.precision_data[0] + prior_prec)
+        mean = cov @ (suff.linear_data[0] + prior_linear)
+        draws = draw((substream(seed, key),) * MOMENT_DRAWS)
         mean_err = np.abs(draws.mean(axis=0) - mean) / np.sqrt(np.diag(cov) / MOMENT_DRAWS)
         cov_err = np.linalg.norm(np.cov(draws.T) - cov) / np.linalg.norm(cov)
         ok &= bool(mean_err.max() < 3.0 and cov_err < 0.10)
@@ -171,18 +176,19 @@ def check_ss_log_odds(tol: float = 1e-6, seed: int = 0) -> CheckResult:
     subset_log_marginal(S + {j}) - subset_log_marginal(S - {j}), over every (S, j) at p=5."""
     p = 5
     data, lam = _moment_instance(seed, n=12, p=p)
-    suff = build_suffstats(lam, CanonicalRows.of(data))
+    suff = build_suffstats(lam[None], CanonicalRows.of([data]))
+    precision, linear = suff.precision_data[0], suff.linear_data[0]
     prior_prec = 1.0 / (0.8 * np.linspace(0.5, 1.5, p)) ** 2
-    a_mat = suff.precision_data + np.diag(prior_prec)
+    a_mat = precision + np.diag(prior_prec)
     gap = 0.0
     for active in map(np.array, itertools.product((False, True), repeat=p)):
         m_inv = _active_inverse(a_mat, active)
         for j in range(p):
-            log_bf = _inclusion_log_bf(a_mat, suff.linear_data, m_inv, active[j], prior_prec[j], j)
+            log_bf = _inclusion_log_bf(a_mat, linear, m_inv, active[j], prior_prec[j], j)
             with_j, without_j = active.copy(), active.copy()
             with_j[j], without_j[j] = True, False
-            direct = subset_log_marginal(suff.precision_data, suff.linear_data, prior_prec, with_j)
-            direct -= subset_log_marginal(suff.precision_data, suff.linear_data, prior_prec, without_j)
+            direct = subset_log_marginal(precision, linear, prior_prec, with_j)
+            direct -= subset_log_marginal(precision, linear, prior_prec, without_j)
             gap = max(gap, abs(log_bf - direct) / max(abs(direct), 1.0))
     return CheckResult(
         "spike-and-slab Schur log odds",

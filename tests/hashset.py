@@ -1,6 +1,6 @@
 """Make the byte-identity artifact set in the current directory and print its sha256 record as JSON.
 
-The record holds the sha256 of each of the 45 files and the numpy, scipy and
+The record holds the sha256 of each of the 59 files and the numpy, scipy and
 BLAS versions that made them; tests/data/hashes.json is this script's output.
 Run it in a new empty directory, printing elsewhere:
 
@@ -69,6 +69,13 @@ def make_artifacts():
     for seed in ("21", "22", "23"):
         run("fit", "--data", "train.csv", "--draws", "300", "--burn-in", "60", "--chains", "2", "--prior", "ss",
             "--seed", seed, "--jobs", "1", "--out-dir", f"fit-ss-seed{seed}")
+    # Across batch boundaries: 27 replications are one lockstep batch of 25 and one of 2, and three
+    # chains are one batch at --jobs 1 and split over workers at --jobs 2 and 3.
+    for jobs in ("1", "2"):
+        run("reproduce", "--scenario", "1", "--n", "40", "--reps", "27", "--heatmap-n", "40", "--seed", "8",
+            "--jobs", jobs, "--out-dir", f"rep-batches-{jobs}")
+    for jobs in ("1", "2", "3"):
+        run(*fit[:-2], "--chains", "3", "--prior", "ep", "--seed", "9", "--jobs", jobs, "--out-dir", f"fit-chains3-{jobs}")
     run("predict", "--draws", "fit-ep-1/draws.csv", "--query", "query.csv", "--out-dir", "pred-query")
     run("predict", "--draws", "fit-ep-1/draws.csv", "--query", "query-notes.csv", "--out-dir", "pred-query-notes")
     run("predict", "--draws", "fit-ep-1/draws.csv", "--grid", "--grid-res", "33", "--out-dir", "pred-grid")

@@ -29,7 +29,7 @@ import pytest
 from scipy.stats import spearmanr
 
 from bowl.cli import main as cli_main
-from bowl.gibbs import CanonicalRows, ChainState, SpikeSlabKernel, draw_gamma_and_beta_ss
+from bowl.gibbs import ChainState, SpikeSlabKernel, draw_gamma_and_beta_ss
 from bowl.pseudo_model import Dataset, SpikeSlabPrior
 from bowl.rng import substream
 from bowl.simulate import (
@@ -223,13 +223,13 @@ def test_criterion_8_spike_slab_enumeration():
     prior = SpikeSlabPrior(nu=0.8, pi_incl=0.4, sigma_j=np.array([0.75]))
     target = enumeration_inclusion_prob(data, prior, lam)
     rng = substream(90)
-    kernel = SpikeSlabKernel(data, CanonicalRows.of(data), prior)
+    kernel = SpikeSlabKernel([data], prior)
     n_sweeps = 100_000
     hits = 0
     for _ in range(n_sweeps):
-        state = ChainState(beta=np.zeros(1), lam=lam, gamma=np.ones(1, dtype=np.int8))
-        gamma, _ = draw_gamma_and_beta_ss(state, kernel, rng)
-        hits += int(gamma[0])
+        state = ChainState(beta=np.zeros((1, 1)), lam=lam[None], gamma=np.ones((1, 1), dtype=np.int8))
+        gamma, _ = draw_gamma_and_beta_ss(state, kernel, (rng,))
+        hits += int(gamma[0, 0])
     empirical = hits / n_sweeps
     gap = abs(empirical - target)
     report(

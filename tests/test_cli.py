@@ -12,6 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
+import bowl.gibbs
 import bowl.simulate
 from bowl import verify
 from bowl.cli import ROW_BLOCK, _parse_draws_csv, main
@@ -19,6 +20,7 @@ from bowl.gibbs import GibbsNumericalError, PosteriorDraws
 from bowl.prediction import recommend
 from bowl.pseudo_model import DataError, read_numeric_csv, reward_transform
 from bowl.simulate import ScenarioSpec, _fit_seed, generate_scenario_raw
+from tests.test_gibbs import fail_lambda_draws
 from tests.test_simulate import fail_second_owl_fit
 
 
@@ -149,7 +151,7 @@ class TestFit:
                                                                          recwarn, monkeypatch):
         csv = tmp_path / "train.csv"
         write_scenario_csv(csv, n=60, p=3)
-        monkeypatch.setattr("bowl.gibbs._run_single_chain", no_run)
+        monkeypatch.setattr("bowl.gibbs._run_lockstep", no_run)
         out = tmp_path / "out"
         assert main(["fit", "--data", str(csv), "--draws", "20", "--burn-in", "5", *flags,
                      "--out-dir", str(out)]) == 2
@@ -472,9 +474,9 @@ class TestReproduce:
         failing_seed = _fit_seed(5, 1, 1)  # bowl-normal, rep 1
 
         def fail_one_rep(data, prior, config, **kwargs):
-            if config.seed == failing_seed:
-                raise GibbsNumericalError("synthetic failure", chain=0, iteration=7)
-            return real_run_chain(data, prior, config, **kwargs)
+            fits = real_run_chain(data, prior, config, **kwargs)
+            return [GibbsNumericalError("synthetic failure", chain=0, iteration=7) if c.seed == failing_seed else fit
+                    for c, fit in zip(config, fits)]
 
         monkeypatch.setattr("bowl.simulate.run_chain", fail_one_rep)
         capsys.readouterr()
@@ -588,6 +590,42 @@ class TestJobs:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+class TestLockstepFailures:
+    """A failure inside a lockstep batch is reported as running one member at a time reports it."""
+
+    def test_fit_names_the_chain_and_iteration_of_a_sequential_run(self, tmp_path, capsys, monkeypatch):
+        # Chain 2 fails first in the batch of three, but chain 1 is the first to fail in chain order.
+        csv = tmp_path / "train.csv"
+        write_scenario_csv(csv, n=60, p=3)
+        fail_lambda_draws(monkeypatch, {(4, 1): 21, (4, 2): 8})
+        runs = []
+        for name in ("batched", "sequential"):
+            if name == "sequential":
+                monkeypatch.setattr(bowl.gibbs, "worker_count", lambda jobs, n_items: n_items)  # a batch per chain
+            rc = main(["fit", "--data", str(csv), "--draws", "40", "--burn-in", "5", "--chains", "3", "--seed", "4",
+                       "--jobs", "1", "--out-dir", str(tmp_path / name)])
+            runs.append((rc, capsys.readouterr().err))
+        assert runs[0] == runs[1] == (3, "numerical failure: chain 1, iteration 20: synthetic failure\n")
+
+    def test_reproduce_lists_the_failures_of_one_replication_at_a_time(self, tmp_path, capsys, monkeypatch):
+        # bowl-normal's chain fails in rep 1 and bowl-ss's in rep 2; both share a batch with reps that do not fail.
+        fail_lambda_draws(monkeypatch, {(_fit_seed(5, 1, 1), 0): 30, (_fit_seed(5, 2, 3), 0): 9})
+        args = ["reproduce", "--scenario", "1", "--n", "50", "--reps", "3", "--methods", "owl,bowl-normal,bowl-ss",
+                "--seed", "5", "--heatmap-n", "60", "--grid-res", "4", "--jobs", "1"]
+        runs = []
+        for name, batch in (("batched", bowl.simulate.REP_BATCH), ("one-by-one", 1)):
+            monkeypatch.setattr(bowl.simulate, "REP_BATCH", batch)
+            assert main(args + ["--out-dir", str(tmp_path / name)]) == 0
+            artifacts = {a: (tmp_path / name / a).read_bytes() for a in ("tables.csv", "raw_rates.csv")}
+            runs.append((capsys.readouterr().err.splitlines(), artifacts))
+        assert runs[0] == runs[1]
+        assert runs[0][0] == [
+            "warning: bowl-normal (n=50) rep 1 failed and is left out of its rate: "
+            "chain 0, iteration 29: synthetic failure",
+            "warning: bowl-ss (n=50) rep 2 failed and is left out of its rate: chain 0, iteration 8: synthetic failure",
+        ]
 
 
 class TestVerify:

@@ -179,25 +179,37 @@ class TestGigHalfLogDensity:
                 log_density_gig_half(1.0, psi, 1.0)
 
 
+def mvn(precision, linear):
+    """MvnParams of one member, as a batch of one."""
+    return MvnParams(np.asarray(precision, dtype=float)[None], np.asarray(linear, dtype=float)[None])
+
+
+def draw(params, rng):
+    """The draw of a batch of one, from rng."""
+    return sample_mvn(params, (rng,))[0]
+
+
 class TestMvn:
-    @pytest.mark.parametrize("precision, linear", [(np.eye(3), np.zeros(2)), (np.eye(2), np.zeros((2, 1)))],
-                             ids=["p-disagrees", "2-d-linear"])
+    @pytest.mark.parametrize("precision, linear", [
+        (np.eye(3)[None], np.zeros((1, 2))), (np.eye(2)[None], np.zeros((1, 2, 1))), (np.eye(2), np.zeros(2)),
+        (np.eye(2)[None], np.zeros((2, 2))),
+    ], ids=["p-disagrees", "3-d-linear", "unbatched", "r-disagrees"])
     def test_rejects_mismatched_shapes(self, precision, linear):
-        with pytest.raises(ValueError, match="linear term must be length-p and precision p x p"):
+        with pytest.raises(ValueError, match="linear terms must be R x p and precisions R x p x p"):
             MvnParams(precision, linear)
 
     def test_identity_precision(self):
-        params = MvnParams(np.eye(3), np.zeros(3))
+        params = mvn(np.eye(3), np.zeros(3))
         rng = substream(20)
-        draws = np.array([sample_mvn(params, rng) for _ in range(N // 2)])
+        draws = np.array([draw(params, rng) for _ in range(N // 2)])
         cov = np.cov(draws.T)
         assert np.all(np.abs(cov - np.eye(3)) < 0.02)
 
     def test_diagonal_precision_variances(self):
-        params = MvnParams(np.diag([4.0, 1.0]), np.array([4.0, 2.0]))
-        assert params.mean.tolist() == [1.0, 2.0]
+        params = mvn(np.diag([4.0, 1.0]), np.array([4.0, 2.0]))
+        assert params.mean.tolist() == [[1.0, 2.0]]
         rng = substream(21)
-        draws = np.array([sample_mvn(params, rng) for _ in range(N // 2)])
+        draws = np.array([draw(params, rng) for _ in range(N // 2)])
         for j, target in enumerate((0.25, 1.0)):
             assert abs(draws[:, j].var() - target) < 0.05 * target
         assert np.allclose(draws.mean(axis=0), [1.0, 2.0], atol=0.02)
@@ -206,23 +218,23 @@ class TestMvn:
         prec = np.array([[1.0, 0.5], [0.5, 1.0]])
         # inv([[a, b], [b, a]]) = [[a, -b], [-b, a]] / (a^2 - b^2)
         target = np.array([[1.0, -0.5], [-0.5, 1.0]]) / 0.75
-        params = MvnParams(prec, np.zeros(2))
+        params = mvn(prec, np.zeros(2))
         rng = substream(22)
-        draws = np.array([sample_mvn(params, rng) for _ in range(N // 2)])
+        draws = np.array([draw(params, rng) for _ in range(N // 2)])
         assert np.all(np.abs(np.cov(draws.T) - target) < 0.05)
 
     def test_non_pd_precision_rejected(self):
         with pytest.raises(np.linalg.LinAlgError):
-            MvnParams(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
+            mvn(np.array([[1.0, 2.0], [2.0, 1.0]]), np.zeros(2))
 
     def test_asymmetric_precision_rejected(self):
         with pytest.raises(ValueError):
-            MvnParams(np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
+            mvn(np.array([[1.0, 0.2], [0.0, 1.0]]), np.zeros(2))
 
     def test_one_ulp_asymmetry_rejected(self):
         precision = np.array([[2.0, 0.5], [np.nextafter(0.5, 1.0), 2.0]])
         with pytest.raises(ValueError, match="symmetric"):
-            MvnParams(precision, np.zeros(2))
+            mvn(precision, np.zeros(2))
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-6, 6))
@@ -230,7 +242,7 @@ class TestMvn:
         rng = substream(seed)
         a = rng.standard_normal((p, p)) * 10.0**log_scale
         precision, linear = a @ a.T + 1e-3 * np.eye(p), rng.standard_normal(p)
-        assert MvnParams(precision, linear).mean.tobytes() == np.linalg.solve(precision, linear).tobytes()
+        assert mvn(precision, linear).mean.tobytes() == np.linalg.solve(precision, linear).tobytes()
 
     @pytest.mark.parametrize(
         "i, j, value, mirror",
@@ -244,23 +256,23 @@ class TestMvn:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(ValueError, match="finite"):
-                MvnParams(precision, np.zeros(2))
+                mvn(precision, np.zeros(2))
 
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_nonfinite_mean_rejected(self, value):
         with pytest.raises(ValueError, match="finite"):
-            MvnParams(np.eye(2), np.array([0.0, value]))
+            mvn(np.eye(2), np.array([0.0, value]))
 
     @settings(max_examples=300, deadline=None)
     @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-6, 6))
     def test_draw_bit_identical_to_solve_triangular(self, p, seed, log_scale):
         rng = substream(seed)
         a = rng.standard_normal((p, p)) * 10.0**log_scale
-        params = MvnParams(a @ a.T + 1e-3 * np.eye(p), rng.standard_normal(p))
-        draw = sample_mvn(params, substream(seed, 1))
+        params = mvn(a @ a.T + 1e-3 * np.eye(p), rng.standard_normal(p))
+        got = draw(params, substream(seed, 1))
         z = substream(seed, 1).standard_normal(p)
-        reference = params.mean + solve_triangular(params.chol_lower, z, trans="T", lower=True)
-        np.testing.assert_array_equal(draw, reference)
+        reference = params.mean[0] + solve_triangular(params.chol_lower[0], z, trans="T", lower=True)
+        np.testing.assert_array_equal(got, reference)
 
     @settings(max_examples=500, deadline=None)
     @given(p=st.integers(1, 12), seed=st.integers(0, 2**32 - 1), log_scale=st.integers(-6, 6),
@@ -270,32 +282,32 @@ class TestMvn:
         rng = substream(seed)
         scale = 10.0 ** (log_scale + rng.uniform(-log_spread, log_spread, p))
         a = rng.standard_normal((p, p)) * scale
-        params = MvnParams(a @ a.T + 1e-3 * np.diag(scale**2), np.zeros(p))
+        params = mvn(a @ a.T + 1e-3 * np.diag(scale**2), np.zeros(p))
         z = substream(seed, 1).standard_normal(p)
-        reference = solve_triangular(params.chol_lower, z, lower=True, trans="T")
-        assert solve(params.chol_lower.T, z).tobytes() == reference.tobytes()
-        np.testing.assert_array_equal(sample_mvn(params, substream(seed, 1)), reference)
+        reference = solve_triangular(params.chol_lower[0], z, lower=True, trans="T")
+        assert solve(params.chol_lower[0].T, z).tobytes() == reference.tobytes()
+        np.testing.assert_array_equal(draw(params, substream(seed, 1)), reference)
 
     def test_singular_factor_raises_linalg_error(self):
-        params = MvnParams(np.eye(3), np.zeros(3))
+        params = mvn(np.eye(3), np.zeros(3))
         params.chol_lower = params.chol_lower.copy()
-        params.chol_lower[1, 1] = 0.0
+        params.chol_lower[0, 1, 1] = 0.0
         with pytest.raises(np.linalg.LinAlgError):
-            sample_mvn(params, substream(24))
+            draw(params, substream(24))
 
     def test_nonfinite_factor_or_noise_raises(self):
-        params = MvnParams(np.eye(3), np.zeros(3))
+        params = mvn(np.eye(3), np.zeros(3))
         params.chol_lower = params.chol_lower.copy()
-        params.chol_lower[2, 0] = np.nan
+        params.chol_lower[0, 2, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
-            sample_mvn(params, substream(25))
+            draw(params, substream(25))
 
         class InfNoise:
-            def standard_normal(self, size):
-                return np.array([0.0, np.inf, 0.0])[:size]
+            def standard_normal(self, out):
+                out[:] = [0.0, np.inf, 0.0]
 
         with pytest.raises(ValueError, match="finite"):
-            sample_mvn(MvnParams(np.eye(3), np.zeros(3)), InfNoise())
+            draw(mvn(np.eye(3), np.zeros(3)), InfNoise())
 
 
 class TestLinalgHelpers:
@@ -313,6 +325,35 @@ class TestLinalgHelpers:
         np.testing.assert_array_equal(solve(general, b), np.linalg.solve(general, b))
         np.testing.assert_array_equal(inv(spd), np.linalg.inv(spd))
         np.testing.assert_array_equal(inv(general), np.linalg.inv(general))
+
+    @settings(max_examples=300, deadline=None)
+    @given(r=st.integers(1, 5), p=st.integers(1, 12), n=st.integers(1, 60), seed=st.integers(0, 2**32 - 1),
+           log_scale=st.integers(-6, 6))
+    def test_stacked_calls_give_each_member_its_own_bits(self, r, p, n, seed, log_scale):
+        """The batch kernels' stacked calls on (R, p, p), (R, p, n) and (R, n) operands, against each 2-D call.
+
+        The Gram product and gemv are laid out as `build_suffstats` lays them
+        out: x.T times a scaled, C-contiguous x.T, transposed, and x.T times a
+        vector, with x C-contiguous.
+        """
+        rng = substream(seed)
+        a = rng.standard_normal((r, p, p)) * 10.0**log_scale
+        spd = a @ a.mT + 1e-3 * np.eye(p)
+        general, b = rng.standard_normal((r, p, p)), rng.standard_normal((r, p))
+        x = rng.uniform(-1.0, 1.0, (r, n, p)) * 10.0**log_scale
+        xt, scale, v = np.ascontiguousarray(x.mT), rng.uniform(0.1, 10.0, (r, n)), rng.standard_normal((r, n))
+        gram = x.mT @ (xt * scale[:, None]).mT
+        gemv = (x.mT @ v[:, :, None])[:, :, 0]
+        chol = cholesky(spd)
+        for m in range(r):
+            assert chol[m].tobytes() == cholesky(spd[m]).tobytes()
+            assert solve(spd, b)[m].tobytes() == solve(spd[m], b[m]).tobytes()
+            assert solve(general, b)[m].tobytes() == solve(general[m], b[m]).tobytes()
+            assert solve(chol.mT, b)[m].tobytes() == solve(chol[m].T, b[m]).tobytes()
+            assert inv(spd)[m].tobytes() == inv(spd[m]).tobytes()
+            assert inv(general)[m].tobytes() == inv(general[m]).tobytes()
+            assert gram[m].tobytes() == (x[m].T @ (xt[m] * scale[m]).T).tobytes()
+            assert gemv[m].tobytes() == (x[m].T @ v[m]).tobytes()
 
     @pytest.mark.parametrize("ours, numpys, operands, message", [
         (cholesky, np.linalg.cholesky, (np.array([[1.0, 2.0], [2.0, 1.0]]),), "Matrix is not positive definite"),

@@ -82,13 +82,67 @@ def correlated_dataset(seed, n=7, p=3, rho=0.4):
     return Dataset(features, base.actions, base.rewards, rho)
 
 
+def degenerate_dataset(seed, n=36, p=3, rho=0.4):
+    """random_dataset with one reward of 1e-9 and its last feature scaled by 1e-13.
+
+    That row's chi stays below CHI_DEGENERATE, so its lambda takes the chi = 0
+    limit; under the default shrinkage priors the last coefficient stays below
+    BETA_ZERO_TOL, so its omega takes the beta = 0 limit.
+    """
+    base = random_dataset(seed, n=n, p=p, rho=rho)
+    features, rewards = base.features.copy(), base.rewards.copy()
+    features[:, -1] *= 1e-13
+    rewards[0] = 1e-9
+    return Dataset(features, base.actions, rewards, rho)
+
+
+def fail_lambda_draws(monkeypatch, at):
+    """Make draw_lambda raise ValueError("synthetic failure") at the at[(seed, chain)]-th call of that chain.
+
+    A chain is known by its substream's (seed, chain) key, and each generator
+    counts its own calls, so a rerun of a chain fails where its first run did.
+    Under the normal prior the k-th call is iteration k - 1.
+    """
+    real, counts = bowl.gibbs.draw_lambda, {}  # id -> [generator, calls]: holding it keeps the id from reuse
+
+    def draw(beta, data, rng, weights):
+        entry = counts.setdefault(id(rng), [rng, 0])
+        entry[1] += 1
+        seq = rng.bit_generator.seed_seq
+        if at.get((seq.entropy, *seq.spawn_key)) == entry[1]:
+            raise ValueError("synthetic failure")
+        return real(beta, data, rng, weights)
+
+    monkeypatch.setattr(bowl.gibbs, "draw_lambda", draw)
+
+
 def normal_terms(prior, p):
     """The normal prior's precision and linear term, the constants draw_beta_normal takes."""
     return np.eye(p) / prior.sigma0_sq, prior.mu0_vector(p) / prior.sigma0_sq
 
 
 def ss_kernel(data, prior):
-    return SpikeSlabKernel(data, CanonicalRows.of(data), prior)
+    return SpikeSlabKernel([data], prior)
+
+
+def suff_of(lam, data):
+    """build_suffstats of one dataset, as a batch of one."""
+    return build_suffstats(np.asarray(lam, dtype=float)[None], CanonicalRows.of([data]))
+
+
+def stacked(suffs):
+    """One batch's SuffStats from its members' own."""
+    return SuffStats(np.stack([s.precision_data for s in suffs]), np.stack([s.linear_data for s in suffs]))
+
+
+def batch_lexsort_suffstats(datasets):
+    """A stand-in for build_suffstats that gives each member of the batch its `lexsort_suffstats`."""
+    return lambda lam, rows: stacked([lexsort_suffstats(lam_r, d) for lam_r, d in zip(lam, datasets)])
+
+
+def one_state(beta, lam, gamma):
+    """A ChainState of a batch of one."""
+    return ChainState(beta=np.asarray(beta)[None], lam=np.asarray(lam)[None], gamma=np.asarray(gamma)[None])
 
 
 def lexsort_suffstats(lam, data):
@@ -135,7 +189,7 @@ def cholesky_ss_reference(state, data, prior, rng):
     idx = np.flatnonzero(active)
     if idx.size > 0:
         b_inv = suff.precision_data[np.ix_(idx, idx)] + np.diag(prior_prec[idx])
-        beta[idx] = sample_mvn(MvnParams(b_inv, suff.linear_data[idx]), rng)
+        beta[idx] = sample_mvn(MvnParams(b_inv[None], suff.linear_data[idx][None]), (rng,))[0]
     return active.astype(np.int8), beta
 
 
@@ -172,7 +226,7 @@ def reference_chain(data, prior, config):
                 else:
                     b_inv = suff.precision_data + np.diag(1.0 / (prior.nu**2 * prior.sigma_j**2 * omega))
                     b_vec = suff.linear_data
-                beta = sample_mvn(MvnParams(b_inv, b_vec), rng)
+                beta = sample_mvn(MvnParams(b_inv[None], b_vec[None]), (rng,))[0]
             chi = (w * (1.0 - data.actions * (data.features @ beta))) ** 2
             small = chi < CHI_DEGENERATE
             lam = np.empty(data.n)
@@ -221,20 +275,20 @@ class TestDrawLambda:
 
 class TestBuildSuffstats:
     def test_rejects_lam_of_the_wrong_length(self):
-        with pytest.raises(ValueError, match="lam has length 6, expected 7"):
-            build_suffstats(np.ones(6), CanonicalRows.of(random_dataset(33)))
+        with pytest.raises(ValueError, match=r"lam has shape \(1, 6\), expected \(1, 7\)"):
+            suff_of(np.ones(6), random_dataset(33))
 
     def test_single_observation_closed_form(self):
         # w = 1, lam = 1: precision = w^2/lam = 1, linear = w(1 + w/lam) = 2.
         data = Dataset(np.array([[1.0]]), np.array([1.0]), np.array([0.5]), 0.5)
-        suff = build_suffstats(np.ones(1), CanonicalRows.of(data))
-        assert suff.precision_data[0, 0] == pytest.approx(1.0)
-        assert suff.linear_data[0] == pytest.approx(2.0)
+        suff = suff_of(np.ones(1), data)
+        assert suff.precision_data[0, 0, 0] == pytest.approx(1.0)
+        assert suff.linear_data[0, 0] == pytest.approx(2.0)
 
     def test_matches_loop_oracle(self):
         data = random_dataset(34)
         lam = substream(35).uniform(0.5, 2.0, size=data.n)
-        suff = build_suffstats(lam, CanonicalRows.of(data))
+        suff = suff_of(lam, data)
         precision = np.zeros((data.p, data.p))
         linear = np.zeros(data.p)
         for i in range(data.n):
@@ -243,16 +297,16 @@ class TestBuildSuffstats:
             ax = a * data.features[i]
             precision += np.outer(ax, ax) * (w**2 / lam[i])
             linear += w * (1.0 + w / lam[i]) * ax
-        np.testing.assert_allclose(suff.precision_data, precision, atol=1e-12)
-        np.testing.assert_allclose(suff.linear_data, linear, atol=1e-12)
+        np.testing.assert_allclose(suff.precision_data[0], precision, atol=1e-12)
+        np.testing.assert_allclose(suff.linear_data[0], linear, atol=1e-12)
 
     def test_permutation_bit_exact(self):
         for data in (random_dataset(36, n=12), duplicated_dataset(36)):
             lam = substream(37).uniform(0.5, 2.0, size=data.n)
-            suff = build_suffstats(lam, CanonicalRows.of(data))
+            suff = suff_of(lam, data)
             perm = substream(38).permutation(data.n)
             shuffled = Dataset(data.features[perm], data.actions[perm], data.rewards[perm], data.rho)
-            suff_p = build_suffstats(lam[perm], CanonicalRows.of(shuffled))
+            suff_p = suff_of(lam[perm], shuffled)
             np.testing.assert_array_equal(suff.precision_data, suff_p.precision_data)
             np.testing.assert_array_equal(suff.linear_data, suff_p.linear_data)
 
@@ -264,8 +318,8 @@ class TestBuildSuffstats:
             (duplicated_dataset, random_dataset, correlated_dataset), range(5)
         ):
             data = make_data(100 + seed, n=36)
-            rows = CanonicalRows.of(data)
-            assert (rows.tied_rank is not None) == (make_data is duplicated_dataset)
+            rows = CanonicalRows.of([data])
+            assert bool(rows.tied) == (make_data is duplicated_dataset)
             rng = substream(110, seed)
             lam = {
                 "distinct": rng.uniform(0.5, 2.0, size=data.n),
@@ -273,9 +327,9 @@ class TestBuildSuffstats:
                 "all_equal": np.ones(data.n),
             }[lam_kind]
             ref = lexsort_suffstats(lam, data)
-            suff = build_suffstats(lam, rows)
-            np.testing.assert_array_equal(suff.precision_data, ref.precision_data)
-            np.testing.assert_array_equal(suff.linear_data, ref.linear_data)
+            suff = build_suffstats(lam[None], rows)
+            np.testing.assert_array_equal(suff.precision_data[0], ref.precision_data)
+            np.testing.assert_array_equal(suff.linear_data[0], ref.linear_data)
 
     def test_canonical_rank_ties_exact_duplicates_only(self):
         data = Dataset(
@@ -291,18 +345,18 @@ class TestBuildSuffstats:
     def test_rejects_nonpositive_lambda(self):
         data = random_dataset(39)
         with pytest.raises(ValueError):
-            build_suffstats(np.zeros(data.n), CanonicalRows.of(data))
+            suff_of(np.zeros(data.n), data)
 
 
 class TestDrawBetaNormal:
     def test_prior_recovery_without_data(self):
         empty = Dataset(np.empty((0, 2)), np.empty(0), np.empty(0), 0.5)
-        suff = build_suffstats(np.empty(0), CanonicalRows.of(empty))
-        np.testing.assert_array_equal(suff.precision_data, np.zeros((2, 2)))
-        np.testing.assert_array_equal(suff.linear_data, np.zeros(2))
+        suff = suff_of(np.empty(0), empty)
+        np.testing.assert_array_equal(suff.precision_data, np.zeros((1, 2, 2)))
+        np.testing.assert_array_equal(suff.linear_data, np.zeros((1, 2)))
         prior = NormalPrior(mu0=np.array([0.5, -1.0]), sigma0_sq=2.0)
         rng = substream(40)
-        draws = np.array([draw_beta_normal(suff, *normal_terms(prior, empty.p), rng) for _ in range(N // 4)])
+        draws = np.array([draw_beta_normal(suff, *normal_terms(prior, empty.p), (rng,))[0] for _ in range(N // 4)])
         se = math.sqrt(2.0 / (N // 4))
         assert np.all(np.abs(draws.mean(axis=0) - [0.5, -1.0]) < 3 * se)
         assert np.all(np.abs(draws.var(axis=0) - 2.0) < 0.1 * 2.0)
@@ -310,10 +364,10 @@ class TestDrawBetaNormal:
     def test_scalar_closed_form(self):
         # One observation with w = 1, lam = 1: B = 1/2, b = 2, mean = 1.
         data = Dataset(np.array([[1.0]]), np.array([1.0]), np.array([0.5]), 0.5)
-        suff = build_suffstats(np.ones(1), CanonicalRows.of(data))
+        suff = suff_of(np.ones(1), data)
         prior = NormalPrior(mu0=0.0, sigma0_sq=1.0)
         rng = substream(41)
-        draws = np.array([draw_beta_normal(suff, *normal_terms(prior, data.p), rng)[0] for _ in range(N // 2)])
+        draws = np.array([draw_beta_normal(suff, *normal_terms(prior, data.p), (rng,))[0, 0] for _ in range(N // 2)])
         se = math.sqrt(0.5 / (N // 2))
         assert abs(draws.mean() - 1.0) < 3 * se
         assert abs(draws.var() - 0.5) < 0.05 * 0.5
@@ -321,13 +375,13 @@ class TestDrawBetaNormal:
     def test_mean_matches_direct_solve(self):
         data = random_dataset(42)
         lam = substream(43).uniform(0.5, 2.0, size=data.n)
-        suff = build_suffstats(lam, CanonicalRows.of(data))
+        suff = suff_of(lam, data)
         prior = NormalPrior(mu0=0.25, sigma0_sq=1.5)
-        b_inv = suff.precision_data + np.eye(data.p) / prior.sigma0_sq
-        target = np.linalg.solve(b_inv, suff.linear_data + 0.25 / 1.5)
+        b_inv = suff.precision_data[0] + np.eye(data.p) / prior.sigma0_sq
+        target = np.linalg.solve(b_inv, suff.linear_data[0] + 0.25 / 1.5)
         cov = np.linalg.inv(b_inv)
         rng = substream(44)
-        draws = np.array([draw_beta_normal(suff, *normal_terms(prior, data.p), rng) for _ in range(N // 2)])
+        draws = np.array([draw_beta_normal(suff, *normal_terms(prior, data.p), (rng,))[0] for _ in range(N // 2)])
         se = np.sqrt(np.diag(cov) / (N // 2))
         assert np.all(np.abs(draws.mean(axis=0) - target) < 3 * se)
 
@@ -336,24 +390,24 @@ class TestDrawBetaEp:
     def test_huge_omega_recovers_data_only_gaussian(self):
         data = random_dataset(45)
         lam = substream(46).uniform(0.5, 2.0, size=data.n)
-        suff = build_suffstats(lam, CanonicalRows.of(data))
+        suff = suff_of(lam, data)
         prior = ExponentialPowerPrior(nu=1.0, sigma_j=np.ones(data.p))
-        omega = np.full(data.p, 1e12)
-        target = np.linalg.solve(suff.precision_data, suff.linear_data)
+        omega = np.full((1, data.p), 1e12)
+        target = np.linalg.solve(suff.precision_data[0], suff.linear_data[0])
         rng = substream(47)
-        draws = np.array([draw_beta_ep(suff, omega, prior.nu**2 * prior.sigma_j**2, rng) for _ in range(N // 2)])
-        cov = np.linalg.inv(suff.precision_data)
+        draws = np.array([draw_beta_ep(suff, omega, prior.nu**2 * prior.sigma_j**2, (rng,))[0] for _ in range(N // 2)])
+        cov = np.linalg.inv(suff.precision_data[0])
         se = np.sqrt(np.diag(cov) / (N // 2))
         assert np.all(np.abs(draws.mean(axis=0) - target) < 4 * se)
 
     def test_scalar_closed_form(self):
         from bowl.gibbs import SuffStats
 
-        suff = SuffStats(np.array([[1.0]]), np.array([2.0]))
+        suff = SuffStats(np.array([[[1.0]]]), np.array([[2.0]]))
         prior = ExponentialPowerPrior(nu=1.0, sigma_j=np.ones(1))
         rng = substream(48)
         draws = np.array(
-            [draw_beta_ep(suff, np.ones(1), prior.nu**2 * prior.sigma_j**2, rng)[0] for _ in range(N // 2)]
+            [draw_beta_ep(suff, np.ones((1, 1)), prior.nu**2 * prior.sigma_j**2, (rng,))[0, 0] for _ in range(N // 2)]
         )
         se = math.sqrt(0.5 / (N // 2))
         assert abs(draws.mean() - 1.0) < 3 * se
@@ -365,20 +419,20 @@ class TestDrawBetaEp:
         for _ in range(5):
             data = random_dataset(int(rng.integers(0, 10_000)), n=9, p=3)
             lam = rng.uniform(0.5, 2.0, size=data.n)
-            suff = build_suffstats(lam, CanonicalRows.of(data))
+            suff = suff_of(lam, data)
             sigma = np.full(data.p, 0.7)
             norms = []
             for nu in (0.2, 0.5, 1.0, 2.0, 5.0):
-                b_inv = suff.precision_data + np.diag(1.0 / (nu**2 * sigma**2))
-                norms.append(np.linalg.norm(np.linalg.solve(b_inv, suff.linear_data)))
+                b_inv = suff.precision_data[0] + np.diag(1.0 / (nu**2 * sigma**2))
+                norms.append(np.linalg.norm(np.linalg.solve(b_inv, suff.linear_data[0])))
             assert np.all(np.diff(norms) >= -1e-12)
 
     def test_rejects_nonpositive_omega(self):
         data = random_dataset(50)
-        suff = build_suffstats(np.ones(data.n), CanonicalRows.of(data))
+        suff = suff_of(np.ones(data.n), data)
         prior = ExponentialPowerPrior(nu=1.0, sigma_j=np.ones(data.p))
         with pytest.raises(ValueError):
-            draw_beta_ep(suff, np.zeros(data.p), prior.nu**2 * prior.sigma_j**2, substream(51))
+            draw_beta_ep(suff, np.zeros((1, data.p)), prior.nu**2 * prior.sigma_j**2, (substream(51),))
 
 
 class TestDrawOmega:
@@ -387,7 +441,7 @@ class TestDrawOmega:
         prior = ExponentialPowerPrior(nu=0.8, sigma_j=np.array([0.5]))
         beta = np.array([0.4])
         rng = substream(52)
-        draws = np.array([draw_omega(beta, prior.nu * prior.sigma_j, rng)[0] for _ in range(N // 2)])
+        draws = np.array([draw_omega(beta[None], prior.nu * prior.sigma_j[None], (rng,))[0, 0] for _ in range(N // 2)])
         recip = 1.0 / draws
         se = recip.std(ddof=1) / math.sqrt(recip.size)
         assert abs(recip.mean() - 1.0) < 3 * se
@@ -395,7 +449,7 @@ class TestDrawOmega:
     def test_zero_beta_takes_the_conditional_limit(self):
         prior = ExponentialPowerPrior(nu=0.8, sigma_j=np.ones(1))
         rng = substream(53)
-        draws = np.array([draw_omega(np.zeros(1), prior.nu * prior.sigma_j, rng)[0] for _ in range(N // 2)])
+        draws = np.array([draw_omega(np.zeros((1, 1)), prior.nu * prior.sigma_j[None], (rng,))[0, 0] for _ in range(N // 2)])
         # GIG(1/2, 1, 0) = Gamma(1/2, rate 1/2): mean 1, variance 2.
         se = math.sqrt(2.0 / (N // 2))
         assert abs(draws.mean() - 1.0) < 3 * se
@@ -404,7 +458,7 @@ class TestDrawOmega:
         prior = ExponentialPowerPrior(nu=1.0, sigma_j=np.ones(1))
         beta = np.array([2.0])  # nu sigma / |beta| = 0.5
         rng = substream(54)
-        draws = np.array([draw_omega(beta, prior.nu * prior.sigma_j, rng)[0] for _ in range(N // 2)])
+        draws = np.array([draw_omega(beta[None], prior.nu * prior.sigma_j[None], (rng,))[0, 0] for _ in range(N // 2)])
         recip = 1.0 / draws
         se = recip.std(ddof=1) / math.sqrt(recip.size)
         assert abs(recip.mean() - 0.5) < 3 * se
@@ -412,9 +466,9 @@ class TestDrawOmega:
 
 def enumeration_inclusion_prob(data: Dataset, prior: SpikeSlabPrior, lam: np.ndarray) -> float:
     """Brute-force p = 1 oracle: integrate both gamma configurations directly."""
-    suff = build_suffstats(lam, CanonicalRows.of(data))
-    p_term = float(suff.precision_data[0, 0])
-    b_term = float(suff.linear_data[0])
+    suff = suff_of(lam, data)
+    p_term = float(suff.precision_data[0, 0, 0])
+    b_term = float(suff.linear_data[0, 0])
     slab_sd = prior.nu * float(prior.sigma_j[0])
 
     def integrand(t):
@@ -432,18 +486,18 @@ class TestDrawGammaAndBetaSs:
         lam = substream(56).uniform(0.5, 2.0, size=data.n)
         sigma = np.full(data.p, 0.7)
         prior = SpikeSlabPrior(nu=0.9, pi_incl=1.0 - 1e-12, sigma_j=sigma)
-        suff = build_suffstats(lam, CanonicalRows.of(data))
-        b_inv = suff.precision_data + np.diag(1.0 / (0.9**2 * sigma**2))
+        suff = suff_of(lam, data)
+        b_inv = suff.precision_data[0] + np.diag(1.0 / (0.9**2 * sigma**2))
         cov = np.linalg.inv(b_inv)
-        target = cov @ suff.linear_data
+        target = cov @ suff.linear_data[0]
         rng = substream(57)
         kernel = ss_kernel(data, prior)
         draws = []
         for _ in range(N // 5):
-            state = ChainState(beta=np.zeros(data.p), lam=lam, gamma=np.ones(data.p, dtype=np.int8))
-            gamma, beta = draw_gamma_and_beta_ss(state, kernel, rng)
+            state = one_state(np.zeros(data.p), lam, np.ones(data.p, dtype=np.int8))
+            gamma, beta = draw_gamma_and_beta_ss(state, kernel, (rng,))
             assert gamma.all()
-            draws.append(beta)
+            draws.append(beta[0])
         draws = np.array(draws)
         se = np.sqrt(np.diag(cov) / draws.shape[0])
         assert np.all(np.abs(draws.mean(axis=0) - target) < 4 * se)
@@ -458,9 +512,9 @@ class TestDrawGammaAndBetaSs:
         hits = 0
         n_sweeps = 20_000
         for _ in range(n_sweeps):
-            state = ChainState(beta=np.zeros(1), lam=lam, gamma=np.ones(1, dtype=np.int8))
-            gamma, _ = draw_gamma_and_beta_ss(state, kernel, rng)
-            hits += int(gamma[0])
+            state = one_state(np.zeros(1), lam, np.ones(1, dtype=np.int8))
+            gamma, _ = draw_gamma_and_beta_ss(state, kernel, (rng,))
+            hits += int(gamma[0, 0])
         assert abs(hits / n_sweeps - target) < 0.02
 
     def test_informative_feature_beats_noise(self):
@@ -492,12 +546,12 @@ class TestDrawGammaAndBetaSs:
         data = random_dataset(81, n=8, p=3)
         lam = substream(81, 1).uniform(0.5, 2.0, size=data.n)
         prior = SpikeSlabPrior(nu=0.8, pi_incl=0.4, sigma_j=np.array([0.5, 0.8, 1.2]))
-        suff = build_suffstats(lam, CanonicalRows.of(data))
+        suff = suff_of(lam, data)
         prior_prec = 1.0 / (prior.nu**2 * prior.sigma_j**2)
         configs = [np.array([(code >> k) & 1 for k in range(3)], dtype=bool) for code in range(8)]
         log_post = np.array([
             g.sum() * math.log(prior.pi_incl) + (~g).sum() * math.log1p(-prior.pi_incl)
-            + subset_log_marginal(suff.precision_data, suff.linear_data, prior_prec, g)
+            + subset_log_marginal(suff.precision_data[0], suff.linear_data[0], prior_prec, g)
             for g in configs
         ])
         exact = np.exp(log_post - log_post.max())
@@ -506,12 +560,12 @@ class TestDrawGammaAndBetaSs:
 
         rng = substream(81, 2)
         kernel = ss_kernel(data, prior)
-        state = ChainState(beta=np.zeros(3), lam=lam, gamma=np.ones(3, dtype=np.int8))
+        state = one_state(np.zeros(3), lam, np.ones(3, dtype=np.int8))
         counts = np.zeros(8)
         n_sweeps = 20_000
         for _ in range(n_sweeps):
-            state.gamma, state.beta = draw_gamma_and_beta_ss(state, kernel, rng)
-            counts[int(state.gamma @ (1 << np.arange(3)))] += 1
+            state.gamma, state.beta = draw_gamma_and_beta_ss(state, kernel, (rng,))
+            counts[int(state.gamma[0] @ (1 << np.arange(3)))] += 1
         assert np.abs(counts / n_sweeps - exact).max() < 0.02
 
     def test_nonpositive_schur_complement_raises(self, monkeypatch):
@@ -519,21 +573,21 @@ class TestDrawGammaAndBetaSs:
         # (pi near 1 keeps coordinate 0 in).
         data = random_dataset(82, n=5, p=2)
         prior = SpikeSlabPrior(nu=1.0, pi_incl=1.0 - 1e-12, sigma_j=np.ones(2))
-        indefinite = SuffStats(np.array([[0.0, 3.0], [3.0, 0.0]]), np.ones(2))
+        indefinite = SuffStats(np.array([[[0.0, 3.0], [3.0, 0.0]]]), np.ones((1, 2)))
         monkeypatch.setattr("bowl.gibbs.build_suffstats", lambda *args: indefinite)
-        state = ChainState(beta=np.zeros(2), lam=np.ones(data.n), gamma=np.array([1, 0], dtype=np.int8))
+        state = one_state(np.zeros(2), np.ones(data.n), np.array([1, 0], dtype=np.int8))
         with pytest.raises(ValueError, match=r"Schur complement -8\.0 at coordinate 1$") as exc:
-            draw_gamma_and_beta_ss(state, ss_kernel(data, prior), substream(83))
+            draw_gamma_and_beta_ss(state, ss_kernel(data, prior), (substream(83),))
         assert "np.float64" not in str(exc.value)
 
     def test_empty_active_set_returns_zero_beta(self):
         data = random_dataset(60, n=4, p=2)
         prior = SpikeSlabPrior(nu=0.8, pi_incl=1e-12, sigma_j=np.full(2, 0.7))
         rng = substream(61)
-        state = ChainState(beta=np.zeros(2), lam=np.ones(data.n), gamma=np.zeros(2, dtype=np.int8))
-        gamma, beta = draw_gamma_and_beta_ss(state, ss_kernel(data, prior), rng)
+        state = one_state(np.zeros(2), np.ones(data.n), np.zeros(2, dtype=np.int8))
+        gamma, beta = draw_gamma_and_beta_ss(state, ss_kernel(data, prior), (rng,))
         assert not gamma.any()
-        np.testing.assert_array_equal(beta, np.zeros(2))
+        np.testing.assert_array_equal(beta, np.zeros((1, 2)))
 
 
 ORACLE_FEATURES = st.one_of(
@@ -590,7 +644,7 @@ class TestExactBetaCdf:
 
 class TestRunChain:
     def test_nonpositive_omega_after_a_sweep(self, monkeypatch):
-        monkeypatch.setattr(bowl.gibbs, "draw_omega", lambda beta, nu_sigma, rng: np.zeros(beta.size))
+        monkeypatch.setattr(bowl.gibbs, "draw_omega", lambda beta, nu_sigma, rngs: np.zeros(beta.shape))
         with pytest.raises(GibbsNumericalError, match="^chain 0, iteration 0: nonpositive omega$"):
             run_chain(random_dataset(61), ExponentialPowerPrior(), GibbsConfig(n_draws=2, burn_in=0))
 
@@ -666,9 +720,8 @@ class TestRunChain:
         cycled = np.empty(batch.size)
         for i, beta_star in enumerate(batch):
             lam = draw_lambda(np.array([beta_star]), data, rng, owl_weights(data))
-            suff = build_suffstats(lam, CanonicalRows.of(data))
-            beta_new = draw_beta_normal(suff, *normal_terms(prior, data.p), rng)
-            cycled[i] = beta_new[0]
+            beta_new = draw_beta_normal(suff_of(lam, data), *normal_terms(prior, data.p), (rng,))
+            cycled[i] = beta_new[0, 0]
         for f in (lambda x: x, lambda x: x * x, np.abs):
             target, got = f(batch), f(cycled)
             se = math.sqrt(target.var(ddof=1) / target.size + got.var(ddof=1) / got.size)
@@ -705,7 +758,7 @@ class TestRunChain:
         def no_sweep(*args, **kwargs):
             raise AssertionError("a sweep ran")
 
-        monkeypatch.setattr("bowl.gibbs._run_single_chain", no_sweep)
+        monkeypatch.setattr("bowl.gibbs._run_lockstep", no_sweep)
         d = random_dataset(68)
         data = Dataset(d.features, d.actions, d.rewards, rho)
         with pytest.raises(ValueError, match=message):
@@ -732,7 +785,7 @@ class TestRunChain:
             data = make_data(69, n=36)
             real = run_chain(data, prior, config)
             with monkeypatch.context() as patch:
-                patch.setattr("bowl.gibbs.build_suffstats", lambda lam, rows: lexsort_suffstats(lam, data))
+                patch.setattr("bowl.gibbs.build_suffstats", batch_lexsort_suffstats([data] * config.n_chains))
                 ref = run_chain(data, prior, config)
             np.testing.assert_array_equal(real.beta, ref.beta)
             if ref.gamma is not None:
@@ -767,10 +820,13 @@ class TestRunChain:
         config = GibbsConfig(n_draws=60, burn_in=10, n_chains=2, seed=7)
         real = run_chain(data, SpikeSlabPrior(), config)
         prior = SpikeSlabPrior(sigma_j=prior_scales(SpikeSlabPrior(), data.features))
-        monkeypatch.setattr(
-            "bowl.gibbs.draw_gamma_and_beta_ss",
-            lambda state, kernel, rng: cholesky_ss_reference(state, kernel.data, prior, rng),
-        )
+
+        def reference_batch(state, kernel, rngs):
+            members = [cholesky_ss_reference(SimpleNamespace(lam=lam, gamma=gamma), data_r, prior, rng)
+                       for lam, gamma, data_r, rng in zip(state.lam, state.gamma, kernel.data, rngs)]
+            return np.stack([gamma for gamma, _ in members]), np.stack([beta for _, beta in members])
+
+        monkeypatch.setattr("bowl.gibbs.draw_gamma_and_beta_ss", reference_batch)
         ref = run_chain(data, SpikeSlabPrior(), config)
         assert 0 < real.gamma.mean() < 1  # the sweeps both add and drop coordinates
         np.testing.assert_array_equal(real.beta, ref.beta)
@@ -783,19 +839,21 @@ class TestRunChain:
         data = random_dataset(85)
         prior = SpikeSlabPrior(pi_incl=1e-12)
         config = GibbsConfig(n_draws=5, burn_in=0, n_chains=2, seed=1)
-        indefinite = SuffStats(-100.0 * np.eye(data.p), np.zeros(data.p))
-        monkeypatch.setattr("bowl.gibbs.build_suffstats", lambda *args: indefinite)
+
+        def batch_of(precision, lam):
+            return SuffStats(np.array([precision] * len(lam)), np.zeros((len(lam), data.p)))
+
+        monkeypatch.setattr("bowl.gibbs.build_suffstats", lambda lam, rows: batch_of(-100.0 * np.eye(data.p), lam))
         with pytest.raises(GibbsNumericalError, match="chain 0, iteration 0") as exc:
             run_chain(data, prior, config)
         assert isinstance(exc.value.__cause__, np.linalg.LinAlgError)
 
-        calls = []
+        seen = []
 
-        def definite_then_indefinite(lam, rows):
-            calls.append(1)
-            if len(calls) == 1:
-                return SuffStats(np.eye(data.p), np.zeros(data.p))
-            return indefinite
+        def definite_then_indefinite(lam, rows):  # definite at a kernel's first sweep, a rerun's included
+            first = not any(rows is r for r in seen)
+            seen.append(rows)
+            return batch_of(np.eye(data.p) if first else -100.0 * np.eye(data.p), lam)
 
         monkeypatch.setattr("bowl.gibbs.build_suffstats", definite_then_indefinite)
         with pytest.raises(GibbsNumericalError, match="chain 0, iteration 1: non-positive") as exc:
@@ -805,7 +863,7 @@ class TestRunChain:
 
     def test_nonfinite_beta_raises(self, monkeypatch):
         data = random_dataset(70)
-        monkeypatch.setattr("bowl.gibbs.draw_beta_normal", lambda *args: np.full(data.p, np.nan))
+        monkeypatch.setattr("bowl.gibbs.draw_beta_normal", lambda suff, *args: np.full(suff.linear_data.shape, np.nan))
         with pytest.raises(GibbsNumericalError, match="chain 0, iteration 0"):
             run_chain(data, NormalPrior(), GibbsConfig(n_draws=10, burn_in=0, seed=1))
 
@@ -813,7 +871,7 @@ class TestRunChain:
         data = random_dataset(71)
         monkeypatch.setattr(
             "bowl.gibbs.draw_gamma_and_beta_ss",
-            lambda *args: (np.ones(data.p, dtype=np.int8), np.full(data.p, np.nan)),
+            lambda state, kernel, rngs: (np.ones(state.gamma.shape, dtype=np.int8), np.full(state.beta.shape, np.nan)),
         )
         with pytest.raises(GibbsNumericalError, match="chain 0, iteration 0: non-finite beta"):
             run_chain(data, SpikeSlabPrior(), GibbsConfig(n_draws=10, burn_in=0, seed=1))
@@ -843,7 +901,7 @@ class TestRunChain:
                            np.array([1.0, 2.0]), 0.5)
             real_draw = g.draw_lambda
             patches = {
-                "draw_beta_normal": lambda *args: np.full(2, np.nan),
+                "draw_beta_normal": lambda *args: np.full((1, 2), np.nan),
                 "draw_lambda": lambda *args: real_draw(*args) * np.array([0.0, 1.0]),
             }
             for name, fake in patches.items():
@@ -875,7 +933,7 @@ class TestRunChain:
     )
     def test_wrong_prior_shape_rejected_before_any_chain(self, monkeypatch, prior, name):
         data = random_dataset(66)  # p = 3
-        monkeypatch.setattr(bowl.gibbs, "_run_single_chain", lambda *args: pytest.fail("a chain started"))
+        monkeypatch.setattr(bowl.gibbs, "_run_lockstep", lambda *args: pytest.fail("a chain started"))
         with pytest.raises(ValueError, match=rf"\.{name} has shape .*length p = 3"):
             run_chain(data, prior, GibbsConfig(n_draws=5, burn_in=0))
 
@@ -886,6 +944,63 @@ class TestRunChain:
         vector = run_chain(data, SpikeSlabPrior(sigma_j=np.full(data.p, 0.7)), config)
         np.testing.assert_array_equal(scalar.beta, vector.beta)
         np.testing.assert_array_equal(scalar.gamma, vector.gamma)
+
+
+class TestLockstepBatch:
+    """A batch of members stepped in lockstep gives each member the bytes of its run alone."""
+
+    @pytest.mark.parametrize(
+        "prior", [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior()], ids=["normal", "ep", "ss"]
+    )
+    def test_batch_equals_single_member_runs(self, monkeypatch, prior):
+        # Member 0 has exact-duplicate rows (the per-sweep tie re-sort); member 1 takes the
+        # degenerate lambda branch every sweep and, under ep, the degenerate omega branch.
+        datasets = [duplicated_dataset(91, n=36), degenerate_dataset(92), correlated_dataset(93, n=36)]
+        configs = [GibbsConfig(n_draws=40, burn_in=10, seed=seed) for seed in (11, 12, 13)]
+        degenerate = {"chi": [], "beta": []}
+        real_gig, real_omega = bowl.gibbs._gig_half_draw_vec, bowl.gibbs.draw_omega
+
+        def gig(chi, rng):
+            degenerate["chi"].append(bool(np.any(chi < CHI_DEGENERATE)))
+            return real_gig(chi, rng)
+
+        def omega(beta, nu_sigma, rngs):
+            degenerate["beta"].append(np.any(np.abs(beta) < BETA_ZERO_TOL, axis=1).tolist())
+            return real_omega(beta, nu_sigma, rngs)
+
+        monkeypatch.setattr(bowl.gibbs, "_gig_half_draw_vec", gig)
+        monkeypatch.setattr(bowl.gibbs, "draw_omega", omega)
+        batch = run_chain(datasets, prior, configs)
+        assert degenerate["chi"][1::3] == [True] * 40 and not any(degenerate["chi"][0::3] + degenerate["chi"][2::3])
+        if isinstance(prior, ExponentialPowerPrior):
+            assert degenerate["beta"] == [[False, True, False]] * 40
+        assert len(batch) == 3 and bool(CanonicalRows.of(datasets[:1]).tied)
+        for data, config, got in zip(datasets, configs, batch):
+            alone = run_chain(data, prior, config)
+            np.testing.assert_array_equal(got.beta, alone.beta)
+            assert (got.gamma is None) == (alone.gamma is None) == (not isinstance(prior, SpikeSlabPrior))
+            if got.gamma is not None:
+                np.testing.assert_array_equal(got.gamma, alone.gamma)
+        # R = 1: a batch of one fit is the fit.
+        (one,) = run_chain(datasets[1:2], prior, configs[1:2])
+        np.testing.assert_array_equal(one.beta, batch[1].beta)
+
+    def test_a_failing_member_leaves_the_others_bytes(self, monkeypatch):
+        datasets = [random_dataset(96 + k, n=20) for k in range(3)]
+        configs = [GibbsConfig(n_draws=30, burn_in=5, seed=20 + k) for k in range(3)]
+        clean = run_chain(datasets, NormalPrior(), configs)
+        fail_lambda_draws(monkeypatch, {(21, 0): 12})
+        failed = run_chain(datasets, NormalPrior(), configs)
+        assert isinstance(failed[1], GibbsNumericalError) and str(failed[1]) == "chain 0, iteration 11: synthetic failure"
+        for k in (0, 2):
+            np.testing.assert_array_equal(failed[k].beta, clean[k].beta)
+        with pytest.raises(GibbsNumericalError, match="^chain 0, iteration 11: synthetic failure$"):
+            run_chain(datasets[1], NormalPrior(), configs[1])
+
+    def test_fits_must_share_their_sweep_counts(self):
+        data = random_dataset(97)
+        with pytest.raises(ValueError, match="share n_draws and burn_in"):
+            run_chain([data, data], NormalPrior(), [GibbsConfig(n_draws=200), GibbsConfig(n_draws=300)])
 
 
 class TestConditionalsMatchJoint:
@@ -932,19 +1047,21 @@ class TestConditionalsMatchJoint:
         data, sigma, state, rng = self.random_state(seed)
         betas = rng.normal(size=(2, data.p))
         calls = self.capture(monkeypatch, "MvnParams")
-        suff = build_suffstats(state.lam, CanonicalRows.of(data))
+        suff = suff_of(state.lam, data)
         normal, ep = NormalPrior(mu0=0.3, sigma0_sq=1.5), ExponentialPowerPrior(nu=0.8, sigma_j=sigma)
         ss = SpikeSlabPrior(nu=0.8, pi_incl=0.9, sigma_j=sigma)
-        draw_beta_normal(suff, *normal_terms(normal, data.p), rng)
-        draw_beta_ep(suff, state.omega, ep.nu**2 * ep.sigma_j**2, rng)
-        ss_state = ChainState(state.beta, state.lam, gamma=np.ones(data.p, dtype=np.int8))
-        gamma, _ = draw_gamma_and_beta_ss(ss_state, ss_kernel(data, ss), rng)
+        draw_beta_normal(suff, *normal_terms(normal, data.p), (rng,))
+        draw_beta_ep(suff, state.omega[None], ep.nu**2 * ep.sigma_j**2, (rng,))
+        gamma, _ = draw_gamma_and_beta_ss(one_state(state.beta, state.lam, np.ones(data.p, dtype=np.int8)),
+                                          ss_kernel(data, ss), (rng,))
+        gamma = gamma[0]
         active = gamma.astype(bool)
         assert active.any() and len(calls) == 3
         ss_betas = np.where(active, betas, 0.0)
         cases = [(normal, state, betas, slice(None)), (ep, state, betas, slice(None)),
                  (ss, SimpleNamespace(**{**vars(state), "gamma": gamma}), ss_betas, active)]
         for (b_inv, b_vec), (prior, at, values, block) in zip(calls, cases):
+            (b_inv,), (b_vec,) = b_inv, b_vec  # a batch of one
             v1, v2 = values[0][block], values[1][block]
             conditional = (-0.5 * v1 @ b_inv @ v1 + b_vec @ v1) - (-0.5 * v2 @ b_inv @ v2 + b_vec @ v2)
             assert conditional == pytest.approx(self.joint_diff(at, data, prior, "beta", values), rel=1e-9)
@@ -964,9 +1081,9 @@ class TestConditionalsMatchJoint:
         # 1/omega ~ IG(mu, 1) makes omega ~ GIG(1/2, 1, 1 / mu^2).
         data, sigma, state, rng = self.random_state(seed)
         prior = ExponentialPowerPrior(nu=0.8, sigma_j=sigma)
-        calls = self.capture(monkeypatch, "_invgauss_draw")
-        draw_omega(state.beta, prior.nu * prior.sigma_j, rng)
-        ((mu, _),) = calls
+        calls = self.capture(monkeypatch, "_invgauss")
+        draw_omega(state.beta[None], prior.nu * prior.sigma_j[None], (rng,))
+        (((mu,), _, _),) = calls
         values = rng.uniform(0.3, 3.0, size=(2, data.p))
         v1, v2 = (sum(log_density_gig_half(o, 1.0, 1.0 / m**2) for o, m in zip(v, mu)) for v in values)
         assert v1 - v2 == pytest.approx(self.joint_diff(state, data, prior, "omega", values), rel=1e-9)

@@ -199,8 +199,10 @@ def classify_with(request, monkeypatch):
 
     def classify(beta, x):
         monkeypatch.setattr(bowl.simulate, "fit_owl_linear", lambda x, labels, weights: beta)
-        monkeypatch.setattr(bowl.simulate, "fit_bowl", lambda *args: PosteriorDraws(beta[None, None]))
-        return classify_with_method(method, np.zeros((2, len(beta) - 1)), [1.0, -1.0], [1.0, -1.0], x, 0)
+        monkeypatch.setattr(bowl.simulate, "fit_bowl", lambda train, method, seeds: [PosteriorDraws(beta[None, None])])
+        train = [(np.zeros((2, len(beta) - 1)), [1.0, -1.0], [1.0, -1.0])]
+        (predicted,) = classify_with_method(method, train, [x], [0])
+        return predicted
 
     return classify
 
@@ -253,14 +255,16 @@ class TestStudySettings:
         uncertainty_study(n_train=40, seed=3, resolution=3)
 
         chains, owls = calls["run_chain"], calls["fit_owl_linear"]
-        bayes = [(rep, m) for rep in range(2) for m in (1, 2, 3)] + [(0, 1)]
-        assert [c["config"] for c in chains] == [GibbsConfig(seed=_fit_seed(3, rep, m)) for rep, m in bayes]
-        defaults = [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior()] * 2 + [ExponentialPowerPrior()]
+        # One batch of both replications per Bayesian method, then the heatmap fit.
+        batches = [[(rep, m) for rep in range(2)] for m in (1, 2, 3)] + [[(0, 1)]]
+        assert [c["config"] for c in chains] == [[GibbsConfig(seed=_fit_seed(3, rep, m)) for rep, m in batch]
+                                                 for batch in batches]
+        defaults = [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior(), ExponentialPowerPrior()]
         assert [c["prior"] for c in chains] == defaults
         assert all(c.keys() == {"data", "prior", "config", "intercept"} for c in chains)
         assert all(c["intercept"] is True for c in chains)
         # run_chain prepends the constant column itself; OWL is handed its design.
-        assert all(c["data"].p == spec.p for c in chains)
+        assert all(d.p == spec.p for c in chains for d in c["data"])
         assert len(owls) == 2 and all(o.keys() == {"x", "labels", "weights"} for o in owls)
         for fit in owls:
             assert np.all(fit["x"][:, 0] == 1.0) and fit["x"].shape == (spec.n_train, spec.p + 1)
