@@ -42,7 +42,7 @@ from .pseudo_model import (
     owl_weights,
     prior_scales,
 )
-from .rng import ordered_map, substream, worker_count
+from .rng import map_batches, substream
 
 BETA_ZERO_TOL = 1e-12
 
@@ -347,14 +347,10 @@ class _Batch:
     """
 
     def __init__(self, datasets: list[Dataset], prior: PriorSpec):
-        self.data, self.prior = list(datasets), prior
+        self.data = list(datasets)
         self.rows = CanonicalRows.of(self.data)
         self.lambda_args = [(d, owl_weights(d)) for d in self.data]
         self.p = self.data[0].p
-
-    def member(self, r: int):
-        """The kernel of member r alone."""
-        return type(self)(self.data[r : r + 1], self.prior)
 
     def draw_lambdas(self, state: ChainState, rngs) -> None:
         """Each member's `draw_lambda`, one call per member, written over its row of state.lam."""
@@ -435,17 +431,12 @@ def _check_invariants(state: ChainState) -> None:
         raise ValueError("nonpositive omega")
 
 
-# Overflow and NaN inside a sweep are silent: the checks after each sweep report them as GibbsNumericalError.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _run_lockstep(config: GibbsConfig, batch: tuple[_Batch, list[tuple[int, int]]]) -> list:
+def _run_lockstep(config: GibbsConfig, kernel: _Batch, keys: list[tuple[int, int]]) -> list:
     """Advance a kernel's members in lockstep, member r from substream(*keys[r]) with keys[r] = (seed, chain).
 
-    Returns, per member, its retained (beta, gamma) draws or the
-    GibbsNumericalError that stopped it. A batch that fails anywhere is
-    rerun one member at a time, so each failure is reported as a lone run
-    reports it and the other members keep their bytes.
+    Returns, per member, its retained (beta, gamma) draws. A failed sweep raises
+    GibbsNumericalError naming the iteration and the first member's chain.
     """
-    kernel, keys = batch
     rngs = [substream(seed, chain) for seed, chain in keys]
     state = copy.deepcopy(kernel.start)
     kept = config.n_draws - config.burn_in
@@ -457,11 +448,7 @@ def _run_lockstep(config: GibbsConfig, batch: tuple[_Batch, list[tuple[int, int]
             kernel.sweep(state, rngs)
             _check_invariants(state)
         except (ValueError, FloatingPointError, OverflowError) as exc:  # LinAlgError is a ValueError
-            if len(keys) > 1:
-                return [out for r in range(len(keys)) for out in _run_lockstep(config, (kernel.member(r), keys[r:r + 1]))]
-            error = GibbsNumericalError(str(exc), keys[0][1], g)
-            error.__cause__ = exc
-            return [error]
+            raise GibbsNumericalError(str(exc), keys[0][1], g) from exc
 
         if g >= config.burn_in:
             beta_out[:, g - config.burn_in] = state.beta
@@ -470,25 +457,50 @@ def _run_lockstep(config: GibbsConfig, batch: tuple[_Batch, list[tuple[int, int]
     return [(beta_out[r], None if gamma_out is None else gamma_out[r]) for r in range(len(keys))]
 
 
+# Overflow and NaN are silent: the kernel's checks raise ValueError, those after each sweep GibbsNumericalError.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _run_batch(kernel_type: type[_Batch], prior: PriorSpec, config: GibbsConfig, members: list) -> list:
+    """Build the kernel of members, (dataset, (seed, chain)) pairs, and step them in lockstep.
+
+    Returns, per member, its retained (beta, gamma) draws or the GibbsNumericalError that stopped it. A failed
+    batch is rerun one member at a time, so each failure reads as a lone run's and the others keep their bytes.
+    """
+    kernel = kernel_type([data for data, _ in members], prior)
+    try:
+        return _run_lockstep(config, kernel, [key for _, key in members])
+    except GibbsNumericalError as error:
+        if len(members) == 1:
+            return [error]
+        return [out for member in members for out in _run_batch(kernel_type, prior, config, [member])]
+
+
 def run_chain(data, prior: PriorSpec, config, jobs: int = 1, intercept: bool = False):
     """Run config.n_chains independent Gibbs chains on data and collect their retained draws.
 
     With intercept set, the constant column is prepended to the features
     before the kernel reads the prior. Each chain is a member (dataset,
-    seed, chain index) with its own substream(seed, chain_index); every
-    chain a worker runs steps in one lockstep batch, so the draws are
-    identical however chains are split over workers, and assembly is always
+    seed, chain index) with its own substream(seed, chain_index), stepped
+    in lockstep with the other members of its `map_batches` batch; the draws
+    are identical however members are batched, and assembly is always
     ordered by chain index. The first failed chain raises its
     GibbsNumericalError.
 
     data and config may instead be equal-length lists, one fit per dataset,
     whose datasets share n and p and whose configs share n_draws and
-    burn_in: a study's batch of replications. Every chain of every fit then
-    joins the batch, and the result lists, per fit, its PosteriorDraws or
-    the GibbsNumericalError of its first failed chain.
+    burn_in: a study's batch of replications. Every chain of every fit is a
+    member, and the result lists, per fit, its PosteriorDraws or the
+    GibbsNumericalError of its first failed chain. Unequal lists, or datasets
+    that differ in n or p, raise ValueError; empty lists give [].
     """
     fits = not isinstance(data, Dataset)
     datasets, configs = (list(data), list(config)) if fits else ([data], [config])
+    if len(datasets) != len(configs):
+        raise ValueError(f"got {len(datasets)} datasets but {len(configs)} configs")
+    if not datasets:
+        return []
+    shapes = {d.features.shape for d in datasets}
+    if len(shapes) > 1:
+        raise ValueError(f"the datasets must share n and p, got (n, p) in {sorted(shapes)}")
     if intercept:
         datasets = [Dataset(add_intercept(d.features), d.actions, d.rewards, d.rho) for d in datasets]
     kernel_type = next((k for prior_type, k in _KERNELS if isinstance(prior, prior_type)), None)
@@ -497,12 +509,7 @@ def run_chain(data, prior: PriorSpec, config, jobs: int = 1, intercept: bool = F
     if len({(c.n_draws, c.burn_in) for c in configs}) > 1:
         raise ValueError("the fits of a batch must share n_draws and burn_in")
     members = [(d, (c.seed, chain)) for d, c in zip(datasets, configs) for chain in range(c.n_chains)]
-    groups = np.array_split(np.arange(len(members)), worker_count(jobs, len(members)))
-    # A constant that overflows raises ValueError from the kernel's own check, not a RuntimeWarning.
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        batches = [(kernel_type([members[i][0] for i in group], prior), [members[i][1] for i in group])
-                   for group in groups]
-    chains = iter([out for outs in ordered_map(partial(_run_lockstep, configs[0]), batches, jobs) for out in outs])
+    chains = iter(map_batches(partial(_run_batch, kernel_type, prior, configs[0]), members, jobs))
     results = []
     for c in configs:
         own = [next(chains) for _ in range(c.n_chains)]
@@ -512,8 +519,6 @@ def run_chain(data, prior: PriorSpec, config, jobs: int = 1, intercept: bool = F
             results.append(PosteriorDraws(np.stack(betas), None if gammas[0] is None else np.stack(gammas), intercept))
         else:
             results.append(failed)
-    if fits:
-        return results
-    if isinstance(results[0], GibbsNumericalError):
+    if not fits and isinstance(results[0], GibbsNumericalError):
         raise results[0]
-    return results[0]
+    return results if fits else results[0]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import partial
 
 import numpy as np
 
@@ -17,12 +18,11 @@ from .pseudo_model import (
     add_intercept,
     reward_transform,
 )
-from .rng import ordered_map, substream
+from .rng import map_batches, substream
 
 _BOWL_PRIORS = {"bowl-normal": NormalPrior, "bowl-ep": ExponentialPowerPrior, "bowl-ss": SpikeSlabPrior}
 METHODS = ("owl", *_BOWL_PRIORS)
 RHO = 0.5  # P(A = +1): every scenario assigns treatment by a fair coin
-REP_BATCH = 25  # replications per lockstep batch: 2 batches for 50 replications, 8 for 200
 
 # Each scenario's interaction coefficient c and boundary score s(x1, x2): the reward
 # mean holds c * s * a, and the optimal rule is sign(s), with s = 0 sent to -1.
@@ -161,30 +161,18 @@ class ExperimentResult:
     failures: list[tuple[str, int, str]] = field(default_factory=list)
 
 
-def _one_batch(args) -> tuple[dict[str, list[float]], list[tuple[str, int, str]]]:
-    """Every method's rate on each replication of a batch, and its failures in (rep, method) order."""
-    spec, reps, methods = args
-    train, test_features, truths = [], [], []
-    for rep in reps:
-        x_tr, a_tr, r_tr, _ = generate_scenario_raw(spec, rep, substream(spec.seed, rep, 0), n_obs=spec.n_train)
-        x_te, _, _, truth = generate_scenario_raw(spec, rep, substream(spec.seed, rep, 1), n_obs=spec.n_test)
-        train.append((x_tr, a_tr, r_tr))
-        test_features.append(x_te)
-        truths.append(truth)
-
-    rates: dict[str, list[float]] = {}
-    failures: list[tuple[str, int, str]] = []
+def _one_batch(spec: ScenarioSpec, methods: list[str], reps) -> list[list[float | str]]:
+    """Per replication of a batch, each method's rate, or the message of the error that stopped its fit."""
+    # Per replication, the training (features, actions, raw rewards) and the test (features, truth).
+    train = [generate_scenario_raw(spec, rep, substream(spec.seed, rep, 0), n_obs=spec.n_train)[:3] for rep in reps]
+    test = [generate_scenario_raw(spec, rep, substream(spec.seed, rep, 1), n_obs=spec.n_test)[::3] for rep in reps]
+    outcomes = [[] for _ in reps]
     for method in methods:
         seeds = [_fit_seed(spec.seed, rep, METHODS.index(method)) for rep in reps]  # the method, not its place
-        rates[method] = []
-        for rep, truth, predicted in zip(reps, truths, classify_with_method(method, train, test_features, seeds)):
-            if isinstance(predicted, Exception):
-                rates[method].append(float("nan"))
-                failures.append((method, rep, str(predicted)))
-            else:
-                rates[method].append(misclassification_rate(predicted, truth))
-    failures.sort(key=lambda f: (f[1], methods.index(f[0])))
-    return rates, failures
+        predictions = classify_with_method(method, train, [x for x, _ in test], seeds)
+        for outcome, (_, truth), predicted in zip(outcomes, test, predictions):
+            outcome.append(str(predicted) if isinstance(predicted, Exception) else misclassification_rate(predicted, truth))
+    return outcomes
 
 
 def _fit_seed(seed: int, rep: int, method_index: int) -> int:
@@ -213,18 +201,17 @@ def run_experiment(
     """Replicate the paired train/fit/test cycle and aggregate rates.
 
     Within each replication every method sees the same train and test data;
-    replications use seeds derived from (spec.seed, rep). They run in fixed
-    batches of REP_BATCH, whose membership depends only on the replication
-    index, and each Bayesian method is fitted once per batch, so the result
-    is independent of worker count and scheduling.
+    replications use seeds derived from (spec.seed, rep). Each Bayesian
+    method is fitted once per `map_batches` batch of replications, and a
+    replication's draws do not depend on its batch, so the result is
+    independent of worker count and scheduling.
     """
     methods = check_methods(methods)
-    batches = [(spec, range(start, min(start + REP_BATCH, spec.n_reps)), methods)
-               for start in range(0, spec.n_reps, REP_BATCH)]
-    outcomes = ordered_map(_one_batch, batches, jobs)
-    result = ExperimentResult(failures=[f for _, failures in outcomes for f in failures])
-    for method in methods:
-        rates = np.array([rate for batch_rates, _ in outcomes for rate in batch_rates[method]])
+    outcomes = map_batches(partial(_one_batch, spec, methods), range(spec.n_reps), jobs)
+    result = ExperimentResult(failures=[(method, rep, outcome) for rep, per_method in enumerate(outcomes)
+                                        for method, outcome in zip(methods, per_method) if isinstance(outcome, str)])
+    for i, method in enumerate(methods):
+        rates = np.array([float("nan") if isinstance(o[i], str) else o[i] for o in outcomes])
         ok = rates[~np.isnan(rates)]
         mean = float(ok.mean()) if ok.size else float("nan")
         se = float(ok.std(ddof=1) / math.sqrt(ok.size)) if ok.size > 1 else float("nan")

@@ -12,7 +12,7 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 from scipy.special import ndtr
 
-import bowl.gibbs
+import bowl.rng
 import bowl.simulate
 from bowl import verify
 from bowl.cli import ROW_BLOCK, _parse_draws_csv, main
@@ -21,6 +21,7 @@ from bowl.prediction import recommend
 from bowl.pseudo_model import DataError, read_numeric_csv, reward_transform
 from bowl.simulate import ScenarioSpec, _fit_seed, generate_scenario_raw
 from tests.test_gibbs import fail_lambda_draws
+from tests.test_rng import recording_pool
 from tests.test_simulate import fail_second_owl_fit
 
 
@@ -497,6 +498,16 @@ class TestReproduce:
         table = (tmp_path / "failed" / "tables.csv").read_text().splitlines()
         assert [row.split(",")[-1] for row in table[2:]] == ["3", "2"]  # n_reps_ok: owl, bowl-normal
 
+    def test_two_jobs_hand_two_batches_to_the_pool_and_keep_the_bytes(self, tmp_path, monkeypatch):
+        args = ["reproduce", "--scenario", "1", "--n", "40", "--reps", "3", "--methods", "owl,bowl-normal",
+                "--seed", "6", "--heatmap-n", "40", "--grid-res", "3"]
+        assert main(args + ["--jobs", "1", "--out-dir", str(tmp_path / "one")]) == 0
+        pools = recording_pool(monkeypatch, cpus=2)
+        assert main(args + ["--jobs", "2", "--out-dir", str(tmp_path / "two")]) == 0
+        assert [(workers, len(batches)) for workers, batches in pools] == [(2, 2)]
+        for name in ("tables.csv", "raw_rates.csv"):
+            assert (tmp_path / "one" / name).read_bytes() == (tmp_path / "two" / name).read_bytes(), name
+
     def test_singular_owl_fit_is_a_warning_not_an_input_error(self, tmp_path, monkeypatch, capsys):
         fail_second_owl_fit(monkeypatch)
         out = tmp_path / "rep"
@@ -603,7 +614,7 @@ class TestLockstepFailures:
         runs = []
         for name in ("batched", "sequential"):
             if name == "sequential":
-                monkeypatch.setattr(bowl.gibbs, "worker_count", lambda jobs, n_items: n_items)  # a batch per chain
+                monkeypatch.setattr(bowl.rng, "MAX_BATCH", 1)  # a batch per chain
             rc = main(["fit", "--data", str(csv), "--draws", "40", "--burn-in", "5", "--chains", "3", "--seed", "4",
                        "--jobs", "1", "--out-dir", str(tmp_path / name)])
             runs.append((rc, capsys.readouterr().err))
@@ -615,8 +626,8 @@ class TestLockstepFailures:
         args = ["reproduce", "--scenario", "1", "--n", "50", "--reps", "3", "--methods", "owl,bowl-normal,bowl-ss",
                 "--seed", "5", "--heatmap-n", "60", "--grid-res", "4", "--jobs", "1"]
         runs = []
-        for name, batch in (("batched", bowl.simulate.REP_BATCH), ("one-by-one", 1)):
-            monkeypatch.setattr(bowl.simulate, "REP_BATCH", batch)
+        for name, batch in (("batched", bowl.rng.MAX_BATCH), ("one-by-one", 1)):
+            monkeypatch.setattr(bowl.rng, "MAX_BATCH", batch)  # one-by-one: a batch per replication
             assert main(args + ["--out-dir", str(tmp_path / name)]) == 0
             artifacts = {a: (tmp_path / name / a).read_bytes() for a in ("tables.csv", "raw_rates.csv")}
             runs.append((capsys.readouterr().err.splitlines(), artifacts))

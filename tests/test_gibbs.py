@@ -1003,6 +1003,28 @@ class TestLockstepBatch:
             run_chain([data, data], NormalPrior(), [GibbsConfig(n_draws=200), GibbsConfig(n_draws=300)])
 
 
+    def test_lists_of_unequal_length_raise(self, monkeypatch):
+        monkeypatch.setattr(bowl.gibbs, "_run_batch", lambda *args: pytest.fail("a batch started"))
+        data = random_dataset(98)
+        with pytest.raises(ValueError, match=r"^got 1 datasets but 2 configs$"):
+            run_chain([data], NormalPrior(), [GibbsConfig(), GibbsConfig()])
+
+    @pytest.mark.parametrize("n, p", [(8, 3), (7, 2)], ids=["n", "p"])
+    def test_datasets_must_share_n_and_p(self, monkeypatch, n, p):
+        monkeypatch.setattr(bowl.gibbs, "_run_batch", lambda *args: pytest.fail("a batch started"))
+        datasets = [random_dataset(98), random_dataset(99, n=n, p=p)]
+        with pytest.raises(ValueError, match=rf"^the datasets must share n and p, got \(n, p\) in .*\({n}, {p}\)"):
+            run_chain(datasets, NormalPrior(), [GibbsConfig(), GibbsConfig()])
+
+    def test_empty_lists_give_no_fits(self):
+        assert run_chain([], NormalPrior(), []) == []
+
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_jobs_below_one_raise(self, jobs):
+        data = random_dataset(98)
+        with pytest.raises(ValueError, match=f"^jobs must be at least 1, got {jobs}$"):
+            run_chain(data, NormalPrior(), GibbsConfig(n_draws=5, burn_in=0), jobs=jobs)
+
 class TestConditionalsMatchJoint:
     """Each kernel's conditional, captured where it is sampled, against the augmented joint.
 

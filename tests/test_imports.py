@@ -1,7 +1,8 @@
 """Every name a module under src/bowl/ imports is used in that module,
-only `bowl.rng.ordered_map` starts processes, only `bowl verify` loads
-scipy.stats, scipy.integrate and scipy.linalg, and only
-`bowl.cli._write_artifacts` creates, writes or renames a file.
+only `bowl.rng.map_batches` starts processes, only `bowl.distributions`
+reaches numpy's private names, only `bowl verify` loads scipy.stats,
+scipy.integrate and scipy.linalg, and only `bowl.cli._write_artifacts`
+creates, writes or renames a file.
 
 pyflakes-style, from the syntax tree alone: an imported name counts as used
 when it appears as a Name anywhere in the module (annotations included).
@@ -88,6 +89,37 @@ def test_numpys_lapack_gufuncs_only_in_distributions():
     assert linalg_uses("import numpy as np\nnp.linalg.solve(a, b)\n") == {"solve"}
     assert linalg_uses("from numpy.linalg import cholesky, LinAlgError\n") == {"cholesky", "LinAlgError"}
 
+
+# numpy may move its private names in any release, which would break `import bowl`; these are the ones in use.
+NUMPY_PRIVATE = {"numpy._core.multiarray.count_nonzero", "numpy._core.umath._extobj_contextvar",
+                 "numpy._core.umath._make_extobj", "numpy.linalg._umath_linalg"}
+
+
+def numpy_private_names(source: str) -> set[str]:
+    """Dotted numpy names with a private part that a module imports or reaches as `np._x` (dunders aside)."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").partition(".")[0] == "numpy":
+            found.update(f"{node.module}.{alias.name}" for alias in node.names)
+        elif isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Attribute) and node.attr.startswith("_"):
+            parts, value = [node.attr], node.value
+            while isinstance(value, ast.Attribute):
+                parts.insert(0, value.attr)
+                value = value.value
+            if isinstance(value, ast.Name) and value.id in ("np", "numpy"):
+                found.add(".".join(["numpy", *parts]))
+    return {name for name in found if name.partition(".")[0] == "numpy"
+            and any(part.startswith("_") and not part.endswith("__") for part in name.split("."))}
+
+
+def test_numpys_private_names_only_in_distributions():
+    users = {p.name: found for p in sorted(SRC.glob("*.py")) if (found := numpy_private_names(p.read_text()))}
+    assert users == {"distributions.py": NUMPY_PRIVATE}
+    sample = ("import numpy as np\nimport numpy._core.numeric\nfrom numpy.linalg import norm, _umath_linalg\n"
+              "np.random._pcg64.x\nnp.__version__\nnp.linalg.norm\n")
+    assert numpy_private_names(sample) == {"numpy._core.numeric", "numpy.linalg._umath_linalg", "numpy.random._pcg64"}
 
 def imported_modules(source: str, module_level: bool = False) -> set[str]:
     """Dotted names a module imports, relative imports resolved inside `bowl`.

@@ -192,6 +192,12 @@ class TestRunExperiment:
             run_experiment(spec, ["owl", "bowl-ep", "owl"])
 
 
+    def test_jobs_below_one_raise(self, monkeypatch):
+        monkeypatch.setattr(bowl.simulate, "_one_batch", lambda *args: pytest.fail("a replication ran"))
+        spec = ScenarioSpec(scenario_id=1, n_train=50, n_reps=2, seed=15)
+        with pytest.raises(ValueError, match="^jobs must be at least 1, got 0$"):
+            run_experiment(spec, ["owl"], jobs=0)
+
 @pytest.fixture(params=["owl", "bowl-ep"])
 def classify_with(request, monkeypatch):
     """classify_with_method(method, ..., x) with the method's fit stubbed to return `beta`."""
