@@ -102,14 +102,19 @@ def _parse_draws_csv(path: Path) -> tuple[PosteriorDraws, dict]:
     if header[:2] != ["chain", "draw"] or not beta_cols:
         raise DataError(f"{path}: expected columns chain, draw, then beta_*")
     try:
-        gibbs_config = GibbsConfig(
-            n_draws=int(config["n_draws"]),
-            burn_in=int(config["burn_in"]),
-            n_chains=int(config["n_chains"]),
-            seed=int(config["seed"]),
-        )
+        counts = {name: config[name] for name in ("n_draws", "burn_in", "n_chains", "seed")}
+        for name, value in counts.items():
+            if type(value) is not int:  # JSON's 2.0, "2" and true are not counts
+                raise TypeError(f"{name} must be a JSON integer, got {json.dumps(value)}")
+        gibbs_config = GibbsConfig(**counts)
     except (KeyError, TypeError, ValueError) as exc:
         raise DataError(f"{path}: bad n_draws, burn_in, n_chains or seed in config ({exc})") from None
+    intercept = config.get("intercept", False)
+    if type(intercept) is not bool:
+        raise DataError(f"{path}: intercept in config must be true or false, got {json.dumps(intercept)}")
+    if intercept != (header[beta_cols[0]] == "beta_intercept"):
+        raise DataError(f"{path}: config says intercept is {json.dumps(intercept)}, "
+                        f"but the first beta column is {header[beta_cols[0]]}")
     n_chains, kept = gibbs_config.n_chains, gibbs_config.n_draws - gibbs_config.burn_in
     if body.shape[0] != n_chains * kept:
         raise DataError(f"{path}: {body.shape[0]} draw rows, config says {n_chains} x {kept}")
@@ -119,7 +124,7 @@ def _parse_draws_csv(path: Path) -> tuple[PosteriorDraws, dict]:
         raise DataError(f"{path}: chain and draw columns are not in the order bowl fit writes them")
     draws = PosteriorDraws(
         beta=body[:, beta_cols].reshape(n_chains, kept, len(beta_cols)),
-        intercept=bool(config.get("intercept", False)),
+        intercept=intercept,
     )
     return draws, config
 

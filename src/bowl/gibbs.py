@@ -146,32 +146,26 @@ def draw_lambda(beta: np.ndarray, data: Dataset, rng: np.random.Generator, weigh
     return _gig_half_draw_vec((weights * margins) ** 2, rng)
 
 
-def _canonical_order(x: np.ndarray, a: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Rows in lexicographic (x_1..x_p, a, w) order, stable, and their dense ranks in that order.
+def _canonical_order(x: np.ndarray, a: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows in lexicographic (x_1..x_p, a, w) order, stable, so exact duplicates keep their input order.
 
-    Exact duplicates share a rank; -0.0 equals 0.0, as in np.lexsort. A `Dataset`'s
-    w = r / P(A = a) rises with r at fixed a, so this is its (x, a, r) order.
+    -0.0 equals 0.0, as in np.lexsort. A `Dataset`'s w = r / P(A = a) rises
+    with r at fixed a, so this is its (x, a, r) order.
     """
-    order = np.lexsort((w, a) + tuple(x[:, ::-1].T))
-    rows = np.column_stack((x, a, w))[order]
-    starts_group = np.ones(a.size, dtype=bool)
-    starts_group[1:] = np.any(rows[1:] != rows[:-1], axis=1)
-    return order, np.cumsum(starts_group)
+    return np.lexsort((w, a) + tuple(x[:, ::-1].T))
 
 
 @dataclass(frozen=True)
 class CanonicalRows:
     """The rows of a batch's R datasets (sharing n and p), each gathered once in canonical order (`_canonical_order`).
 
-    Arrays carry a leading member axis. Without exact-duplicate rows a
-    member's order is the same for every `lam`, so a sweep only gathers
-    `lam`. `tied` pairs each member that has duplicates with its canonical
-    ranks in that order; `lam` then breaks their ties, and only that
-    member's `lam` is re-sorted every sweep.
+    Arrays carry a leading member axis. A member's order does not depend
+    on `lam`, so a sweep only gathers `lam`, and sums over these rows are
+    bit-identical under any permutation of a member's rows that keeps the
+    order of its exact duplicates.
     """
 
     order: np.ndarray  # R x n flat indices into an R x n lam: member r's canonical order, plus r n
-    tied: tuple[tuple[int, np.ndarray], ...]
     x: np.ndarray
     xt: np.ndarray  # C-contiguous x.T per member: the Gram product scales it faster than x, with the same bits
     a: np.ndarray
@@ -187,23 +181,21 @@ class CanonicalRows:
     @classmethod
     def from_arrays(cls, x, a, w) -> CanonicalRows:
         """The rows of R members' features x, labels a in {-1, +1} and positive weights w, listed per member."""
-        ordered = [_canonical_order(*member) for member in zip(x, a, w)]
-        order = np.array([o for o, _ in ordered], dtype=np.intp).reshape(len(ordered), -1)
-        tied = tuple((r, rank) for r, (_, rank) in enumerate(ordered) if rank.size and rank[-1] < rank.size)
+        order = np.array([_canonical_order(*member) for member in zip(x, a, w)], dtype=np.intp)
         x, a, w = (np.stack([v[o] for v, o in zip(values, order)]) for values in (x, a, w))
         w_sq = w**2  # positive rewards and rho in (0, 1) make every weight positive, so this checks both
         _check_constant(w_sq, "an OWL weight r/rho or r/(1 - rho), or its square,", "rho and the rewards")
-        order += np.arange(len(ordered))[:, None] * order.shape[1]
-        return cls(order, tied, x, np.ascontiguousarray(x.mT), a, w, w_sq, w * a)
+        order += np.arange(len(order))[:, None] * order.shape[1]
+        return cls(order, x, np.ascontiguousarray(x.mT), a, w, w_sq, w * a)
 
 
 def build_suffstats(lam: np.ndarray, rows: CanonicalRows) -> SuffStats:
     """Accumulate each member's canonical sufficient statistics for the beta draw, lam being R x n.
 
-    Observations are summed in a canonical order, so the sums are
-    bit-identical under any permutation of a member's rows: rows gathered
-    once per batch (`CanonicalRows`), `lam` breaks exact-duplicate ties.
-    One `np.matmul` forms all R Gram products and one stacked gemv all R
+    Observations are summed in a canonical order gathered once per batch
+    (`CanonicalRows`), so the sums are bit-identical under any permutation
+    of a member's rows that keeps the order of its exact duplicates. One
+    `np.matmul` forms all R Gram products and one stacked gemv all R
     linear terms, each with the bits of its own 2-D product. With no rows
     the sums are zero.
     """
@@ -214,9 +206,6 @@ def build_suffstats(lam: np.ndarray, rows: CanonicalRows) -> SuffStats:
         raise ValueError("lam must be strictly positive")
 
     lam_o = lam.take(rows.order)
-    for r, rank in rows.tied:  # a tie group shares x, a and w, so only lam is re-sorted
-        lam_o[r] = lam_o[r, np.lexsort((lam_o[r], rank))]
-
     precision = rows.x.mT @ (rows.xt * (rows.w_sq / lam_o)[:, None]).mT
     precision = 0.5 * (precision + precision.mT)
     linear = (rows.x.mT @ (rows.wa * (1.0 + rows.w / lam_o))[:, :, None])[:, :, 0]  # w (1 + w/lam) a, bit for bit
@@ -346,10 +335,11 @@ class _Batch:
     up on every call; the kernel itself never changes.
     """
 
-    def __init__(self, datasets: list[Dataset], prior: PriorSpec):
+    def __init__(self, datasets: list[Dataset]):
         self.data = list(datasets)
-        self.rows = CanonicalRows.of(self.data)
-        self.lambda_args = [(d, owl_weights(d)) for d in self.data]
+        weights = [owl_weights(d) for d in self.data]
+        self.rows = CanonicalRows.from_arrays([d.features for d in self.data], [d.actions for d in self.data], weights)
+        self.lambda_args = list(zip(self.data, weights))
         self.p = self.data[0].p
 
     def draw_lambdas(self, state: ChainState, rngs) -> None:
@@ -365,7 +355,7 @@ class NormalKernel(_Batch):
     """The Gibbs sweep under the normal prior."""
 
     def __init__(self, datasets: list[Dataset], prior: NormalPrior):
-        super().__init__(datasets, prior)
+        super().__init__(datasets)
         members = len(self.data)  # one row per member: adding same-shape arrays skips numpy's broadcasting
         self.prior_precision = np.tile(np.eye(self.p) / prior.sigma0_sq, (members, 1, 1))
         self.prior_linear = np.tile(prior.mu0_vector(self.p) / prior.sigma0_sq, (members, 1))
@@ -383,7 +373,7 @@ class ExponentialPowerKernel(_Batch):
     """The Gibbs sweep under the exponential-power prior."""
 
     def __init__(self, datasets: list[Dataset], prior: ExponentialPowerPrior):
-        super().__init__(datasets, prior)
+        super().__init__(datasets)
         sigma = np.array([prior_scales(prior, d.features) for d in self.data])
         self.slab_variance = np.float64(prior.nu) ** 2 * sigma**2  # Python's nu**2 bits, inf past the range
         self.nu_sigma = prior.nu * sigma
@@ -402,7 +392,7 @@ class SpikeSlabKernel(_Batch):
     """The Gibbs sweep under the spike-and-slab prior."""
 
     def __init__(self, datasets: list[Dataset], prior: SpikeSlabPrior):
-        super().__init__(datasets, prior)
+        super().__init__(datasets)
         scales = np.array([prior_scales(prior, d.features) for d in self.data])
         prior_prec = 1.0 / (np.float64(prior.nu) ** 2 * scales**2)
         self.prior_prec = prior_prec.tolist()  # Python floats for the coordinate loop

@@ -238,6 +238,7 @@ def uncertainty_study(
 
     spec = ScenarioSpec(scenario_id=scenario_id, n_train=n_train, seed=seed, signal_scale=signal_scale)
     features, actions, raw_rewards, _ = generate_scenario_raw(spec, 0, substream(seed, 0, 0))
+    # 1 is bowl-normal's place in METHODS, not bowl-ep's (2); moving it changes heatmap.csv and criteria 6-7's fits.
     (draws,) = fit_bowl([(features, actions, raw_rewards)], "bowl-ep", [_fit_seed(seed, 0, 1)])
     if isinstance(draws, GibbsNumericalError):
         raise draws

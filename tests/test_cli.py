@@ -419,10 +419,23 @@ class TestPredict:
         ({"n_draws": 2, "burn_in": 1, "n_chains": 1}, "chain,draw,beta_x1",
          r"bad n_draws, burn_in, n_chains or seed in config \('seed'\)"),
         ({"n_draws": "two", "burn_in": 1, "n_chains": 1, "seed": 0}, "chain,draw,beta_x1",
-         r"bad n_draws, burn_in, n_chains or seed in config \(invalid literal"),
+         r"bad n_draws, burn_in, n_chains or seed in config \(n_draws must be a JSON integer, got \"two\"\)$"),
         ({"n_draws": 2, "burn_in": 2, "n_chains": 1, "seed": 0}, "chain,draw,beta_x1",
          r"bad n_draws, burn_in, n_chains or seed in config \(burn_in must satisfy"),
-    ], ids=["no-config", "not-draw", "no-beta", "no-seed", "bad-n-draws", "burn-in-too-large"])
+        ({"n_draws": 20.9, "burn_in": 5.2, "n_chains": 1, "seed": 0}, "chain,draw,beta_x1",
+         r"bad n_draws, burn_in, n_chains or seed in config \(n_draws must be a JSON integer, got 20.9\)$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0.0}, "chain,draw,beta_x1",
+         r"\(seed must be a JSON integer, got 0.0\)$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": True, "seed": 0}, "chain,draw,beta_x1",
+         r"\(n_chains must be a JSON integer, got true\)$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0, "intercept": "false"}, "chain,draw,beta_x1",
+         r"intercept in config must be true or false, got \"false\"$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0, "intercept": True}, "chain,draw,beta_x1",
+         r"config says intercept is true, but the first beta column is beta_x1$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0}, "chain,draw,beta_intercept",
+         r"config says intercept is false, but the first beta column is beta_intercept$"),
+    ], ids=["no-config", "not-draw", "no-beta", "no-seed", "bad-n-draws", "burn-in-too-large", "fractional-counts",
+            "float-seed", "bool-chains", "intercept-string", "intercept-without-column", "column-without-intercept"])
     def test_draws_file_checks(self, tmp_path, config, header, message):
         path = tmp_path / "draws.csv"
         lines = [] if config is None else ["# config=" + json.dumps(config)]

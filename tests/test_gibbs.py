@@ -146,9 +146,9 @@ def one_state(beta, lam, gamma):
 
 
 def lexsort_suffstats(lam, data):
-    """Reference build_suffstats: the 13-key lexsort (lam, r, a, x_p..x_1) on every call."""
+    """Reference build_suffstats: the stable lexsort (r, a, x_p..x_1) on every call, so ties keep their row order."""
     lam = np.asarray(lam, dtype=float).ravel()
-    keys = (lam, data.rewards, data.actions) + tuple(
+    keys = (data.rewards, data.actions) + tuple(
         data.features[:, j] for j in range(data.p - 1, -1, -1)
     )
     order = np.lexsort(keys)
@@ -160,6 +160,21 @@ def lexsort_suffstats(lam, data):
     precision = 0.5 * (precision + precision.T)
     linear = x.T @ (w * (1.0 + w / lam_o) * a)
     return SuffStats(precision, linear)
+
+
+def tie_groups(data):
+    """Each row's group of exact duplicates in (x, a, w), -0.0 equal to 0.0, as labels 0, 1, ..."""
+    rows = np.column_stack((data.features + 0.0, data.actions, owl_weights(data)))  # + 0.0 turns -0.0 into 0.0
+    return np.unique(rows, axis=0, return_inverse=True)[1].ravel()
+
+
+def keep_tie_order(perm, data):
+    """perm, with each group of exact-duplicate rows put back in its row order on the slots it takes."""
+    perm, groups = perm.copy(), tie_groups(data)
+    for group in np.unique(groups):
+        slots = np.flatnonzero(groups[perm] == group)
+        perm[slots] = np.sort(perm[slots])
+    return perm
 
 
 def cholesky_ss_reference(state, data, prior, rng):
@@ -304,7 +319,7 @@ class TestBuildSuffstats:
         for data in (random_dataset(36, n=12), duplicated_dataset(36)):
             lam = substream(37).uniform(0.5, 2.0, size=data.n)
             suff = suff_of(lam, data)
-            perm = substream(38).permutation(data.n)
+            perm = keep_tie_order(substream(38).permutation(data.n), data)  # tie-free rows: fully permuted
             shuffled = Dataset(data.features[perm], data.actions[perm], data.rewards[perm], data.rho)
             suff_p = suff_of(lam[perm], shuffled)
             np.testing.assert_array_equal(suff.precision_data, suff_p.precision_data)
@@ -312,14 +327,12 @@ class TestBuildSuffstats:
 
     @pytest.mark.parametrize("lam_kind", ["distinct", "tied", "all_equal"])
     def test_matches_lexsort_reference_bit_exact(self, lam_kind):
-        # Duplicated rows and +-0.0 entries form the tie groups that lam breaks, so they
-        # take the per-call sort; tie-free rows take the order gathered once.
+        # Duplicated rows and +-0.0 entries form tie groups, which keep their row order.
         for make_data, seed in itertools.product(
             (duplicated_dataset, random_dataset, correlated_dataset), range(5)
         ):
             data = make_data(100 + seed, n=36)
             rows = CanonicalRows.of([data])
-            assert bool(rows.tied) == (make_data is duplicated_dataset)
             rng = substream(110, seed)
             lam = {
                 "distinct": rng.uniform(0.5, 2.0, size=data.n),
@@ -331,16 +344,15 @@ class TestBuildSuffstats:
             np.testing.assert_array_equal(suff.precision_data[0], ref.precision_data)
             np.testing.assert_array_equal(suff.linear_data[0], ref.linear_data)
 
-    def test_canonical_rank_ties_exact_duplicates_only(self):
+    def test_canonical_order_keeps_exact_duplicates_in_row_order(self):
         data = Dataset(
             np.array([[0.0, 1.0], [-0.0, 1.0], [0.0, 1.0], [0.0, 2.0], [-1.0, 5.0]]),
             np.array([1.0, 1.0, -1.0, 1.0, 1.0]),
             np.array([1.0, 1.0, 1.0, 1.0, 1.0]),
             0.5,
         )
-        order, rank = _canonical_order(data.features, data.actions, owl_weights(data))
+        order = _canonical_order(data.features, data.actions, owl_weights(data))
         np.testing.assert_array_equal(order, [4, 2, 0, 1, 3])
-        np.testing.assert_array_equal(rank, [1, 2, 3, 3, 4])
 
     def test_rejects_nonpositive_lambda(self):
         data = random_dataset(39)
@@ -779,7 +791,7 @@ class TestRunChain:
         "prior", [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior()], ids=["normal", "ep", "ss"]
     )
     def test_draws_match_lexsort_reference(self, monkeypatch, prior):
-        # The tie fallback (duplicated rows) and the order gathered once (the other two).
+        # Rows with exact duplicates, which keep their row order, and tie-free rows.
         config = GibbsConfig(n_draws=40, burn_in=10, n_chains=2, seed=6)
         for make_data in (duplicated_dataset, random_dataset, correlated_dataset):
             data = make_data(69, n=36)
@@ -831,6 +843,28 @@ class TestRunChain:
         assert 0 < real.gamma.mean() < 1  # the sweeps both add and drop coordinates
         np.testing.assert_array_equal(real.beta, ref.beta)
         np.testing.assert_array_equal(real.gamma, ref.gamma)
+
+    @pytest.mark.parametrize(
+        "prior", [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior()], ids=["normal", "ep", "ss"]
+    )
+    def test_swapping_exact_duplicates_keeps_the_draws(self, prior):
+        # Two rows that tie in (x, a, w), some of them differing only in the sign of a zero,
+        # swap places: every byte of the draws stays.
+        data = duplicated_dataset(87, n=36)
+        groups = tie_groups(data)
+        swap = np.arange(data.n)
+        for group in np.unique(groups):
+            pair = np.flatnonzero(groups == group)[:2]
+            swap[pair] = pair[::-1]
+        zero_sign = np.signbit(data.features[:, 1])
+        assert np.any(zero_sign[swap] != zero_sign)
+        swapped = Dataset(data.features[swap], data.actions[swap], data.rewards[swap], data.rho)
+        config = GibbsConfig(n_draws=40, burn_in=10, n_chains=2, seed=9)
+        real, other = run_chain(data, prior, config), run_chain(swapped, prior, config)
+        np.testing.assert_array_equal(real.beta, other.beta)
+        assert (real.gamma is None) == (other.gamma is None) == (not isinstance(prior, SpikeSlabPrior))
+        if real.gamma is not None:
+            np.testing.assert_array_equal(real.gamma, other.gamma)
 
     def test_non_pd_active_block_raises_with_location(self, monkeypatch):
         # Iteration 0 starts from the full active set, whose block fails the Cholesky
@@ -953,7 +987,7 @@ class TestLockstepBatch:
         "prior", [NormalPrior(), ExponentialPowerPrior(), SpikeSlabPrior()], ids=["normal", "ep", "ss"]
     )
     def test_batch_equals_single_member_runs(self, monkeypatch, prior):
-        # Member 0 has exact-duplicate rows (the per-sweep tie re-sort); member 1 takes the
+        # Member 0 has exact-duplicate rows, which keep their row order; member 1 takes the
         # degenerate lambda branch every sweep and, under ep, the degenerate omega branch.
         datasets = [duplicated_dataset(91, n=36), degenerate_dataset(92), correlated_dataset(93, n=36)]
         configs = [GibbsConfig(n_draws=40, burn_in=10, seed=seed) for seed in (11, 12, 13)]
@@ -974,7 +1008,7 @@ class TestLockstepBatch:
         assert degenerate["chi"][1::3] == [True] * 40 and not any(degenerate["chi"][0::3] + degenerate["chi"][2::3])
         if isinstance(prior, ExponentialPowerPrior):
             assert degenerate["beta"] == [[False, True, False]] * 40
-        assert len(batch) == 3 and bool(CanonicalRows.of(datasets[:1]).tied)
+        assert len(batch) == 3
         for data, config, got in zip(datasets, configs, batch):
             alone = run_chain(data, prior, config)
             np.testing.assert_array_equal(got.beta, alone.beta)
