@@ -256,40 +256,43 @@ def draw_omega(beta: np.ndarray, nu_sigma: np.ndarray, rngs) -> np.ndarray:
     return out
 
 
-def _active_inverse(a_mat: np.ndarray, active: np.ndarray) -> np.ndarray:
-    """A_SS^{-1} embedded in a p x p array of zeros.
+def _stretch_log_bfs(augmented, active, start: int, log_prior_prec):
+    """Yield (j, gamma_j, log Bayes factor of gamma_j = 1 over 0) for j = start..p-1, all under the active set as it is.
 
-    A Cholesky factorization of A_SS checks that it is positive definite
-    (else LinAlgError); the inverse itself is numpy's LU `inv`. Its last bits
-    differ from an inverse through the factor, but it only feeds the
-    inclusion odds, which are compared with uniforms.
+    augmented is [A | b], A = precision_data + diag(prior_prec) (exactly
+    symmetric) and b = linear_data. One Cholesky factorization checks that
+    the active block A_SS is positive definite (else LinAlgError), and one
+    LU inverse M = A_SS^{-1} gives every coordinate's Schur complement s and
+    t. With R = S - {j}, s = A_jj - A_jR A_RR^{-1} A_Rj and
+    t = b_j - A_jR A_RR^{-1} b_R: that is s = 1/M_jj and t = (M b_S)_j s for
+    active j, and s = A_jj - a'M a and t = b_j - a'M b_S with a = A_Sj for
+    inactive j. The log Bayes factor is (1/2)(log prior_prec_j - log s + t^2 / s).
+    Its last bits differ from a factorization per coordinate, but it only
+    meets uniforms. A coordinate whose s is not finite and positive, or
+    whose t is not finite, raises ValueError when it is reached.
     """
-    m_inv = np.zeros(a_mat.shape)
     idx = active.nonzero()[0]
-    if idx.size > 0:
-        rows = idx[:, None]
-        block = a_mat[rows, idx]
-        cholesky(block)
-        m_inv[rows, idx] = inv(block)
-    return m_inv
-
-
-def _inclusion_log_bf(a_mat, b_vec, m_inv, is_active: bool, prior_prec_j: float, j: int) -> float:
-    """Log Bayes factor of gamma_j = 1 over 0, read off m_inv = A_SS^{-1} (`_active_inverse`).
-
-    With R = S - {j}: s = A_jj - A_jR A_RR^{-1} A_Rj and t = b_j - A_jR A_RR^{-1} b_R,
-    and the log Bayes factor is (1/2)(log prior_prec_j - log s + t^2 / s).
-    """
-    if is_active:
-        s = float(1.0 / m_inv[j, j])
-        t = float(m_inv[j].dot(b_vec)) * s
-    else:
-        v = m_inv.dot(a_mat[j])  # A is exactly symmetric, so row j is column j
-        s = float(a_mat[j, j]) - float(a_mat[j].dot(v))
-        t = float(b_vec[j]) - float(v.dot(b_vec))
-    if not (0.0 < s < math.inf and math.isfinite(t)):
-        raise ValueError(f"non-positive or non-finite Schur complement {s!r} at coordinate {j}")
-    return 0.5 * (math.log(prior_prec_j) - math.log(s) + t * t / s)
+    rows = augmented.take(idx, 0)
+    block = rows.take(idx, 1)
+    cholesky(block)
+    m_inv = inv(block)
+    cols = rows[:, start:]  # A_Sj of each coordinate j ahead, then b_S
+    m_cols = m_inv @ cols
+    mb = m_cols[:, -1]
+    quad, cross = np.vecdot(cols, m_cols, axis=0).tolist(), (mb @ cols).tolist()
+    recip, mb = (1.0 / m_inv.diagonal()).tolist(), mb.tolist()
+    a_diag, b_vec = augmented.diagonal().tolist(), augmented[:, -1].tolist()
+    k = idx.size - count_nonzero(active[start:])  # the row of M of the next active coordinate
+    for j, is_active, quad_j, cross_j in zip(range(start, active.size), active[start:].tolist(), quad, cross):
+        if is_active:
+            s = recip[k]
+            t = mb[k] * s
+            k += 1
+        else:
+            s, t = a_diag[j] - quad_j, b_vec[j] - cross_j
+        if not (0.0 < s < math.inf and math.isfinite(t)):
+            raise ValueError(f"non-positive or non-finite Schur complement {s!r} at coordinate {j}")
+        yield j, is_active, 0.5 * (log_prior_prec[j] - math.log(s) + t * t / s)
 
 
 def draw_gamma_and_beta_ss(state: ChainState, kernel: SpikeSlabKernel, rngs) -> tuple[np.ndarray, np.ndarray]:
@@ -297,31 +300,37 @@ def draw_gamma_and_beta_ss(state: ChainState, kernel: SpikeSlabKernel, rngs) -> 
 
     For each coordinate j, the Bernoulli odds compare the beta-integrated
     log marginals of the augmented model under gamma_j = 0 vs 1 holding the
-    rest fixed. The active block of A = precision_data + diag(prior_prec) is
-    factored once per sweep and again after each accepted flip (fewer than
-    one flip per sweep in practice). After the sweep, beta on the active set
-    is drawn from its conditional Gaussian and the inactive coordinates are
-    exactly zero. The sums are formed for the whole batch; the coordinate
-    loop and the slab draw run one member at a time, each from its own rng.
+    rest fixed. The sweep runs in stretches (`_stretch_log_bfs`): each
+    factors and inverts the active block of A = precision_data +
+    diag(prior_prec) once, reads the odds of every coordinate still ahead
+    off that inverse, and ends at the first accepted flip, where the next
+    begins. So a member-sweep factors its block 1 + (its flips) times. After
+    the sweep, beta on the active set is drawn from its conditional
+    Gaussian and the inactive coordinates are exactly zero. The sums are
+    formed for the whole batch; the coordinate loop and the slab draw run
+    one member at a time, each from its own rng.
     """
     suff = build_suffstats(state.lam, kernel.rows)
     a_mats = suff.precision_data + kernel.prior_precision
+    augmented = np.concatenate((a_mats, suff.linear_data[:, :, None]), axis=2)
+    odds_out = kernel.log_prior_odds_out
     gamma = np.array(state.gamma, dtype=bool)
     beta = np.zeros(gamma.shape)
-    for r, (prior_prec, rng) in enumerate(zip(kernel.prior_prec, rngs)):
-        a_mat, b_vec, active = a_mats[r], suff.linear_data[r], gamma[r]
-        m_inv = _active_inverse(a_mat, active)
+    for r, (log_prior_prec, rng) in enumerate(zip(kernel.log_prior_prec, rngs)):
+        active = gamma[r]
         uniforms = rng.random(active.size).tolist()  # the same stream as one scalar draw per coordinate
-        for j in range(active.size):
-            log_bf = _inclusion_log_bf(a_mat, b_vec, m_inv, active[j], prior_prec[j], j)
-            prob_include = 1.0 / (1.0 + math.exp(min(kernel.log_prior_odds_out - log_bf, 700.0)))
-            include = uniforms[j] < prob_include
-            if include != active[j]:
-                active[j] = include
-                m_inv = _active_inverse(a_mat, active)
+        start = 0
+        while True:
+            for j, is_active, log_bf in _stretch_log_bfs(augmented[r], active, start, log_prior_prec):
+                if (uniforms[j] < 1.0 / (1.0 + math.exp(min(odds_out - log_bf, 700.0)))) != is_active:
+                    active[j], start = not is_active, j + 1
+                    break
+            else:
+                break
 
         idx = active.nonzero()[0]
         if idx.size > 0:
+            a_mat, b_vec = a_mats[r], suff.linear_data[r]
             beta[r, idx] = sample_mvn(MvnParams(a_mat[idx[:, None], idx][None], b_vec[idx][None]), (rng,))[0]
     return gamma.astype(np.int8), beta
 
@@ -395,12 +404,12 @@ class SpikeSlabKernel(_Batch):
         super().__init__(datasets)
         scales = np.array([prior_scales(prior, d.features) for d in self.data])
         prior_prec = 1.0 / (np.float64(prior.nu) ** 2 * scales**2)
-        self.prior_prec = prior_prec.tolist()  # Python floats for the coordinate loop
         self.prior_precision = np.zeros(prior_prec.shape + (self.p,))
         self.prior_precision.reshape(-1, self.p * self.p)[:, :: self.p + 1] = prior_prec
         self.log_prior_odds_out = math.log1p(-prior.pi_incl) - math.log(prior.pi_incl)
         _check_constant(prior_prec, "the slab precision 1/(nu^2 sigma_j^2)", "nu and sigma_j")
         _check_constant(self.log_prior_odds_out, "the log prior odds", "pi_incl", positive=False)
+        self.log_prior_prec = [[math.log(v) for v in row] for row in prior_prec.tolist()]  # floats for the sweep
         self.start = self.start_state(gamma=np.ones(prior_prec.shape, dtype=np.int8))
 
     def sweep(self, state: ChainState, rngs) -> None:

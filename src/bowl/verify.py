@@ -4,9 +4,10 @@ Each check compares a sampler or density against an independent route:
 adaptive quadrature for the scale-mixture identity, closed-form moments
 for the latent-scale draws, direct linear solves for the Gaussian
 conditionals, a fresh factorization per subset for the spike-and-slab
-inclusion odds, and the closed-form CDF of a one-feature pseudo-posterior
-for the full Gibbs kernel. The test suite reuses these for the acceptance
-gate.
+inclusion odds (read from the sweep's own stretch pass,
+`_stretch_log_bfs`, one call per active set), and the closed-form CDF
+of a one-feature pseudo-posterior for the full Gibbs kernel. The test
+suite reuses these for the acceptance gate.
 """
 
 from __future__ import annotations
@@ -26,8 +27,7 @@ from .gibbs import (
     CanonicalRows,
     GibbsConfig,
     SuffStats,
-    _active_inverse,
-    _inclusion_log_bf,
+    _stretch_log_bfs,
     build_suffstats,
     draw_beta_ep,
     draw_beta_normal,
@@ -172,19 +172,18 @@ def subset_log_marginal(
 
 
 def check_ss_log_odds(tol: float = 1e-6, seed: int = 0) -> CheckResult:
-    """The sweep's Schur-complement log odds (`_inclusion_log_bf`) against
+    """The sweep's Schur-complement log odds, one stretch (`_stretch_log_bfs`) per active set S, against
     subset_log_marginal(S + {j}) - subset_log_marginal(S - {j}), over every (S, j) at p=5."""
     p = 5
     data, lam = _moment_instance(seed, n=12, p=p)
     suff = build_suffstats(lam[None], CanonicalRows.of([data]))
     precision, linear = suff.precision_data[0], suff.linear_data[0]
     prior_prec = 1.0 / (0.8 * np.linspace(0.5, 1.5, p)) ** 2
-    a_mat = precision + np.diag(prior_prec)
+    augmented = np.concatenate((precision + np.diag(prior_prec), linear[:, None]), axis=1)
+    log_prior_prec = [math.log(v) for v in prior_prec.tolist()]
     gap = 0.0
     for active in map(np.array, itertools.product((False, True), repeat=p)):
-        m_inv = _active_inverse(a_mat, active)
-        for j in range(p):
-            log_bf = _inclusion_log_bf(a_mat, linear, m_inv, active[j], prior_prec[j], j)
+        for j, _, log_bf in _stretch_log_bfs(augmented, active, 0, log_prior_prec):
             with_j, without_j = active.copy(), active.copy()
             with_j[j], without_j[j] = True, False
             direct = subset_log_marginal(precision, linear, prior_prec, with_j)

@@ -4,6 +4,7 @@ import os
 import subprocess
 import sys
 import textwrap
+import warnings
 from dataclasses import replace
 from types import SimpleNamespace
 
@@ -206,6 +207,59 @@ def cholesky_ss_reference(state, data, prior, rng):
         b_inv = suff.precision_data[np.ix_(idx, idx)] + np.diag(prior_prec[idx])
         beta[idx] = sample_mvn(MvnParams(b_inv[None], suff.linear_data[idx][None]), (rng,))[0]
     return active.astype(np.int8), beta
+
+
+def active_inverse(a_mat, active):
+    """A_SS^{-1} embedded in a p x p array of zeros, after a Cholesky factorization checks A_SS."""
+    m_inv = np.zeros(a_mat.shape)
+    idx = active.nonzero()[0]
+    if idx.size > 0:
+        rows = idx[:, None]
+        block = a_mat[rows, idx]
+        np.linalg.cholesky(block)
+        m_inv[rows, idx] = np.linalg.inv(block)
+    return m_inv
+
+
+def inclusion_log_bf(a_mat, b_vec, m_inv, is_active, prior_prec_j, j):
+    """Log Bayes factor of gamma_j = 1 over 0, read off m_inv = A_SS^{-1} with a few dot products."""
+    if is_active:
+        s = float(1.0 / m_inv[j, j])
+        t = float(m_inv[j].dot(b_vec)) * s
+    else:
+        v = m_inv.dot(a_mat[j])
+        s = float(a_mat[j, j]) - float(a_mat[j].dot(v))
+        t = float(b_vec[j]) - float(v.dot(b_vec))
+    if not (0.0 < s < math.inf and math.isfinite(t)):
+        raise ValueError(f"non-positive or non-finite Schur complement {s!r} at coordinate {j}")
+    return 0.5 * (math.log(prior_prec_j) - math.log(s) + t * t / s)
+
+
+def scalar_ss_reference(state, kernel, rngs):
+    """Reference draw_gamma_and_beta_ss: a fresh `active_inverse` per flip and `inclusion_log_bf` per coordinate.
+
+    The sweep as it was before it ran in stretches, taking a kernel as the real one does.
+    """
+    suff = build_suffstats(state.lam, kernel.rows)
+    a_mats = suff.precision_data + kernel.prior_precision
+    gamma = np.array(state.gamma, dtype=bool)
+    beta = np.zeros(gamma.shape)
+    for r, rng in enumerate(rngs):
+        a_mat, b_vec, active = a_mats[r], suff.linear_data[r], gamma[r]
+        prior_prec = kernel.prior_precision[r].diagonal().tolist()
+        m_inv = active_inverse(a_mat, active)
+        uniforms = rng.random(active.size).tolist()
+        for j in range(active.size):
+            log_bf = inclusion_log_bf(a_mat, b_vec, m_inv, active[j], prior_prec[j], j)
+            prob_include = 1.0 / (1.0 + math.exp(min(kernel.log_prior_odds_out - log_bf, 700.0)))
+            include = uniforms[j] < prob_include
+            if include != active[j]:
+                active[j] = include
+                m_inv = active_inverse(a_mat, active)
+        idx = active.nonzero()[0]
+        if idx.size > 0:
+            beta[r, idx] = sample_mvn(MvnParams(a_mat[idx[:, None], idx][None], b_vec[idx][None]), (rng,))[0]
+    return gamma.astype(np.int8), beta
 
 
 def reference_reciprocal_ig(mu, rng):
@@ -591,6 +645,105 @@ class TestDrawGammaAndBetaSs:
         with pytest.raises(ValueError, match=r"Schur complement -8\.0 at coordinate 1$") as exc:
             draw_gamma_and_beta_ss(state, ss_kernel(data, prior), (substream(83),))
         assert "np.float64" not in str(exc.value)
+
+    def test_stretches_match_the_scalar_sweep_bit_for_bit(self):
+        # Random batches of one or two members, p = 1..8, lam, starting gamma and pi_incl: the same gamma and
+        # beta bytes as one inverse per flip and a few dot products per coordinate, with several flips per
+        # sweep among the examples, and starts from the empty and the full active set.
+        seen = []
+
+        @settings(max_examples=120, deadline=None, database=None)
+        @given(p=st.integers(1, 8), members=st.integers(1, 2), seed=st.integers(0, 2**20),
+               pi_incl=st.floats(0.05, 0.95, exclude_min=True, exclude_max=True),
+               start=st.sampled_from(["random", "empty", "full"]))
+        @example(p=8, members=1, seed=0, pi_incl=0.5, start="empty")
+        @example(p=8, members=1, seed=0, pi_incl=0.5, start="full")
+        def check(p, members, seed, pi_incl, start):
+            rng = substream(88, seed)
+            data = [correlated_dataset(seed + r, n=3 * p + 2, p=p) for r in range(members)]
+            kernel = SpikeSlabKernel(data, SpikeSlabPrior(nu=float(rng.uniform(0.3, 3.0)), pi_incl=pi_incl))
+            gamma = {"random": rng.integers(0, 2, size=(members, p)), "empty": np.zeros((members, p)),
+                     "full": np.ones((members, p))}[start].astype(np.int8)
+            state = ChainState(np.zeros((members, p)), rng.uniform(0.05, 5.0, size=(members, 3 * p + 2)), gamma=gamma)
+            real = draw_gamma_and_beta_ss(state, kernel, [substream(89, seed, r) for r in range(members)])
+            ref = scalar_ss_reference(state, kernel, [substream(89, seed, r) for r in range(members)])
+            for got, want in zip(real, ref):
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            seen.append((start, int((real[0] != gamma).sum(axis=1).max())))
+
+        check()
+        assert {"empty", "full"} <= {start for start, _ in seen}
+        assert max(flips for _, flips in seen) >= 2
+
+    def test_schur_complement_reached_after_a_flip_is_read_under_the_new_set(self, monkeypatch):
+        # A = [[1, 3], [3, 1]]: coordinate 1's Schur complement is 1 under the empty set and -8 once
+        # coordinate 0 flips in (pi near 1), which this sweep reaches only after that flip.
+        data = random_dataset(82, n=5, p=2)
+        prior = SpikeSlabPrior(nu=1.0, pi_incl=1.0 - 1e-12, sigma_j=np.ones(2))
+        indefinite = SuffStats(np.array([[[0.0, 3.0], [3.0, 0.0]]]), np.ones((1, 2)))
+        monkeypatch.setattr("bowl.gibbs.build_suffstats", lambda *args: indefinite)
+        state = one_state(np.zeros(2), np.ones(data.n), np.zeros(2, dtype=np.int8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"Schur complement -8\.0 at coordinate 1$"):
+                draw_gamma_and_beta_ss(state, ss_kernel(data, prior), (substream(83),))
+
+    def test_schur_complement_bad_only_before_a_flip_does_not_raise(self, monkeypatch):
+        # The same A from gamma = (1, 0) with pi near 0: coordinate 1's Schur complement is -8 under {0},
+        # but coordinate 0 flips out first, and under the empty set it is 1.
+        data = random_dataset(82, n=5, p=2)
+        prior = SpikeSlabPrior(nu=1.0, pi_incl=1e-12, sigma_j=np.ones(2))
+        indefinite = SuffStats(np.array([[[0.0, 3.0], [3.0, 0.0]]]), np.ones((1, 2)))
+        monkeypatch.setattr("bowl.gibbs.build_suffstats", lambda *args: indefinite)
+        state = one_state(np.zeros(2), np.ones(data.n), np.array([1, 0], dtype=np.int8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            gamma, beta = draw_gamma_and_beta_ss(state, ss_kernel(data, prior), (substream(83),))
+        np.testing.assert_array_equal(gamma, np.zeros((1, 2), dtype=np.int8))
+        np.testing.assert_array_equal(beta, np.zeros((1, 2)))
+
+    def test_flipped_in_block_that_is_not_pd_raises_linalg_error(self, monkeypatch):
+        # A = [[3, 0.6], [0.6, 0.12]] is singular, but coordinate 1's Schur complement under {0} rounds to
+        # a tiny positive value, so it flips in (pi near 1) and the next stretch's factorization fails.
+        data = random_dataset(82, n=5, p=2)
+        prior = SpikeSlabPrior(nu=1.0, pi_incl=1.0 - 1e-12, sigma_j=np.ones(2))
+        singular = SuffStats(np.array([[[2.0, 0.6], [0.6, -0.88]]]), np.ones((1, 2)))
+        monkeypatch.setattr("bowl.gibbs.build_suffstats", lambda *args: singular)
+        kernel = ss_kernel(data, prior)
+        a_mat = singular.precision_data[0] + kernel.prior_precision[0]
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.cholesky(a_mat)
+        state = one_state(np.zeros(2), np.ones(data.n), np.array([1, 0], dtype=np.int8))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(np.linalg.LinAlgError, match="not positive definite"):
+                draw_gamma_and_beta_ss(state, kernel, (substream(83),))
+
+    @pytest.mark.parametrize("chains", [1, 2])
+    def test_each_member_sweep_factors_once_per_flip_and_once_more(self, monkeypatch, chains):
+        # A structural guard in place of a timing test: the active block is factored at the start of each
+        # member-sweep and after each accepted flip, never once per coordinate. With one chain a call is one
+        # member-sweep; with two, its count is the sum of both members'.
+        factored, sweeps = [0], []
+        real_cholesky, real_sweep = bowl.gibbs.cholesky, bowl.gibbs.draw_gamma_and_beta_ss
+
+        def counting_cholesky(block):
+            factored[0] += 1
+            return real_cholesky(block)
+
+        def sweep(state, kernel, rngs):
+            before, factored[0] = state.gamma.copy(), 0
+            gamma, beta = real_sweep(state, kernel, rngs)
+            sweeps.append((factored[0], len(rngs) + int((gamma != before).sum())))
+            return gamma, beta
+
+        monkeypatch.setattr("bowl.gibbs.cholesky", counting_cholesky)
+        monkeypatch.setattr("bowl.gibbs.draw_gamma_and_beta_ss", sweep)
+        data = correlated_dataset(90, n=40, p=6)
+        run_chain(data, SpikeSlabPrior(pi_incl=0.5), GibbsConfig(n_draws=30, burn_in=0, n_chains=chains, seed=3))
+        assert len(sweeps) == 30
+        assert all(got == want for got, want in sweeps), sweeps
+        assert sum(want for _, want in sweeps) > chains * len(sweeps)  # some sweeps flip
 
     def test_empty_active_set_returns_zero_beta(self):
         data = random_dataset(60, n=4, p=2)
