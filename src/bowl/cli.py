@@ -122,6 +122,15 @@ def _parse_draws_csv(path: Path) -> tuple[PosteriorDraws, dict]:
     draw = np.tile(np.arange(gibbs_config.burn_in, gibbs_config.n_draws), n_chains)
     if not (np.array_equal(body[:, 0], chain) and np.array_equal(body[:, 1], draw)):
         raise DataError(f"{path}: chain and draw columns are not in the order bowl fit writes them")
+    columns = config.get("columns")
+    if not (type(columns) is list and all(type(name) is str for name in columns)):
+        raise DataError(f"{path}: columns in config must be a JSON list of strings, got {json.dumps(columns)}")
+    names = ["intercept"] * intercept + columns
+    expected = ["chain", "draw"] + [f"beta_{name}" for name in names]
+    if config.get("prior") == "ss":
+        expected += [f"gamma_{name}" for name in names]
+    if header != expected:
+        raise DataError(f"{path}: the config needs the columns {','.join(expected)}, got {','.join(header)}")
     draws = PosteriorDraws(
         beta=body[:, beta_cols].reshape(n_chains, kept, len(beta_cols)),
         intercept=intercept,
@@ -273,6 +282,8 @@ def cmd_reproduce(args) -> int:
     }
 
     # Every input is checked before the first fit, the heatmap fit's included.
+    if len(set(args.n)) < len(args.n):
+        raise DataError(f"--n lists a training size twice: {' '.join(map(str, args.n))}")
     specs = [ScenarioSpec(args.scenario, n_train, n_reps=args.reps, seed=args.seed) for n_train in args.n]
     ScenarioSpec(args.scenario, args.heatmap_n, seed=args.seed)
     check_grid_resolution(args.grid_res)
@@ -390,6 +401,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if "jobs" in args and args.jobs < 1:
             raise DataError(f"--jobs must be at least 1, got {args.jobs}")
+        if args.seed < 0:
+            raise DataError(f"--seed must be a non-negative integer, got {args.seed}")
         return args.func(args)
     except (OSError, ValueError) as exc:  # DataError and JSONDecodeError are ValueErrors
         print(f"error: {exc}", file=sys.stderr)

@@ -14,7 +14,6 @@ matrices are needed.
 
 from __future__ import annotations
 
-import copy
 import math
 from dataclasses import dataclass
 from functools import partial
@@ -339,9 +338,9 @@ class _Batch:
     """What every prior's kernel holds for a batch of members that share n and p.
 
     Each member is one dataset; a kernel's constants have a leading member
-    axis, built once per batch. Each kernel advances a copy of its `start`
-    state in place (`sweep`) through the module-level draw functions, looked
-    up on every call; the kernel itself never changes.
+    axis. A kernel is built for one run of its batch, which advances its
+    `start` state in place (`sweep`) through the module-level draw functions,
+    looked up on every call.
     """
 
     def __init__(self, datasets: list[Dataset]):
@@ -430,16 +429,19 @@ def _check_invariants(state: ChainState) -> None:
         raise ValueError("nonpositive omega")
 
 
-def _run_lockstep(config: GibbsConfig, kernel: _Batch, keys: list[tuple[int, int]]) -> list:
-    """Advance a kernel's members in lockstep, member r from substream(*keys[r]) with keys[r] = (seed, chain).
+# Overflow and NaN are silent: the kernel's checks raise ValueError, those after each sweep GibbsNumericalError.
+@np.errstate(over="ignore", divide="ignore", invalid="ignore")
+def _run_batch(kernel_type: type[_Batch], prior: PriorSpec, config: GibbsConfig, members: list) -> list:
+    """Build the kernel of members, (dataset, (seed, chain)) pairs, and step them in lockstep from their substreams.
 
-    Returns, per member, its retained (beta, gamma) draws. A failed sweep raises
-    GibbsNumericalError naming the iteration and the first member's chain.
+    Returns, per member, its retained (beta, gamma) draws or the GibbsNumericalError that stopped it, naming its
+    chain and iteration. A failed batch is rerun one member at a time, so each failure reads as a lone run's and
+    the others keep their bytes.
     """
-    rngs = [substream(seed, chain) for seed, chain in keys]
-    state = copy.deepcopy(kernel.start)
-    kept = config.n_draws - config.burn_in
-    beta_out = np.empty((len(keys), kept, kernel.p))
+    kernel = kernel_type([data for data, _ in members], prior)
+    rngs = [substream(seed, chain) for _, (seed, chain) in members]
+    state = kernel.start
+    beta_out = np.empty((len(members), config.n_draws - config.burn_in, kernel.p))
     gamma_out = np.empty(beta_out.shape, dtype=np.int8) if state.gamma is not None else None
 
     for g in range(config.n_draws):
@@ -447,30 +449,17 @@ def _run_lockstep(config: GibbsConfig, kernel: _Batch, keys: list[tuple[int, int
             kernel.sweep(state, rngs)
             _check_invariants(state)
         except (ValueError, FloatingPointError, OverflowError) as exc:  # LinAlgError is a ValueError
-            raise GibbsNumericalError(str(exc), keys[0][1], g) from exc
+            if len(members) > 1:
+                return [out for member in members for out in _run_batch(kernel_type, prior, config, [member])]
+            error = GibbsNumericalError(str(exc), members[0][1][1], g)
+            error.__cause__ = exc
+            return [error]
 
         if g >= config.burn_in:
             beta_out[:, g - config.burn_in] = state.beta
             if gamma_out is not None:
                 gamma_out[:, g - config.burn_in] = state.gamma
-    return [(beta_out[r], None if gamma_out is None else gamma_out[r]) for r in range(len(keys))]
-
-
-# Overflow and NaN are silent: the kernel's checks raise ValueError, those after each sweep GibbsNumericalError.
-@np.errstate(over="ignore", divide="ignore", invalid="ignore")
-def _run_batch(kernel_type: type[_Batch], prior: PriorSpec, config: GibbsConfig, members: list) -> list:
-    """Build the kernel of members, (dataset, (seed, chain)) pairs, and step them in lockstep.
-
-    Returns, per member, its retained (beta, gamma) draws or the GibbsNumericalError that stopped it. A failed
-    batch is rerun one member at a time, so each failure reads as a lone run's and the others keep their bytes.
-    """
-    kernel = kernel_type([data for data, _ in members], prior)
-    try:
-        return _run_lockstep(config, kernel, [key for _, key in members])
-    except GibbsNumericalError as error:
-        if len(members) == 1:
-            return [error]
-        return [out for member in members for out in _run_batch(kernel_type, prior, config, [member])]
+    return [(beta_out[r], None if gamma_out is None else gamma_out[r]) for r in range(len(members))]
 
 
 def run_chain(data, prior: PriorSpec, config, jobs: int = 1, intercept: bool = False):

@@ -152,7 +152,7 @@ class TestFit:
                                                                          recwarn, monkeypatch):
         csv = tmp_path / "train.csv"
         write_scenario_csv(csv, n=60, p=3)
-        monkeypatch.setattr("bowl.gibbs._run_lockstep", no_run)
+        monkeypatch.setattr("bowl.gibbs.substream", no_run)
         out = tmp_path / "out"
         assert main(["fit", "--data", str(csv), "--draws", "20", "--burn-in", "5", *flags,
                      "--out-dir", str(out)]) == 2
@@ -434,15 +434,43 @@ class TestPredict:
          r"config says intercept is true, but the first beta column is beta_x1$"),
         ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0}, "chain,draw,beta_intercept",
          r"config says intercept is false, but the first beta column is beta_intercept$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0, "columns": ["x1", "x2"]}, "chain,draw,beta_x2,beta_x1",
+         r"the config needs the columns chain,draw,beta_x1,beta_x2, got chain,draw,beta_x2,beta_x1$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0, "columns": ["x1"]}, "chain,draw,beta_banana",
+         r"the config needs the columns chain,draw,beta_x1, got chain,draw,beta_banana$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0, "columns": ["x1"]}, "chain,draw,beta_x1,beta_x2",
+         r"the config needs the columns chain,draw,beta_x1, got chain,draw,beta_x1,beta_x2$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0}, "chain,draw,beta_x1",
+         r"columns in config must be a JSON list of strings, got null$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0, "columns": [1]}, "chain,draw,beta_1",
+         r"columns in config must be a JSON list of strings, got \[1\]$"),
+        ({"n_draws": 2, "burn_in": 1, "n_chains": 1, "seed": 0, "prior": "ss", "columns": ["x1", "x2"]},
+         "chain,draw,beta_x1,beta_x2,gamma_x2,gamma_x1",
+         r"needs the columns chain,draw,beta_x1,beta_x2,gamma_x1,gamma_x2, got chain,draw,beta_x1,beta_x2,gamma_x2,"),
     ], ids=["no-config", "not-draw", "no-beta", "no-seed", "bad-n-draws", "burn-in-too-large", "fractional-counts",
-            "float-seed", "bool-chains", "intercept-string", "intercept-without-column", "column-without-intercept"])
+            "float-seed", "bool-chains", "intercept-string", "intercept-without-column", "column-without-intercept",
+            "swapped-names", "renamed-column", "extra-column", "no-columns", "columns-not-strings", "wrong-gamma-names"])
     def test_draws_file_checks(self, tmp_path, config, header, message):
         path = tmp_path / "draws.csv"
         lines = [] if config is None else ["# config=" + json.dumps(config)]
-        path.write_text("\n".join(lines + [header, "0,1,0.5"]) + "\n")
+        row = ",".join(["0", "1"] + ["0.5"] * (header.count(",") - 1))  # one cell per column
+        path.write_text("\n".join(lines + [header, row]) + "\n")
         with pytest.raises(DataError, match=message) as exc:
             _parse_draws_csv(path)
         assert str(exc.value).startswith(f"{path}: ")
+
+    def test_swapped_beta_names_exit_2(self, fitted, tmp_path, capsys):
+        lines = fitted.read_text().splitlines()
+        header = lines[1].replace("beta_x1,beta_x2", "beta_x2,beta_x1")
+        assert header != lines[1]
+        path = tmp_path / "swapped_draws.csv"
+        path.write_text("\n".join([lines[0], header] + lines[2:]) + "\n")
+        out = tmp_path / "pred"
+        assert main(["predict", "--draws", str(path), "--grid", "--out-dir", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}: the config needs the columns chain,draw,beta_intercept,beta_x1,beta_x2,")
+        assert f"got {header}\n" in err
+        assert not out.exists()
 
     def test_zero_draws_file_exit_2(self, tmp_path):
         empty = tmp_path / "draws.csv"
@@ -553,6 +581,7 @@ class TestReproduce:
         (["--n", "60", "--heatmap-n", "0"], "n_train, n_test and n_reps must be positive"),
         (["--n", "60", "--grid-res", "1"], "grid resolution must be at least 2"),
         (["--n", "60", "0"], "n_train, n_test and n_reps must be positive"),
+        (["--n", "40", "40"], "--n lists a training size twice: 40 40"),
     ])
     def test_bad_input_exits_2_before_any_fit(self, flags, message, tmp_path, capsys, monkeypatch):
         def no_fit(*args, **kwargs):
@@ -606,6 +635,20 @@ class TestJobs:
         else:
             assert main(argv) == 2
             assert "--jobs must be at least 1" in capsys.readouterr().err
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ["fit", "--data", "{csv}", "--out-dir", "out"],
+        ["reproduce", "--scenario", "1", "--n", "40", "--reps", "1", "--out-dir", "out"],
+        ["predict", "--draws", "unused.csv", "--grid", "--out-dir", "out"],
+        ["verify"],
+    ], ids=["fit", "reproduce", "predict", "verify"])
+    def test_negative_seed_exit_2(self, argv, tmp_path, tmp_path_factory, capsys, monkeypatch):
+        csv = tmp_path_factory.mktemp("data") / "train.csv"
+        write_scenario_csv(csv, n=40)
+        monkeypatch.chdir(tmp_path)  # every out dir is relative to it
+        assert main([arg.format(csv=csv) for arg in argv] + ["--seed", "-1"]) == 2
+        assert capsys.readouterr().err == "error: --seed must be a non-negative integer, got -1\n"
         assert not any(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [["verify", "--jobs", "1"], ["verify", "--out-dir", "."]])

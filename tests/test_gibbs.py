@@ -923,7 +923,7 @@ class TestRunChain:
         def no_sweep(*args, **kwargs):
             raise AssertionError("a sweep ran")
 
-        monkeypatch.setattr("bowl.gibbs._run_lockstep", no_sweep)
+        monkeypatch.setattr("bowl.gibbs.substream", no_sweep)
         d = random_dataset(68)
         data = Dataset(d.features, d.actions, d.rewards, rho)
         with pytest.raises(ValueError, match=message):
@@ -1120,7 +1120,7 @@ class TestRunChain:
     )
     def test_wrong_prior_shape_rejected_before_any_chain(self, monkeypatch, prior, name):
         data = random_dataset(66)  # p = 3
-        monkeypatch.setattr(bowl.gibbs, "_run_lockstep", lambda *args: pytest.fail("a chain started"))
+        monkeypatch.setattr(bowl.gibbs, "substream", lambda *args: pytest.fail("a chain started"))
         with pytest.raises(ValueError, match=rf"\.{name} has shape .*length p = 3"):
             run_chain(data, prior, GibbsConfig(n_draws=5, burn_in=0))
 
